@@ -146,7 +146,8 @@ def c2_square() -> Fraction:
 
 def riemann_roch_from_square(qval):
     """Euler characteristic of a line bundle with q(c1) = qval:
-    3 * binom(qval/2 + 2, 2). Accepts any exact scalar (Fraction, sympy)."""
+    3 * binom(qval/2 + 2, 2). Accepts any exact scalar: a Fraction, a
+    chern.Poly, or a sympy expression."""
     if isinstance(qval, int):
         qval = Fraction(qval)
     half = qval / 2

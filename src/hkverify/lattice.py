@@ -13,8 +13,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-import sympy
-
 
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -59,7 +57,24 @@ class GramLattice:
         return self.pair(u, u)
 
     def discriminant(self) -> int:
-        return int(sympy.Matrix(self.gram).det())
+        """Determinant of the Gram matrix by fraction-free elimination
+        (Bareiss, Math. Comp. 22, 1968): every division is exact over the
+        integers. A zero pivot is swapped with a lower row, flipping the sign."""
+        m = [list(row) for row in self.gram]
+        n = len(m)
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+                if swap is None:
+                    return 0
+                m[k], m[swap] = m[swap], m[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            prev = m[k][k]
+        return sign * m[-1][-1]
 
 
 def max_negative_square(lattice: GramLattice, box: int) -> Fraction | None:

@@ -29,7 +29,6 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.chern import (
-    SYMBOL_A,
     ch1_ch3,
     ch1sq_ch2_derived,
     ch1sq_ch2_stated,
@@ -86,8 +85,9 @@ def test_criterion_chi_end_is_constant_three():
     # whole-endomorphism Euler characteristic: 3 as a polynomial identity
     # and for every a up to 50, with the decomposition (48, -63, 18) and
     # traceless part 0
-    assert sympy.expand(chi_end(SYMBOL_A) - 3) == 0
-    assert sympy.expand(chi_end_traceless(SYMBOL_A)) == 0
+    a_sym = sympy.symbols("a")
+    assert sympy.expand(chi_end(a_sym) - 3) == 0
+    assert sympy.expand(chi_end_traceless(a_sym)) == 0
     for a in range(1, 51):
         assert chi_end(a) == 3
         assert chi_end_traceless(a) == 0
@@ -190,7 +190,7 @@ def test_criterion_chern_number_identities_and_lone_discrepancy():
     assert identities["chi-paths-agree"]
     assert identities["ch4-paths-agree"]
     assert identities["ch1sq-ch2-statement-differs"]
-    a_sym = SYMBOL_A
+    a_sym = sympy.symbols("a")
     assert sympy.expand(
         8 * ch4_integral(a_sym) - 2 * ch1_ch3(a_sym) + ch2_squared(a_sym) - 18
     ) == 0

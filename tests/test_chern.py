@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hkverify.chern import (
     SYMBOL_A,
+    Poly,
     ChernNumberTable,
     a_invariant,
     a_invariant_components,
@@ -37,6 +38,18 @@ from hkverify.chern import (
 )
 
 small_a = st.integers(min_value=1, max_value=50)
+# small rationals, zero often enough that one- and two-term polynomials occur
+small_q = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-12, max_value=12, max_denominator=4)
+)
+small_poly = st.lists(small_q, max_size=3).map(Poly)
+
+
+def _to_sympy(poly):
+    a = sympy.symbols("a")
+    return sympy.expand(
+        sum(sympy.Rational(c.numerator, c.denominator) * a**k for k, c in enumerate(poly.coeffs))
+    )
 
 
 def test_values_at_a_equals_one():
@@ -160,7 +173,59 @@ def test_polynomial_identities_all_hold():
 
 def test_polynomials_in_a_symbol():
     # the generic formulas accept a sympy symbol and stay exact
-    expr = chi_end(SYMBOL_A)
+    a = sympy.symbols("a")
+    expr = chi_end(a)
     assert sympy.simplify(expr - 3) == 0
-    quartic = ch1_fourth(SYMBOL_A)
-    assert sympy.expand(quartic - (2304 * SYMBOL_A**2 - 1728 * SYMBOL_A + 324)) == 0
+    quartic = ch1_fourth(a)
+    assert sympy.expand(quartic - (2304 * a**2 - 1728 * a + 324)) == 0
+
+
+@given(small_poly)
+def test_poly_prints_like_sympy(poly):
+    assert str(poly) == str(_to_sympy(poly))
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ((), "0"),
+        ((0, 0, 0), "0"),
+        ((27, -72), "27 - 72*a"),
+        ((1, 0, -1), "1 - a**2"),
+        ((Fraction(1, 2), 0, Fraction(-3, 2)), "1/2 - 3*a**2/2"),
+        ((1, -1), "1 - a"),
+        ((-1, 1), "a - 1"),
+        ((-1, -1), "-a - 1"),
+        ((1, 1), "a + 1"),
+        ((1, 1, -1), "-a**2 + a + 1"),
+        ((0, Fraction(1, 2), Fraction(-3, 2)), "-3*a**2/2 + a/2"),
+        ((Fraction(9, 4), Fraction(-9, 2), Fraction(3, 2)), "3*a**2/2 - 9*a/2 + 9/4"),
+        ((0, Fraction(-1, 2)), "-a/2"),
+        ((Fraction(-27, 2),), "-27/2"),
+    ],
+)
+def test_poly_printer_cases(coeffs, text):
+    poly = Poly(coeffs)
+    assert str(poly) == text == str(_to_sympy(poly))
+
+
+@given(small_poly, small_poly, st.integers(min_value=-5, max_value=5))
+def test_poly_arithmetic_matches_sympy(p, q, k):
+    for ours, theirs in (
+        (p + q, _to_sympy(p) + _to_sympy(q)),
+        (p - q, _to_sympy(p) - _to_sympy(q)),
+        (k - p, k - _to_sympy(p)),
+        (p * q, _to_sympy(p) * _to_sympy(q)),
+        (k * p, k * _to_sympy(p)),
+        (-p / 3, -_to_sympy(p) / 3),
+    ):
+        assert str(ours) == str(sympy.expand(theirs))
+
+
+def test_poly_compares_with_scalars():
+    a = SYMBOL_A
+    assert Poly(()) == 0 == a - a
+    assert Poly((3,)) == 3 and 3 == Poly((3,))
+    assert Poly((Fraction(1, 2),)) == Fraction(1, 2)
+    assert a != 0 and a * a != a
+    assert Poly((1, 2, 0)) == Poly((1, 2))

@@ -4,6 +4,7 @@ divisibility, and the congruence bookkeeping for moduli cases."""
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,12 +22,42 @@ from hkverify.lattice import (
 ints = st.integers(min_value=-9, max_value=9)
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size 1 to 4; half of them get a zero
+    leading entry so that elimination must swap rows."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    upper = {(i, j): draw(ints) for i in range(n) for j in range(i, n)}
+    if draw(st.booleans()):
+        upper[0, 0] = 0
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+
 def test_gram_pair_basics():
     lat = GramLattice(((2, 1), (1, 2)))
     assert lat.rank == 2
     assert lat.pair((1, 0), (0, 1)) == 1
     assert lat.square((1, 1)) == 6
     assert lat.discriminant() == 3
+
+
+@given(symmetric_matrices())
+def test_discriminant_matches_sympy(gram):
+    assert GramLattice(gram).discriminant() == sympy.Matrix(gram).det()
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((0, 4), (4, 0)),  # the fiber lattice V: zero leading entry
+        ((0, 0), (0, 1)),  # zero first column: singular
+        ((1, 1, 0), (1, 1, 1), (0, 1, 0)),  # zero pivot after one step
+        ((0, 0, 1, 2), (0, 0, 3, 4), (1, 3, 0, 0), (2, 4, 0, 0)),
+        ((-7,),),
+    ],
+)
+def test_discriminant_zero_pivots(gram):
+    assert GramLattice(gram).discriminant() == sympy.Matrix(gram).det()
 
 
 def test_gram_even_validation():

@@ -2,9 +2,14 @@
 determinism, filtering, verdict bookkeeping, and the subcommand outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hkverify
 from hkverify.cli import main
 from hkverify.report import (
     EXPECTED_DISCREPANCIES,
@@ -227,3 +232,26 @@ def test_cli_usage_errors_exit_two():
 def test_cli_partial_fiber_profile_is_rejected(capsys):
     assert main(["fiber", "--m", "1", "--d", "9", "--r2", "1"]) == 1
     assert "profile needs all" in capsys.readouterr().err
+
+
+def _run_python(*args):
+    """A fresh interpreter that imports this checkout's hkverify."""
+    src = str(Path(hkverify.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_loads_no_sympy():
+    run = _run_python("-c", "import hkverify.cli, sys; print('sympy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    run = _run_python("-m", "hkverify", "report", "--only", "chern-ch4", "--format", "md")
+    assert run.returncode == 0, run.stderr
+    row = "| chern-ch4 | 3*a**2/2 - 9*a/2 + 9/4 | 3*a**2/2 - 9*a/2 + 9/4 | pass | stated |"
+    assert row in run.stdout.splitlines()
