@@ -126,11 +126,15 @@ def fujiki_symmetrized(
     b1: KummerTwoClass, b2: KummerTwoClass, b3: KummerTwoClass, b4: KummerTwoClass
 ) -> Fraction:
     """Oracle for fujiki_integral: (3/8) * sum over all 24 orderings of
-    q(s1, s2) * q(s3, s4). Each matching appears 8 times in the sum."""
+    q(s1, s2) * q(s3, s4). Each matching appears 8 times in the sum.
+    q is evaluated once per ordered pair (i, j), i != j, and tabled. No
+    symmetry of q is assumed and the full 24-term sum is kept, so the
+    oracle does not reduce to fujiki_integral's three-matching formula."""
     bs = (b1, b2, b3, b4)
+    q = {(i, j): bbf(bs[i], bs[j]) for i in range(4) for j in range(4) if i != j}
     total = Fraction(0)
     for s in permutations(range(4)):
-        total += bbf(bs[s[0]], bs[s[1]]) * bbf(bs[s[2]], bs[s[3]])
+        total += q[s[0], s[1]] * q[s[2], s[3]]
     return Fraction(3, 8) * total
 
 

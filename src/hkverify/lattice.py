@@ -33,6 +33,8 @@ class GramLattice:
         n = len(self.gram)
         if n == 0 or any(len(row) != n for row in self.gram):
             raise ValueError("Gram matrix must be square and nonempty")
+        if not all(isinstance(entry, int) for row in self.gram for entry in row):
+            raise TypeError("Gram matrix entries must be integers")
         for i in range(n):
             for j in range(n):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -129,7 +131,13 @@ class AbelianSurfaceModel:
         )
 
     def pair(self, u, v) -> Fraction:
-        return self.gram().pair(u, v)
+        """self_omega*p*p' + mixed_d*(p*q' + q*p') for u = (p, q) and
+        v = (p', q'), computed directly; gram().pair is its oracle."""
+        if len(u) != 2 or len(v) != 2:
+            raise ValueError("coefficient vector length does not match rank")
+        p, q = _frac(u[0]), _frac(u[1])
+        p2, q2 = _frac(v[0]), _frac(v[1])
+        return self.self_omega * p * p2 + self.mixed_d * (p * q2 + q * p2)
 
     def discriminant(self) -> int:
         return self.gram().discriminant()

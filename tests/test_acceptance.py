@@ -68,7 +68,6 @@ from hkverify.kummer import (
     two_class,
 )
 from hkverify.lattice import AbelianSurfaceModel
-from hkverify.report import run_report
 from hkverify.walls import ample_thresholds, enumerate_wall_numerics, generate_wall_cases, is_ample_h
 
 
@@ -179,7 +178,7 @@ def test_criterion_blowup_quartic_calculus():
     assert sum(chain) == 324
 
 
-def test_criterion_chern_number_identities_and_lone_discrepancy():
+def test_criterion_chern_number_identities_and_lone_discrepancy(default_report):
     # the Hirzebruch combination 8 ch4 - 2 ch1.ch3 + ch2^2 equals 18,
     # every doubly-computed Chern number agrees along both paths (as
     # polynomial identities in a), and the recorded ch1^2.ch2 is the
@@ -200,12 +199,11 @@ def test_criterion_chern_number_identities_and_lone_discrepancy():
         assert ch4_integral(a) == ch4_via_chi(a)
         assert chi_bundle(a) == chi_bundle_rr(a) == chi_bundle_hrr(a)
         assert ch1sq_ch2_stated(a) != ch1sq_ch2_derived(a)
-    report = run_report()
-    discrepancies = [r for r in report.records if r.verdict == "discrepancy"]
+    discrepancies = [r for r in default_report.records if r.verdict == "discrepancy"]
     assert [r.claim_id for r in discrepancies] == ["chern-ch1sq-ch2"]
     assert discrepancies[0].stated == "576*a**2 - 540*a + 81"
     assert discrepancies[0].computed == "288*a**2 - 324*a + 81"
-    assert not any(r.verdict == "fail" for r in report.records)
+    assert not any(r.verdict == "fail" for r in default_report.records)
 
 
 def test_criterion_fiber_restriction_numerics():

@@ -3,6 +3,7 @@ the quartic integral and its symmetrized oracle, c2 pairings, and the
 Riemann-Roch polynomial."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -84,6 +85,18 @@ def test_fujiki_square_of_square():
 @given(classes(), classes(), classes(), classes())
 def test_fujiki_matches_symmetrized_oracle(b1, b2, b3, b4):
     assert fujiki_integral(b1, b2, b3, b4) == fujiki_symmetrized(b1, b2, b3, b4)
+
+
+@given(classes(), classes(), classes(), classes())
+def test_fujiki_symmetrized_equals_untabled_sum(b1, b2, b3, b4):
+    # the oracle tables q once per ordered pair; the plain 48-evaluation
+    # sum over all 24 orderings must give the same value
+    bs = (b1, b2, b3, b4)
+    total = sum(
+        (bbf(bs[i], bs[j]) * bbf(bs[k], bs[m]) for i, j, k, m in permutations(range(4))),
+        Fraction(0),
+    )
+    assert fujiki_symmetrized(b1, b2, b3, b4) == Fraction(3, 8) * total
 
 
 @given(classes(), classes(), classes(), classes())

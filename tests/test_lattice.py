@@ -20,6 +20,7 @@ from hkverify.lattice import (
 )
 
 ints = st.integers(min_value=-9, max_value=9)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
@@ -66,6 +67,14 @@ def test_gram_even_validation():
         GramLattice(((1, 0), (0, 2)), even=True)
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 2.5])
+def test_gram_rejects_non_integer_entries(entry):
+    # a fractional entry would make the integer elimination of
+    # discriminant() silently wrong (1 for 1/2, 7.0 for 2.5)
+    with pytest.raises(TypeError):
+        GramLattice(((entry, 0), (0, 3)))
+
+
 def test_gram_rejects_asymmetric():
     with pytest.raises(ValueError):
         GramLattice(((0, 1), (2, 0)))
@@ -91,6 +100,32 @@ def test_surface_model_gram():
     assert model.gram().even
     assert model.discriminant() == -25
     assert model.pair((1, 0), (0, 1)) == 5
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=9),
+    st.tuples(rationals, rationals),
+    st.tuples(rationals, rationals),
+)
+def test_surface_model_pair_matches_gram_oracle(half_w, d, u, v):
+    model = AbelianSurfaceModel(2 * half_w, d)
+    value = model.pair(u, v)
+    assert type(value) is Fraction
+    assert value == model.gram().pair(u, v)
+
+
+def test_surface_model_pair_input_errors():
+    model = AbelianSurfaceModel(4, 5)
+    assert type(model.pair((1, 0), (0, 1))) is Fraction
+    with pytest.raises(ValueError):
+        model.pair((1, 0, 0), (0, 1))
+    with pytest.raises(ValueError):
+        model.pair((1, 0), (0, 1, 0))
+    with pytest.raises(TypeError):
+        model.pair((1.0, 0), (0, 1))
+    with pytest.raises(TypeError):
+        model.pair((1, 0), (0, 0.5))
 
 
 def test_surface_model_discriminant_is_minus_d_squared():
