@@ -239,11 +239,11 @@ def delta_pairing_delta_delta(x, y) -> Fraction:
 
 
 def delta_pairing_closed(x, y, alpha: KummerTwoClass, beta: KummerTwoClass) -> Fraction:
-    """Bilinear combination of the three closed forms."""
-    t = _frac(x) - _frac(y)
-    mu_part = 18 * (4 * t * t + 4 * t + 3) * alpha.ns.pair(beta.ns)
-    delta_part = -324 * (t * t + t + 1) * alpha.x * beta.x
-    return mu_part + delta_part
+    """Bilinear combination of the closed forms; the mu-delta cross terms
+    vanish."""
+    return delta_pairing_mu_mu(x, y, alpha.ns, beta.ns) + (
+        delta_pairing_delta_delta(x, y) * alpha.x * beta.x
+    )
 
 
 def delta_pairing_via_chern(

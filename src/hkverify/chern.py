@@ -153,39 +153,6 @@ def a_invariant_components() -> tuple[int, int, int]:
     return (16, 54, 12)
 
 
-@dataclass(frozen=True)
-class ChernNumberTable:
-    """All degree-8 numbers of the bundle at a fixed integer a >= 1."""
-
-    a: Fraction
-    ch1_fourth: Fraction
-    ch1sq_ch2_stated: Fraction
-    ch1sq_ch2_derived: Fraction
-    ch1_ch3: Fraction
-    ch2_squared: Fraction
-    ch4: Fraction
-    chi_bundle: Fraction
-    chi_end: Fraction
-    chi_end_traceless: Fraction
-
-    @classmethod
-    def compute(cls, a: int) -> "ChernNumberTable":
-        if not isinstance(a, int) or a < 1:
-            raise ValueError("a must be an integer >= 1")
-        return cls(
-            a=Fraction(a),
-            ch1_fourth=ch1_fourth(a),
-            ch1sq_ch2_stated=ch1sq_ch2_stated(a),
-            ch1sq_ch2_derived=ch1sq_ch2_derived(a),
-            ch1_ch3=ch1_ch3(a),
-            ch2_squared=ch2_squared(a),
-            ch4=ch4_integral(a),
-            chi_bundle=chi_bundle(a),
-            chi_end=chi_end(a),
-            chi_end_traceless=chi_end_traceless(a),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Poly:
     """Polynomial in a with Fraction coefficients, lowest degree first and

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .abelian import IsogenyParams, is_simple_semihom, zeppola_integral
 from .blowup import is_modular_bundle
 from .chern import (
-    ChernNumberTable,
     a_invariant,
     ch1_ch3,
     ch1_fourth,
@@ -43,18 +42,20 @@ from .lattice import AbelianSurfaceModel
 from .report import ReportConfig, exit_code, run_report, to_json, to_markdown
 from .walls import enumerate_wall_numerics, generate_wall_cases, is_ample_h
 
-_CHERN_ENTRIES = {
-    "ch1-fourth": ch1_fourth,
-    "ch1sq-ch2-stated": ch1sq_ch2_stated,
-    "ch1sq-ch2-derived": ch1sq_ch2_derived,
-    "ch1-ch3": ch1_ch3,
-    "ch2-squared": ch2_squared,
-    "ch4": ch4_integral,
-    "chi": chi_bundle,
-    "chi-end": chi_end,
-    "chi-end0": chi_end_traceless,
-    "a-invariant": lambda a: a_invariant(),
-}
+#: (entry, label, fn) for `chern`: `--entry` prints fn(a) of one entry, and
+#: without it every labelled row is printed in this order.
+_CHERN_TABLE = (
+    ("ch1-fourth", "ch1^4", ch1_fourth),
+    ("ch1sq-ch2-stated", "ch1^2.ch2 (stated)", ch1sq_ch2_stated),
+    ("ch1sq-ch2-derived", "ch1^2.ch2 (derived)", ch1sq_ch2_derived),
+    ("ch1-ch3", "ch1.ch3", ch1_ch3),
+    ("ch2-squared", "ch2^2", ch2_squared),
+    ("ch4", "ch4", ch4_integral),
+    ("chi", "chi", chi_bundle),
+    ("chi-end", "chi(End)", chi_end),
+    ("chi-end0", "chi(End0)", chi_end_traceless),
+    ("a-invariant", None, lambda a: a_invariant()),
+)
 
 
 def _fraction(text: str) -> Fraction:
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     che = sub.add_parser("chern", help="Chern numbers of the rank-4 bundle")
     che.add_argument("--a", type=int, required=True)
-    che.add_argument("--entry", choices=sorted(_CHERN_ENTRIES), default=None)
+    che.add_argument("--entry", choices=sorted(e for e, _, _ in _CHERN_TABLE), default=None)
 
     fib = sub.add_parser("fiber", help="fiber degrees and subsheaf ranks")
     fib.add_argument("--m", type=int, required=True)
@@ -199,20 +200,15 @@ def _cmd_modularity(args) -> int:
 
 
 def _cmd_chern(args) -> int:
-    if args.entry is not None:
-        print(_CHERN_ENTRIES[args.entry](args.a))
-        return 0
-    table = ChernNumberTable.compute(args.a)
-    print(f"a = {table.a}")
-    print(f"ch1^4 = {table.ch1_fourth}")
-    print(f"ch1^2.ch2 (stated) = {table.ch1sq_ch2_stated}")
-    print(f"ch1^2.ch2 (derived) = {table.ch1sq_ch2_derived}")
-    print(f"ch1.ch3 = {table.ch1_ch3}")
-    print(f"ch2^2 = {table.ch2_squared}")
-    print(f"ch4 = {table.ch4}")
-    print(f"chi = {table.chi_bundle}")
-    print(f"chi(End) = {table.chi_end}")
-    print(f"chi(End0) = {table.chi_end_traceless}")
+    if args.a < 1:
+        raise ValueError("a must be an integer >= 1")
+    if args.entry is None:
+        print(f"a = {args.a}")
+    for entry, label, fn in _CHERN_TABLE:
+        if entry == args.entry:
+            print(fn(args.a))
+        elif args.entry is None and label is not None:
+            print(f"{label} = {fn(args.a)}")
     return 0
 
 

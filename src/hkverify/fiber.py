@@ -28,12 +28,6 @@ def _check_md(m: int, d: int) -> int:
     return md
 
 
-def deg_sigma(m: int, d: int) -> int:
-    """Degree of the ruling class Sigma on the fiber: 12 m d."""
-    _check_md(m, d)
-    return 12 * m * d
-
-
 def restriction_c1_fiber_v(m: int, d: int) -> tuple[Fraction, Fraction]:
     """Coefficients of the polarization restricted to the V component in the
     (Sigma, Gamma) basis: ((md - 1)/2, 3 m d)."""
@@ -59,13 +53,6 @@ def fiber_degrees_gram(m: int, d: int) -> tuple[int, int]:
     deg_v = GRAM_V.square(restriction_c1_fiber_v(m, d))
     deg_delta = GRAM_DELTA.square(restriction_c1_fiber_delta(m, d))
     return (int(deg_v), int(deg_delta))
-
-
-def restriction_c1_smooth_fiber(m: int, d: int) -> int:
-    """Multiple of the principal polarization theta on a smooth fiber: the
-    restriction is 2 m d * theta."""
-    _check_md(m, d)
-    return 2 * m * d
 
 
 @dataclass(frozen=True)
@@ -133,34 +120,6 @@ def destabilizer_profiles() -> tuple[SubsheafProfile, ...]:
 
 def minimum_destabilizer_margin() -> Fraction:
     return min(destabilizer_margin(p.r2, p.r1pp) for p in destabilizer_profiles())
-
-
-def verify_potentialstab(md: int) -> bool:
-    """All destabilizer profiles have strictly positive margin; valid for
-    odd m d > 8 (the regime where the integrality criterion applies)."""
-    if md <= 8:
-        raise ValueError("the stability check needs m*d > 8")
-    if md % 2 == 0:
-        raise ValueError("the stability check needs odd m*d")
-    return all(
-        destabilizer_margin(p.r2, p.r1pp) > 0 for p in destabilizer_profiles()
-    )
-
-
-def alpha1_identity_check(a1p, a1pp, a2, r2: int, m: int, d: int):
-    """Predicted alpha1(F)/rank for a subsheaf with ruling weights a1', a1''
-    and Delta weight a2: (a1' + a1'' + a2)/r2 - 2 * deg Sigma."""
-    if r2 == 0:
-        raise ValueError("the identity needs r2 > 0")
-    return (a1p + a1pp + a2) * Fraction(1, r2) - 2 * deg_sigma(m, d)
-
-
-def full_sheaf_alpha1(a1_prime, a2, m: int, d: int):
-    """alpha1(E_Y)/4 for the full sheaf, using the ruling relation
-    alpha1'' = alpha1' + 2 deg Sigma:
-    a1'/2 + a2/4 - (3/2) deg Sigma."""
-    ds = deg_sigma(m, d)
-    return a1_prime * Fraction(1, 2) + a2 * Fraction(1, 4) - Fraction(3, 2) * ds
 
 
 # --- monodromy on torsion points ------------------------------------------

@@ -120,6 +120,8 @@ class AbelianSurfaceModel:
     saturated: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.self_omega, int) or not isinstance(self.mixed_d, int):
+            raise TypeError("omegabar^2 and d must be integers")
         if self.self_omega <= 0 or self.self_omega % 2:
             raise ValueError("omegabar^2 must be a positive even integer")
         if self.mixed_d <= 0:
@@ -171,18 +173,6 @@ def classify_moduli_case(e: int, i: int) -> bool:
     if i == 1:
         return e % 2 == 0
     return (e + 6) % _MODULI_MODULUS[i] == 0
-
-
-@dataclass(frozen=True)
-class ModuliCase:
-    """An accepted (e, i) pair; construction fails on rejected input."""
-
-    e: int
-    i: int
-
-    def __post_init__(self) -> None:
-        if not classify_moduli_case(self.e, self.i):
-            raise ValueError(f"(e={self.e}, i={self.i}) is not an admissible case")
 
 
 def theorem_hypothesis(e: int, i: int) -> int | None:

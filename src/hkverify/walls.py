@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .kummer import KummerTwoClass, bbf, two_class
-from .lattice import AbelianSurfaceModel, kummer_divisibility
+from .kummer import KummerTwoClass, two_class
+from .lattice import AbelianSurfaceModel
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,6 @@ def generate_wall_cases() -> tuple[WallNumerics, ...]:
 def enumerate_wall_numerics() -> tuple[WallNumerics, ...]:
     """The retained wall cases (square strictly negative)."""
     return tuple(w for w in generate_wall_cases() if w.retained)
-
-
-def is_wall_candidate(w: KummerTwoClass) -> bool:
-    """Whether a primitive integral degree-2 class has the numerics of a
-    wall: square -6 and divisibility in {2, 3, 6}."""
-    p, q, x = w.coeffs()
-    if any(c.denominator != 1 for c in (p, q, x)):
-        raise ValueError("wall candidates must be integral classes")
-    p, q, x = int(p), int(q), int(x)
-    if gcd(gcd(p, q), x) != 1:
-        raise ValueError("wall candidates must be primitive classes")
-    return bbf(w, w) == -6 and kummer_divisibility(p, q, x) in (2, 3, 6)
 
 
 @dataclass(frozen=True)
@@ -184,9 +172,3 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
         separating_threshold=separating_thr,
         below_threshold=d <= separating_thr,
     )
-
-
-def polarization_class(abar: int, d: int, m: int) -> KummerTwoClass:
-    """h = 2m * mu(omegabar) - delta on the doubled model."""
-    model = AbelianSurfaceModel(4 * abar, d)
-    return two_class(model, 2 * m, 0, -1)

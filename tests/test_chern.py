@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hkverify.chern import (
     SYMBOL_A,
     Poly,
-    ChernNumberTable,
     a_invariant,
     a_invariant_components,
     ch1_ch3,
@@ -136,25 +135,6 @@ def test_a_invariant():
     # components multiply out: rank^2 * coeff / 12
     r2, coeff, denom = a_invariant_components()
     assert Fraction(r2 * coeff, denom) == a_invariant()
-
-
-def test_table_compute():
-    table = ChernNumberTable.compute(1)
-    assert table.a == 1
-    assert table.ch1_fourth == 900
-    assert table.ch1sq_ch2_stated == 117
-    assert table.ch1sq_ch2_derived == 45
-    assert table.ch2_squared == 9
-    assert table.chi_bundle == 9
-    assert table.chi_end == 3
-    assert table.chi_end_traceless == 0
-
-
-def test_table_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ChernNumberTable.compute(0)
-    with pytest.raises(ValueError):
-        ChernNumberTable.compute(-2)
 
 
 def test_polynomial_identities_all_hold():

@@ -13,13 +13,10 @@ from hkverify.fiber import (
     GRAM_DELTA,
     GRAM_V,
     SubsheafProfile,
-    alpha1_identity_check,
-    deg_sigma,
     destabilizer_margin,
     destabilizer_profiles,
     fiber_degrees,
     fiber_degrees_gram,
-    full_sheaf_alpha1,
     integer_rank_criterion,
     invariant_torsion_cosets,
     minimum_destabilizer_margin,
@@ -28,11 +25,9 @@ from hkverify.fiber import (
     monodromy_group_order,
     restriction_c1_fiber_delta,
     restriction_c1_fiber_v,
-    restriction_c1_smooth_fiber,
     subsheaf_rank,
     subsheaf_rank_weighted,
     trivial_torsion_coset,
-    verify_potentialstab,
 )
 
 small_md = st.tuples(
@@ -41,7 +36,6 @@ small_md = st.tuples(
 
 
 def test_component_degrees():
-    assert deg_sigma(1, 9) == 108
     assert fiber_degrees(1, 9) == (864, 216)
     assert fiber_degrees(1, 3) == (72, 72)
     assert fiber_degrees(3, 3) == (864, 216)  # only the product md enters
@@ -50,7 +44,6 @@ def test_component_degrees():
 def test_restriction_coefficients():
     assert restriction_c1_fiber_v(1, 9) == (4, 27)
     assert restriction_c1_fiber_delta(1, 9) == (1, 108)
-    assert restriction_c1_smooth_fiber(1, 9) == 18
 
 
 def test_gram_matrices():
@@ -66,7 +59,7 @@ def test_degrees_match_gram_squares(md_pair):
 
 def test_degree_validation():
     with pytest.raises(ValueError):
-        deg_sigma(1, 1)  # md must exceed 1
+        fiber_degrees(1, 1)  # md must exceed 1
     with pytest.raises(ValueError):
         fiber_degrees(0, 5)
 
@@ -141,29 +134,6 @@ def test_minimum_margin():
         if destabilizer_margin(p.r2, p.r1pp) == 3
     ]
     assert attaining == [(0, 2, 1), (0, 4, 2), (2, 4, 3)]
-
-
-def test_verify_potentialstab():
-    assert verify_potentialstab(9)
-    assert verify_potentialstab(41)
-    with pytest.raises(ValueError):
-        verify_potentialstab(7)  # too small
-    with pytest.raises(ValueError):
-        verify_potentialstab(10)  # even
-
-
-@given(st.integers(min_value=-50, max_value=50), st.integers(min_value=-50, max_value=50))
-def test_alpha1_full_sheaf_consistency(a1p, a2):
-    # full sheaf: ranks (4, 4), second ruling weight shifted by 2 deg Sigma
-    m, d = 1, 9
-    ds = deg_sigma(m, d)
-    via_identity = alpha1_identity_check(a1p, a1p + 2 * ds, a2, 4, m, d)
-    assert via_identity == full_sheaf_alpha1(a1p, a2, m, d)
-
-
-def test_alpha1_rejects_rank_zero():
-    with pytest.raises(ValueError):
-        alpha1_identity_check(0, 0, 0, 0, 1, 9)
 
 
 def test_monodromy_group_order():

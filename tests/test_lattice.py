@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hkverify.lattice import (
     AbelianSurfaceModel,
     GramLattice,
-    ModuliCase,
     classify_moduli_case,
     kummer_divisibility,
     max_negative_square,
@@ -145,6 +144,13 @@ def test_surface_model_validation():
         AbelianSurfaceModel(4, -3)
 
 
+@pytest.mark.parametrize("self_omega, mixed_d", [(4.0, 5), (4, Fraction(5))])
+def test_surface_model_rejects_non_integer_parameters(self_omega, mixed_d):
+    # unchecked, (4.0, 5) makes pair((1, 0), (1, 0)) return the float 4.0
+    with pytest.raises(TypeError):
+        AbelianSurfaceModel(self_omega, mixed_d)
+
+
 def test_max_negative_square_small_box():
     lat = GramLattice(((-2, 0), (0, -2)))
     assert max_negative_square(lat, 2) == -2
@@ -198,12 +204,6 @@ def test_moduli_case_classification():
         classify_moduli_case(10, 4)
     with pytest.raises(ValueError):
         classify_moduli_case(0, 2)
-
-
-def test_moduli_case_dataclass_validates():
-    ModuliCase(10, 2)
-    with pytest.raises(ValueError):
-        ModuliCase(11, 2)
 
 
 def test_theorem_hypothesis_values():

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hkverify.kummer import bbf, two_class
-from hkverify.lattice import AbelianSurfaceModel
 from hkverify.walls import (
     MODULI_VECTOR,
     AmplenessResult,
@@ -15,9 +13,7 @@ from hkverify.walls import (
     enumerate_wall_numerics,
     generate_wall_cases,
     is_ample_h,
-    is_wall_candidate,
     mukai_pair,
-    polarization_class,
 )
 
 
@@ -62,15 +58,6 @@ def test_every_retained_wall_has_square_minus_six():
         assert w.q == -6
         assert w.div_candidates <= {1, 2, 3, 6}
         assert all(d % (6 // w.n) == 0 for d in w.div_candidates)
-
-
-def test_wall_candidate_recognition():
-    model = AbelianSurfaceModel(4, 5)
-    delta = two_class(model, 0, 0, 1)
-    assert is_wall_candidate(delta)  # square -6, divisibility 6
-    assert not is_wall_candidate(two_class(model, 1, 0, 0))  # square 4
-    with pytest.raises(ValueError):
-        is_wall_candidate(two_class(model, 2, 0, 2))  # not primitive
 
 
 def test_ample_thresholds():
@@ -129,13 +116,6 @@ def test_large_odd_d_is_ample(abar, m):
     _, sep = ample_thresholds(abar)
     for d in range(sep + 1, sep + 20, 2):
         assert is_ample_h(abar, d, m).verdict == "ample"
-
-
-def test_polarization_class():
-    h = polarization_class(1, 3, 1)
-    assert h.coeffs() == (2, 0, -1)
-    assert bbf(h, h) == 10
-    assert polarization_class(2, 7, 3).coeffs() == (6, 0, -1)
 
 
 def test_result_render_shapes():
