@@ -35,6 +35,7 @@ from hkverify.chern import (
     gianni_decomposition,
     polynomial_identities,
 )
+from hkverify.cli import main
 
 small_a = st.integers(min_value=1, max_value=50)
 # small rationals, zero often enough that one- and two-term polynomials occur
@@ -135,6 +136,23 @@ def test_a_invariant():
     # components multiply out: rank^2 * coeff / 12
     r2, coeff, denom = a_invariant_components()
     assert Fraction(r2 * coeff, denom) == a_invariant()
+
+
+def test_table_compute(capsys):
+    # the whole `chern --a 1` table, row for row
+    assert main(["chern", "--a", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a = 1",
+        "ch1^4 = 900",
+        "ch1^2.ch2 (stated) = 117",
+        "ch1^2.ch2 (derived) = 45",
+        "ch1.ch3 = -15/2",
+        "ch2^2 = 9",
+        "ch4 = -3/4",
+        "chi = 9",
+        "chi(End) = 3",
+        "chi(End0) = 0",
+    ]
 
 
 def test_polynomial_identities_all_hold():
