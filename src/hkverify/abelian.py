@@ -35,22 +35,25 @@ class IsogenyParams:
             raise ValueError("d0 must be a positive integer")
 
 
-def kernel_order(params: IsogenyParams) -> int:
+def kernel_order(params: IsogenyParams, modulus: int | None = None) -> int:
     """Order of the kernel of the polarization morphism:
-    (n+1)^2 * d0^(2n)."""
-    return (params.n + 1) ** 2 * params.d0 ** (2 * params.n)
+    (n+1)^2 * d0^(2n), or its residue modulo `modulus` when one is given."""
+    if modulus is None:
+        return (params.n + 1) ** 2 * params.d0 ** (2 * params.n)
+    return (params.n + 1) ** 2 % modulus * pow(params.d0, 2 * params.n, modulus) % modulus
 
 
 def is_simple_semihom(params: IsogenyParams) -> tuple[bool, int | None]:
     """Simplicity criterion gcd(deg_f, (n+1) d0) = 1, returning the rank
-    deg_f^n when it holds. The equivalent kernel-order coprimality test is
-    recomputed and must agree."""
-    simple = gcd(params.deg_f, (params.n + 1) * params.d0) == 1
-    rank = params.deg_f ** params.n
-    via_kernel = gcd(rank, kernel_order(params)) == 1
+    deg_f^n when it holds. The equivalent kernel-order coprimality test
+    gcd(deg_f^n, kernel_order) = 1 is recomputed modulo deg_f, which has the
+    same prime factors as deg_f^n, and must agree."""
+    f = params.deg_f
+    simple = gcd(f, (params.n + 1) * params.d0) == 1
+    via_kernel = gcd(f, kernel_order(params, f)) == 1
     if simple != via_kernel:
         raise ArithmeticError("the two simplicity criteria disagree")
-    return (simple, rank if simple else None)
+    return (simple, f**params.n if simple else None)
 
 
 def zeppola_integral(n: int, d0: int) -> int:

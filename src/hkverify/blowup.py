@@ -91,17 +91,21 @@ def x_quartic(
     c1: XTwoClass, c2: XTwoClass, c3: XTwoClass, c4: XTwoClass
 ) -> Fraction:
     """Integral over X of a product of four degree-2 classes, by multilinear
-    expansion into pullback/exceptional monomials and the reduction rules."""
+    expansion into pullback/exceptional monomials and the reduction rules;
+    the rules are linear in each base, so picks with a zero t or base vanish."""
     cs = (c1, c2, c3, c4)
     if len({c.model for c in cs}) != 1:
         raise ValueError("classes live on different fourfolds")
+    zero_base = [not any(c.base.coeffs()) for c in cs]
     total = Fraction(0)
     for picks in product((False, True), repeat=4):
         factor = Fraction(1)
         bases = []
-        for c, exceptional in zip(cs, picks):
+        for c, zero, exceptional in zip(cs, zero_base, picks):
             if exceptional:
                 factor *= c.t
+            elif zero:
+                factor = Fraction(0)
             else:
                 bases.append(c.base)
         if factor == 0:

@@ -93,8 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--d-max", type=int, default=None)
     rep.add_argument("--a-max", type=int, default=50)
     rep.add_argument("--md-max", type=int, default=41)
-    rep.add_argument("--samples", type=int, default=50)
-    rep.add_argument("--seed", type=int, default=1729)
+    no_effect = "accepted and echoed in the report, but no claim samples: it changes no record"
+    rep.add_argument("--samples", type=int, default=50, help=no_effect)
+    rep.add_argument("--seed", type=int, default=1729, help=no_effect)
 
     fuj = sub.add_parser("fujiki", help="integrate a product of four classes")
     fuj.add_argument("--abar", type=int, required=True)
@@ -240,10 +241,21 @@ def _cmd_monodromy(args) -> int:
     return 0
 
 
+def _decimal_or(value: int, power: str) -> str:
+    """`value` in decimal, or `power` if it exceeds the int-to-string limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return power
+
+
 def _cmd_semihom(args) -> int:
-    simple, rank = is_simple_semihom(IsogenyParams(args.deg_f, args.n, args.d0))
+    f, n, d0 = args.deg_f, args.n, args.d0
+    simple, rank = is_simple_semihom(IsogenyParams(f, n, d0))
     if simple:
-        print(f"Simple (rank {rank}, fiber count {zeppola_integral(args.n, args.d0)})")
+        rank_text = _decimal_or(rank, f"{f}^{n}")
+        count_text = _decimal_or(zeppola_integral(n, d0), f"{n + 1}*{d0}^{n}")
+        print(f"Simple (rank {rank_text}, fiber count {count_text})")
     else:
         print("NotSimple")
     return 0

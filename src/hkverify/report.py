@@ -4,9 +4,10 @@ modular bundle family and compare against the recorded value.
 The claim catalogue is the table `CLAIMS`, one `Claim` per record: its
 canonical id, its provenance tag, a function that recomputes the value and
 the recorded value. `run_report` keeps only the claims whose id starts with
-`ReportConfig.only` and computes just those. Every sampled sweep draws from
-its own generator, seeded by the report seed and the claim id, so a claim
-computes the same way alone as in the full catalogue.
+`ReportConfig.only` and computes just those. Nothing is sampled: every
+sweep runs over a fixed grid or is an exact certificate on a basis, so a
+claim computes the same way alone as in the full catalogue, and `samples`
+and `seed` change no record.
 
 Each record carries the claim id, the recomputed value, the recorded value,
 a verdict, and the provenance tag:
@@ -22,7 +23,6 @@ and never silently repairs the recorded one.
 from __future__ import annotations
 
 import json
-import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,8 +91,8 @@ from .fiber import (
 )
 from .kummer import (
     Degree4Pairing,
-    KummerTwoClass,
     NsClass,
+    basis,
     c2_square,
     fujiki_integral,
     fujiki_symmetrized,
@@ -183,20 +183,15 @@ class Skipped:
     stated: str
 
 
-#: draw(k): k random doubled-model classes.
-Draw = Callable[[int], list[KummerTwoClass]]
-
-
 @dataclass(frozen=True)
 class Claim:
-    """One catalogue entry. `compute(cfg, draw)` returns the recomputed
-    value, a `Sweep` or `Skipped`; `draw(k)` gives k random classes from the
-    claim's own generator. For a sweep, `stated` is the expected number of
+    """One catalogue entry. `compute(cfg)` returns the recomputed value, a
+    `Sweep` or `Skipped`. For a sweep, `stated` is the expected number of
     failures."""
 
     claim_id: str
     provenance: str
-    compute: Callable[[ReportConfig, Draw], object]
+    compute: Callable[[ReportConfig], object]
     stated: object
 
 
@@ -210,12 +205,20 @@ _SMALL = AbelianSurfaceModel(2, 5)  # the halved model
 _BIG = AbelianSurfaceModel(4, 5)  # the doubled model
 
 
-def _class_sampler(seed: str) -> Draw:
-    """draw(k): k random doubled-model classes with small rational
-    coefficients, from a generator seeded by `seed`."""
-    rng = random.Random(seed)
-    coeff = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-    return lambda k: [two_class(_BIG, coeff(), coeff(), coeff()) for _ in range(k)]
+# Basis certificates. Both sides of fujiki-symmetrization,
+# blowup-pullback-quartic and blowup-pushpull-degree are multilinear in their
+# classes: bbf is bilinear, so fujiki_integral and fujiki_symmetrized are sums
+# of products of bilinear terms; pullback_correspondence and
+# pushforward_correspondence are linear, and x_quartic is multilinear in each
+# (base, t). Two multilinear forms that agree on every ordered tuple of basis
+# classes agree everywhere, so these sweeps over all ordered tuples of
+# basis(_BIG) prove the identities for every rational class, with no symmetry
+# assumed. Both sides of delta-pairing-two-paths are bilinear in (alpha, beta)
+# and, as ch1_bundle and the line class of ch2_pairing are affine in (x, y),
+# of total degree <= 2 in (x, y); a polynomial of degree <= 2 in each of two
+# variables that vanishes on the 3x3 grid _GRID x _GRID is zero.
+_BASIS = basis(_BIG)
+_GRID = (-1, 0, 1)
 
 
 def _ch1_paths_cases():
@@ -225,16 +228,14 @@ def _ch1_paths_cases():
             yield ch1_bundle(omega, x, y) != ch1_bundle_via_pushforward(omega, x, y)
 
 
-def _delta_pairing_cases(draw: Draw):
+def _delta_pairing_cases():
     omega = NsClass(_SMALL, 1, 0)
-    for x, y in product(range(-3, 4), repeat=2):
-        for _ in range(2):
-            alpha, beta = draw(2)
-            via_chern = delta_pairing_via_chern(omega, x, y, alpha, beta)
-            yield via_chern != delta_pairing_closed(x, y, alpha, beta)
+    for alpha, beta, x, y in product(_BASIS, _BASIS, _GRID, _GRID):
+        via_chern = delta_pairing_via_chern(omega, x, y, alpha, beta)
+        yield via_chern != delta_pairing_closed(x, y, alpha, beta)
 
 
-def _ample_sweep(cfg: ReportConfig, draw: Draw):
+def _ample_sweep(cfg: ReportConfig):
     if cfg.d_max is not None and cfg.d_max < ample_thresholds(1)[1] + 2:
         return Skipped(
             "not computed (d_max below the certified threshold)", "ample beyond the threshold"
@@ -251,7 +252,7 @@ def _ample_cases(cfg: ReportConfig):
                 yield is_ample_h(abar, d, m).verdict != "ample"
 
 
-def _rank_integrality_sweep(cfg: ReportConfig, draw: Draw):
+def _rank_integrality_sweep(cfg: ReportConfig):
     if cfg.md_max < 9:
         return Skipped("not computed (md_max below 9)", "integral rank iff r1' + r1'' = 2 r2")
     return _sweep(
@@ -267,19 +268,19 @@ def _rank_failures(profile: SubsheafProfile, md: int) -> int:
     return criterion_wrong + (subsheaf_rank_weighted(profile, 1, md) != rank)
 
 
-def _monodromy_fixed_point(cfg: ReportConfig, draw: Draw) -> str:
+def _monodromy_fixed_point(cfg: ReportConfig) -> str:
     fixed = monodromy_fixed_points()
     zero_only = fixed == frozenset({((0, 0), (0, 0))})
     return f"{len(fixed)} ({'zero only' if zero_only else 'other'})"
 
 
-def _monodromy_invariant_coset(cfg: ReportConfig, draw: Draw) -> str:
+def _monodromy_invariant_coset(cfg: ReportConfig) -> str:
     cosets = invariant_torsion_cosets()
     trivial = cosets and cosets[0] == trivial_torsion_coset()
     return f"{len(cosets)} ({'trivial' if trivial else 'other'})"
 
 
-def _identities_hold(cfg: ReportConfig, draw: Draw) -> str:
+def _identities_hold(cfg: ReportConfig) -> str:
     identities = polynomial_identities()
     return f"{sum(identities.values())}/{len(identities)} hold"
 
@@ -292,18 +293,18 @@ def _semihom_criteria_disagree(deg_f: int, n: int, d0: int) -> bool:
     return False
 
 
-def _satollo_transfer(cfg: ReportConfig, draw: Draw) -> tuple[int, ...]:
+def _satollo_transfer(cfg: ReportConfig) -> tuple[int, ...]:
     sat = satollo_transfer(1, 5)
     return (sat.model.self_omega, sat.model.mixed_d) + sat.elementary_divisors
 
 
 CLAIMS = (
     # lattice
-    Claim("lattice-discriminant", "stated", lambda cfg, draw: _BIG.discriminant(), -25),
+    Claim("lattice-discriminant", "stated", lambda cfg: _BIG.discriminant(), -25),
     Claim(
         "lattice-discriminant-sweep",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             AbelianSurfaceModel(k * abar, d).discriminant() != -d * d
             for abar in range(1, cfg.abar_max + 1)
             for d in range(1, 22)
@@ -314,13 +315,13 @@ CLAIMS = (
     Claim(
         "lattice-negative-square-bound",
         "stated",
-        lambda cfg, draw: (nocamere_bound(3, 0), nocamere_bound(1, 0)),
+        lambda cfg: (nocamere_bound(3, 0), nocamere_bound(1, 0)),
         (-6, -2),
     ),
     Claim(
         "divisibility-values",
         "stated",
-        lambda cfg, draw: tuple(
+        lambda cfg: tuple(
             kummer_divisibility(*c) for c in ((2, 0, -1), (6, 0, -1), (1, 0, 0), (0, 0, 1))
         ),
         (2, 6, 1, 6),
@@ -328,7 +329,7 @@ CLAIMS = (
     Claim(
         "moduli-cases",
         "stated",
-        lambda cfg, draw: tuple(
+        lambda cfg: tuple(
             classify_moduli_case(e, i) for e, i in ((10, 2), (4, 1), (3, 1), (138, 6))
         ),
         (True, True, False, True),
@@ -336,87 +337,82 @@ CLAIMS = (
     Claim(
         "theorem-hypothesis",
         "stated",
-        lambda cfg, draw: tuple(theorem_hypothesis(e, i) for e, i in ((10, 2), (26, 2), (138, 6))),
+        lambda cfg: tuple(theorem_hypothesis(e, i) for e, i in ((10, 2), (26, 2), (138, 6))),
         (1, 2, 1),
     ),
     # Kummer fourfold
     Claim(
         "fujiki-delta-fourth",
         "stated",
-        lambda cfg, draw: fujiki_integral(*[two_class(_BIG, 0, 0, 1)] * 4),
+        lambda cfg: fujiki_integral(*[two_class(_BIG, 0, 0, 1)] * 4),
         324,
     ),
     Claim(
         "fujiki-symmetrization",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             fujiki_integral(*cs) != fujiki_symmetrized(*cs)
-            for cs in (draw(4) for _ in range(2 * cfg.samples))
+            for cs in product(_BASIS, repeat=4)
         ),
         0,
     ),
-    Claim("c2-square", "stated", lambda cfg, draw: c2_square(), 756),
+    Claim("c2-square", "stated", lambda cfg: c2_square(), 756),
     Claim(
         "c2-pairing-coefficient",
         "stated",
-        lambda cfg, draw: modularity_coefficient(Degree4Pairing.c2_class(_BIG)),
+        lambda cfg: modularity_coefficient(Degree4Pairing.c2_class(_BIG)),
         54,
     ),
     Claim(
         "rr-values",
         "stated",
-        lambda cfg, draw: tuple(riemann_roch_from_square(q) for q in (0, 2, 4, 10)),
+        lambda cfg: tuple(riemann_roch_from_square(q) for q in (0, 2, 4, 10)),
         (3, 9, 18, 63),
     ),
     # blow-up
     Claim(
         "blowup-exceptional-fourth",
         "stated",
-        lambda cfg, draw: x_quartic(*[exceptional_class(_SMALL)] * 4),
+        lambda cfg: x_quartic(*[exceptional_class(_SMALL)] * 4),
         VF.exceptional_fourth,
     ),
     Claim(
         "blowup-quartic-chain",
         "stated",
-        lambda cfg, draw: quartic_chain(_SMALL),
+        lambda cfg: quartic_chain(_SMALL),
         (81, Fraction(243, 2), 81, Fraction(81, 2)),
     ),
     Claim(
         "blowup-pullback-quartic",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             x_quartic(*map(pullback_correspondence, cs)) != 4 * fujiki_integral(*cs)
-            for cs in (draw(4) for _ in range(cfg.samples))
+            for cs in product(_BASIS, repeat=4)
         ),
         0,
     ),
     Claim(
         "blowup-pushpull-degree",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             pushforward_correspondence(pullback_correspondence(c)) != c.scale(4)
-            for (c,) in (draw(1) for _ in range(cfg.samples))
+            for c in _BASIS
         ),
         0,
     ),
-    Claim("blowup-ch1-paths", "derived", lambda cfg, draw: _sweep(_ch1_paths_cases()), 0),
+    Claim("blowup-ch1-paths", "derived", lambda cfg: _sweep(_ch1_paths_cases()), 0),
     Claim(
         "blowup-ch1-example",
         "stated",
-        lambda cfg, draw: ch1_bundle(NsClass(_SMALL, 1, 0), 0, 0).coeffs(),
+        lambda cfg: ch1_bundle(NsClass(_SMALL, 1, 0), 0, 0).coeffs(),
         (2, 0, -1),
     ),
     # discriminant pairings and modularity
-    Claim(
-        "delta-pairing-two-paths",
-        "derived",
-        lambda cfg, draw: _sweep(_delta_pairing_cases(draw)),
-        0,
-    ),
+    Claim("delta-pairing-two-paths", "derived", lambda cfg: _sweep(_delta_pairing_cases()), 0),
     Claim(
         "delta-pairing-cross-zero",
         "stated",
-        lambda cfg, draw: tuple(
+        lambda cfg: tuple(
             delta_pairing_mu_delta(x, y, NsClass(_BIG, 1, 0)) for x, y in ((0, 0), (2, -1))
         ),
         (0, 0),
@@ -424,114 +420,96 @@ CLAIMS = (
     Claim(
         "delta-pairing-delta-delta",
         "stated",
-        lambda cfg, draw: tuple(delta_pairing_delta_delta(t, 0) for t in (0, -1, 1)),
+        lambda cfg: tuple(delta_pairing_delta_delta(t, 0) for t in (0, -1, 1)),
         (-324, -324, -972),
     ),
     Claim(
         "modularity-window",
         "stated",
-        lambda cfg, draw: tuple(t for t in range(-10, 11) if is_modular_bundle(t, 0, _BIG)[0]),
+        lambda cfg: tuple(t for t in range(-10, 11) if is_modular_bundle(t, 0, _BIG)[0]),
         (-1, 0),
     ),
-    Claim(
-        "modularity-coefficient", "stated", lambda cfg, draw: is_modular_bundle(0, 0, _BIG)[1], 54
-    ),
+    Claim("modularity-coefficient", "stated", lambda cfg: is_modular_bundle(0, 0, _BIG)[1], 54),
     # Chern numbers, as polynomials in a
     Claim(
         "chern-ch1-fourth",
         "stated",
-        lambda cfg, draw: ch1_fourth(SYMBOL_A),
+        lambda cfg: ch1_fourth(SYMBOL_A),
         "2304*a**2 - 1728*a + 324",
     ),
-    Claim("chern-ch1sq-c2", "stated", lambda cfg, draw: ch1sq_c2(SYMBOL_A), "864*a - 324"),
+    Claim("chern-ch1sq-c2", "stated", lambda cfg: ch1sq_c2(SYMBOL_A), "864*a - 324"),
     Claim(
         "chern-ch1sq-ch2",
         "stated",
-        lambda cfg, draw: ch1sq_ch2_derived(SYMBOL_A),
+        lambda cfg: ch1sq_ch2_derived(SYMBOL_A),
         ch1sq_ch2_stated(SYMBOL_A),
     ),
-    Claim("chern-ch1-ch3", "stated", lambda cfg, draw: ch1_ch3(SYMBOL_A), "24*a**2 - 45*a + 27/2"),
+    Claim("chern-ch1-ch3", "stated", lambda cfg: ch1_ch3(SYMBOL_A), "24*a**2 - 45*a + 27/2"),
     Claim(
         "chern-gianni-parts",
         "stated",
-        lambda cfg, draw: gianni_decomposition(SYMBOL_A),
+        lambda cfg: gianni_decomposition(SYMBOL_A),
         ("27 - 72*a", "-27/2", "36*a", "-9*a", "24*a**2"),
     ),
-    Claim(
-        "chern-ch2-squared",
-        "stated",
-        lambda cfg, draw: ch2_squared(SYMBOL_A),
-        "36*a**2 - 54*a + 27",
-    ),
-    Claim("chern-ch2-td2", "stated", lambda cfg, draw: ch2_td2(SYMBOL_A), "9*a - 45/4"),
-    Claim(
-        "chern-ch4", "stated", lambda cfg, draw: ch4_integral(SYMBOL_A), "3*a**2/2 - 9*a/2 + 9/4"
-    ),
-    Claim(
-        "chern-chi-bundle", "stated", lambda cfg, draw: chi_bundle(SYMBOL_A), "3*a**2/2 + 9*a/2 + 3"
-    ),
+    Claim("chern-ch2-squared", "stated", lambda cfg: ch2_squared(SYMBOL_A), "36*a**2 - 54*a + 27"),
+    Claim("chern-ch2-td2", "stated", lambda cfg: ch2_td2(SYMBOL_A), "9*a - 45/4"),
+    Claim("chern-ch4", "stated", lambda cfg: ch4_integral(SYMBOL_A), "3*a**2/2 - 9*a/2 + 9/4"),
+    Claim("chern-chi-bundle", "stated", lambda cfg: chi_bundle(SYMBOL_A), "3*a**2/2 + 9*a/2 + 3"),
     Claim(
         "chern-chi-values",
         "stated",
-        lambda cfg, draw: tuple(chi_bundle(v) for v in (0, 1, 2)),
+        lambda cfg: tuple(chi_bundle(v) for v in (0, 1, 2)),
         (3, 9, 18),
     ),
-    Claim("chern-chi-end-constant", "stated", lambda cfg, draw: chi_end(SYMBOL_A), "3"),
+    Claim("chern-chi-end-constant", "stated", lambda cfg: chi_end(SYMBOL_A), "3"),
     Claim(
         "chern-chi-end-decomposition",
         "stated",
-        lambda cfg, draw: chi_end_decomposition(1),
+        lambda cfg: chi_end_decomposition(1),
         (48, -63, 18),
     ),
-    Claim("chern-chi-end0", "stated", lambda cfg, draw: chi_end_traceless(SYMBOL_A), "0"),
+    Claim("chern-chi-end0", "stated", lambda cfg: chi_end_traceless(SYMBOL_A), "0"),
     Claim("chern-polynomial-identities", "derived", _identities_hold, "8/8 hold"),
     Claim(
         "chern-chi-end-sweep",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             (chi_end(v) != 3 or chi_end_traceless(v) != 0)
             + (8 * ch4_integral(v) - 2 * ch1_ch3(v) + ch2_squared(v) != 18)
             for v in range(1, cfg.a_max + 1)
         ),
         0,
     ),
-    Claim("chern-a-invariant", "stated", lambda cfg, draw: a_invariant(), 72),
-    Claim(
-        "chern-a-invariant-parts",
-        "stated",
-        lambda cfg, draw: a_invariant_components(),
-        (16, 54, 12),
-    ),
+    Claim("chern-a-invariant", "stated", lambda cfg: a_invariant(), 72),
+    Claim("chern-a-invariant-parts", "stated", lambda cfg: a_invariant_components(), (16, 54, 12)),
     # walls and ampleness
     Claim(
         "walls-retained",
         "stated",
-        lambda cfg, draw: tuple((w.ss, w.sv, w.n, w.q) for w in enumerate_wall_numerics()),
+        lambda cfg: tuple((w.ss, w.sv, w.n, w.q) for w in enumerate_wall_numerics()),
         ((0, 1, 1, -6), (0, 2, 2, -6), (0, 3, 3, -6), (2, 4, 2, -6), (4, 5, 1, -6)),
     ),
     Claim(
         "walls-discarded",
         "stated",
-        lambda cfg, draw: tuple((w.ss, w.sv, w.q) for w in generate_wall_cases() if not w.retained),
+        lambda cfg: tuple((w.ss, w.sv, w.q) for w in generate_wall_cases() if not w.retained),
         ((2, 3, 2),),
     ),
-    Claim(
-        "mukai-square", "stated", lambda cfg, draw: mukai_pair(MODULI_VECTOR, MODULI_VECTOR), 6
-    ),
+    Claim("mukai-square", "stated", lambda cfg: mukai_pair(MODULI_VECTOR, MODULI_VECTOR), 6),
     Claim("ample-sweep", "derived", _ample_sweep, 0),
     Claim(
         "ample-witness-small-d",
         "stated",
-        lambda cfg, draw: is_ample_h(1, 3, 1).render(),
+        lambda cfg: is_ample_h(1, 3, 1).render(),
         "NotAmple (witness 0,1,-1)",
     ),
-    Claim("ample-thresholds", "stated", lambda cfg, draw: ample_thresholds(1), (15, 30)),
+    Claim("ample-thresholds", "stated", lambda cfg: ample_thresholds(1), (15, 30)),
     # fibers and monodromy
-    Claim("fiber-degrees-example", "stated", lambda cfg, draw: fiber_degrees(1, 9), (864, 216)),
+    Claim("fiber-degrees-example", "stated", lambda cfg: fiber_degrees(1, 9), (864, 216)),
     Claim(
         "fiber-degrees-gram",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             fiber_degrees(m, d) != fiber_degrees_gram(m, d)
             for m in (1, 2, 3)
             for d in range(1, 14)
@@ -542,31 +520,31 @@ CLAIMS = (
     Claim(
         "fiber-rank-example",
         "stated",
-        lambda cfg, draw: subsheaf_rank(SubsheafProfile(1, 2, 1), 1, 9),
+        lambda cfg: subsheaf_rank(SubsheafProfile(1, 2, 1), 1, 9),
         Fraction(13, 9),
     ),
     Claim("fiber-rank-integrality", "derived", _rank_integrality_sweep, 0),
     Claim(
         "fiber-margin-table",
         "stated",
-        lambda cfg, draw: tuple(destabilizer_margin(p.r2, p.r1pp) for p in destabilizer_profiles()),
+        lambda cfg: tuple(destabilizer_margin(p.r2, p.r1pp) for p in destabilizer_profiles()),
         (3, 9, 3, 6, 9, 3, 5),
     ),
-    Claim("fiber-margin-minimum", "stated", lambda cfg, draw: minimum_destabilizer_margin(), 3),
-    Claim("monodromy-order", "stated", lambda cfg, draw: monodromy_group_order(2), 6),
+    Claim("fiber-margin-minimum", "stated", lambda cfg: minimum_destabilizer_margin(), 3),
+    Claim("monodromy-order", "stated", lambda cfg: monodromy_group_order(2), 6),
     Claim("monodromy-fixed-point", "stated", _monodromy_fixed_point, "1 (zero only)"),
     Claim("monodromy-invariant-coset", "stated", _monodromy_invariant_coset, "1 (trivial)"),
     # semi-homogeneous bundles on abelian varieties
     Claim(
         "semihom-example",
         "stated",
-        lambda cfg, draw: is_simple_semihom(IsogenyParams(4, 2, 3)),
+        lambda cfg: is_simple_semihom(IsogenyParams(4, 2, 3)),
         (True, 16),
     ),
     Claim(
         "semihom-criteria-agree",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             _semihom_criteria_disagree(*params)
             for params in product(range(1, 21), (1, 2, 3), range(1, 21))
         ),
@@ -575,13 +553,13 @@ CLAIMS = (
     Claim(
         "zeppola-values",
         "stated",
-        lambda cfg, draw: tuple(zeppola_integral(*p) for p in ((1, 5), (2, 1), (3, 2))),
+        lambda cfg: tuple(zeppola_integral(*p) for p in ((1, 5), (2, 1), (3, 2))),
         (10, 3, 32),
     ),
     Claim(
         "zeppola-oracle",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             zeppola_oracle(n, d0) != zeppola_integral(n, d0)
             for n in (1, 2, 3)
             for d0 in range(1, 6)
@@ -591,13 +569,13 @@ CLAIMS = (
     Claim(
         "jh-shapes",
         "stated",
-        lambda cfg, draw: tuple((s.r0, s.b0, s.m) for s in jh_decompositions(4, 2, 3)),
+        lambda cfg: tuple((s.r0, s.b0, s.m) for s in jh_decompositions(4, 2, 3)),
         ((2, 1, 1),),
     ),
     Claim(
         "forced-stable-two-paths",
         "derived",
-        lambda cfg, draw: _sweep(
+        lambda cfg: _sweep(
             forced_stable(s0, c0, e) != forced_stable_via_jh(s0, c0, e)
             for s0 in range(1, 7)
             for e in range(1, 31)
@@ -611,7 +589,7 @@ CLAIMS = (
 
 
 def _evaluate(claim: Claim, cfg: ReportConfig) -> ClaimRecord:
-    value = claim.compute(cfg, _class_sampler(f"{cfg.seed}/{claim.claim_id}"))
+    value = claim.compute(cfg)
     if isinstance(value, Skipped):
         return ClaimRecord(
             claim.claim_id, value.computed, value.stated, "skipped", claim.provenance
@@ -631,6 +609,8 @@ def run_report(config: ReportConfig | None = None) -> Report:
     """Compute the claims whose id starts with `config.only` (all by default)."""
     cfg = config if config is not None else ReportConfig()
     claims = [c for c in CLAIMS if cfg.only is None or c.claim_id.startswith(cfg.only)]
+    if not claims:
+        raise ValueError(f"no claim id starts with {cfg.only!r}")
     records = sorted((_evaluate(c, cfg) for c in claims), key=lambda r: r.claim_id)
     summary = {v: 0 for v in VERDICTS}
     for r in records:

@@ -3,6 +3,8 @@ between the two Kummer models, the transferred bundle's ch1/ch2, and the
 discriminant pairing with its modularity window."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -226,3 +228,102 @@ def test_modular_discriminant_matches_c2_on_basis():
                 assert integrate_degree4(functional, es[i], es[j]) == integrate_degree4(
                     c2f, es[i], es[j]
                 )
+
+
+# The facts the report's basis certificates rely on: x_quartic composed with
+# the pullback is multilinear, and the Delta pairing through ch1^2 - 8 ch2 is
+# bilinear in (alpha, beta) and of degree <= 2 in each of x and y.
+
+rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(1, 3))
+
+
+def rational_big_classes():
+    return st.builds(lambda p, q, x: two_class(BIG, p, q, x), rationals, rationals, rationals)
+
+
+def x_classes_with_zero_bases():
+    return st.one_of(
+        st.builds(
+            lambda p, q, x, t: XTwoClass(two_class(SMALL, p, q, x), t),
+            rationals,
+            rationals,
+            rationals,
+            rationals,
+        ),
+        st.builds(lambda t: XTwoClass(two_class(SMALL, 0, 0, 0), t), rationals),
+    )
+
+
+@given(
+    rational_big_classes(),
+    rational_big_classes(),
+    rational_big_classes(),
+    rational_big_classes(),
+    rational_big_classes(),
+    rationals,
+)
+def test_pulled_back_quartic_is_linear_in_first_argument(a, b, c2, c3, c4, k):
+    def quartic(c1):
+        return x_quartic(*map(pullback_correspondence, (c1, c2, c3, c4)))
+
+    assert quartic(a + b) == quartic(a) + quartic(b)
+    assert quartic(a.scale(k)) == k * quartic(a)
+
+
+@given(
+    rationals,
+    rationals,
+    rational_big_classes(),
+    rational_big_classes(),
+    rational_big_classes(),
+    rationals,
+)
+def test_delta_pairing_via_chern_is_bilinear(x, y, a, b, c, k):
+    omega = NsClass(SMALL, 1, 0)
+
+    def pairing(alpha, beta):
+        return delta_pairing_via_chern(omega, x, y, alpha, beta)
+
+    assert pairing(a + b, c) == pairing(a, c) + pairing(b, c)
+    assert pairing(c, a + b) == pairing(c, a) + pairing(c, b)
+    assert pairing(a.scale(k), c) == k * pairing(a, c)
+    assert pairing(c, a.scale(k)) == k * pairing(c, a)
+
+
+@given(rationals, rationals, rationals, rational_big_classes(), rational_big_classes())
+def test_delta_pairing_via_chern_has_degree_two_in_x_and_y(x, y, h, alpha, beta):
+    # the third finite difference of a polynomial of degree <= 2 vanishes
+    omega = NsClass(SMALL, 1, 0)
+    signs = enumerate((1, -3, 3, -1))
+    steps = [(i * h, s) for i, s in signs]
+    in_x = sum(s * delta_pairing_via_chern(omega, x + u, y, alpha, beta) for u, s in steps)
+    in_y = sum(s * delta_pairing_via_chern(omega, x, y + u, alpha, beta) for u, s in steps)
+    assert in_x == 0
+    assert in_y == 0
+
+
+def _x_quartic_unskipped(cs):
+    """The literal 16-pick expansion of x_quartic, with no term skipped."""
+    total = Fraction(0)
+    for picks in product((False, True), repeat=4):
+        factor = prod((c.t for c, e in zip(cs, picks) if e), start=Fraction(1))
+        bases = [c.base for c, e in zip(cs, picks) if not e]
+        rules = {
+            0: lambda: fujiki_integral(*bases),
+            1: lambda: 0,
+            2: lambda: -vf_pair(*bases),
+            3: lambda: 81 * bases[0].x,
+            4: lambda: 162,
+        }
+        total += factor * rules[4 - len(bases)]()
+    return total
+
+
+@given(
+    x_classes_with_zero_bases(),
+    x_classes_with_zero_bases(),
+    x_classes_with_zero_bases(),
+    x_classes_with_zero_bases(),
+)
+def test_x_quartic_matches_unskipped_expansion(c1, c2, c3, c4):
+    assert x_quartic(c1, c2, c3, c4) == _x_quartic_unskipped((c1, c2, c3, c4))

@@ -5,13 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import hkverify
+import hkverify.blowup
 import hkverify.report
 from hkverify.cli import main
+from hkverify.kummer import bbf
 from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
@@ -93,12 +98,73 @@ def test_only_prefix_filter(monkeypatch):
 
 @pytest.mark.parametrize("prefix", sorted({c.claim_id.split("-")[0] + "-" for c in CLAIMS}))
 def test_only_prefix_matches_the_full_report(default_report, prefix):
-    # each sweep draws from its own generator, so a claim computed alone
-    # yields the record it has in the full report
+    # no claim samples or shares state with another, so a claim computed
+    # alone yields the record it has in the full report
     alone = run_report(ReportConfig(only=prefix))
     expected = [r for r in default_report.records if r.claim_id.startswith(prefix)]
     assert expected
     assert list(alone.records) == expected
+
+
+def test_only_prefix_matching_nothing_is_an_error(capsys):
+    with pytest.raises(ValueError, match="no claim id starts with 'zzz'"):
+        run_report(ReportConfig(only="zzz"))
+    assert main(["report", "--only", "zzz"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no claim id starts with 'zzz'\n"
+
+
+def _symmetrized_missing_one_ordering(*bs):
+    orderings = list(permutations(range(4)))[1:]
+    return Fraction(3, 8) * sum(bbf(bs[a], bs[b]) * bbf(bs[c], bs[d]) for a, b, c, d in orderings)
+
+
+def _mu_mu_with_wrong_linear_term(x, y, gamma1, gamma2=None):
+    t = Fraction(x) - Fraction(y)
+    return 18 * (4 * t * t + 5 * t + 3) * gamma1.pair(gamma1 if gamma2 is None else gamma2)
+
+
+def _x_quartic_with_extra_term(c1, c2, c3, c4):
+    true = hkverify.blowup.x_quartic(c1, c2, c3, c4)
+    return true + c1.t * c2.t * c3.t * c4.base.x
+
+
+@pytest.mark.parametrize(
+    ("module", "name", "wrong", "claim_id", "computed"),
+    [
+        (
+            hkverify.report,
+            "fujiki_symmetrized",
+            _symmetrized_missing_one_ordering,
+            "fujiki-symmetrization",
+            "16 failures / 81 cases",
+        ),
+        (
+            hkverify.blowup,
+            "delta_pairing_mu_mu",
+            _mu_mu_with_wrong_linear_term,
+            "delta-pairing-two-paths",
+            "18 failures / 81 cases",
+        ),
+        (
+            hkverify.report,
+            "x_quartic",
+            _x_quartic_with_extra_term,
+            "blowup-pullback-quartic",
+            "1 failures / 81 cases",
+        ),
+    ],
+    ids=["symmetrized-oracle", "delta-closed-form", "x-quartic"],
+)
+def test_basis_certificates_catch_wrong_formulas(
+    monkeypatch, module, name, wrong, claim_id, computed
+):
+    monkeypatch.setattr(module, name, wrong)
+    report = run_report(ReportConfig(only=claim_id))
+    (record,) = report.records
+    assert (record.claim_id, record.computed, record.verdict) == (claim_id, computed, "fail")
+    assert exit_code(report) == 1
 
 
 def test_small_d_max_skips_the_ample_sweep():
@@ -156,6 +222,12 @@ def test_cli_report_markdown(capsys):
 def test_cli_report_seed_changes_nothing_but_stays_green(capsys):
     assert main(["report", "--seed", "7", "--samples", "5", "--only", "fujiki-"]) == 0
     capsys.readouterr()
+
+
+def test_samples_and_seed_change_no_record():
+    base = run_report(ReportConfig(only="fujiki-"))
+    other = run_report(ReportConfig(only="fujiki-", samples=3, seed=7))
+    assert other.records == base.records
 
 
 def test_cli_ample(capsys):
@@ -239,9 +311,21 @@ def test_cli_monodromy(capsys):
 
 def test_cli_semihom(capsys):
     assert main(["semihom", "--deg-f", "4", "--n", "2", "--d0", "3"]) == 0
-    assert capsys.readouterr().out.strip() == "Simple (rank 16, fiber count 27)"
+    assert capsys.readouterr().out == "Simple (rank 16, fiber count 27)\n"
     assert main(["semihom", "--deg-f", "2", "--n", "1", "--d0", "2"]) == 0
     assert capsys.readouterr().out.strip() == "NotSimple"
+
+
+def test_cli_semihom_prints_huge_values_as_powers(capsys):
+    assert main(["semihom", "--deg-f", "4", "--n", "10000", "--d0", "3"]) == 0
+    assert capsys.readouterr().out == "Simple (rank 4^10000, fiber count 10001*3^10000)\n"
+
+
+def test_cli_semihom_million_is_fast(capsys):
+    start = time.perf_counter()
+    assert main(["semihom", "--deg-f", "4", "--n", "1000000", "--d0", "3"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "Simple (rank 4^1000000, fiber count 1000001*3^1000000)\n"
 
 
 def test_cli_domain_errors_exit_one(capsys):
