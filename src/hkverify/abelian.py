@@ -11,8 +11,9 @@ normalization, which is also what squares to the kernel order).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, log10
 
 from .lattice import AbelianSurfaceModel
 
@@ -43,17 +44,35 @@ def kernel_order(params: IsogenyParams, modulus: int | None = None) -> int:
     return (params.n + 1) ** 2 % modulus * pow(params.d0, 2 * params.n, modulus) % modulus
 
 
-def is_simple_semihom(params: IsogenyParams) -> tuple[bool, int | None]:
+def power_or_text(coeff: int, base: int, n: int) -> int | str:
+    """coeff * base^n when its decimal form fits the interpreter's
+    int-to-string limit, else the text "coeff*base^n" ("base^n" for coeff 1).
+
+    The digit count log10(coeff) + n*log10(base) decides before any power is
+    built; within a digit of the limit, where float rounding could mislead,
+    the power is built and compared with 10^limit exactly. An unlimited
+    interpreter (limit 0) gets the default limit, so the time stays bounded."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    digits = log10(coeff) + n * log10(base)
+    text = f"{base}^{n}" if coeff == 1 else f"{coeff}*{base}^{n}"
+    if digits > limit + 1:
+        return text
+    value = coeff * base**n
+    return value if digits < limit - 1 or value < 10**limit else text
+
+
+def is_simple_semihom(params: IsogenyParams) -> tuple[bool, int | str | None]:
     """Simplicity criterion gcd(deg_f, (n+1) d0) = 1, returning the rank
-    deg_f^n when it holds. The equivalent kernel-order coprimality test
-    gcd(deg_f^n, kernel_order) = 1 is recomputed modulo deg_f, which has the
-    same prime factors as deg_f^n, and must agree."""
-    f = params.deg_f
-    simple = gcd(f, (params.n + 1) * params.d0) == 1
+    deg_f^n when it holds (as `power_or_text` spells it). The equivalent
+    kernel-order coprimality test gcd(deg_f^n, kernel_order) = 1 is
+    recomputed modulo deg_f, which has the same prime factors as deg_f^n,
+    and must agree."""
+    f, n = params.deg_f, params.n
+    simple = gcd(f, (n + 1) * params.d0) == 1
     via_kernel = gcd(f, kernel_order(params, f)) == 1
     if simple != via_kernel:
         raise ArithmeticError("the two simplicity criteria disagree")
-    return (simple, f**params.n if simple else None)
+    return (simple, power_or_text(1, f, n) if simple else None)
 
 
 def zeppola_integral(n: int, d0: int) -> int:

@@ -9,13 +9,19 @@ reduce by the number k of D-factors:
     k = 0: the quartic form of the halved model,
     k = 1: 0,
     k = 2: minus the V-restriction pairing of the two remaining classes,
-    k = 3: 81 times the delta-coefficient of the remaining class,
+    k = 3: minus the V-pairing of delta with the remaining class,
+           i.e. 81 times its delta-coefficient,
     k = 4: 162.
 
 The V-restriction pairing of mu(z1) + t1*delta and mu(z2) + t2*delta is
 18 * z1.z2 - 81 * t1 * t2, and the constants are tied together by
 int_X D^4 = (c2 of the normal bundle) - (c1 of the normal bundle)^2
-= 81 + 81 = 162, with c1 of the normal bundle the delta restriction.
+= 81 + 81 = 162, with c1 of the normal bundle the delta restriction. Every
+one of these numbers is read from `VF`.
+
+The coefficients t of X classes are ints where they are integral
+(`lattice._coef`), so the quartic runs in int arithmetic on integral classes
+and builds one Fraction on return, as every public function here does.
 """
 
 from __future__ import annotations
@@ -25,16 +31,18 @@ from fractions import Fraction
 from itertools import product
 
 from .kummer import (
+    C2_PAIR_COEFF,
     Degree4Pairing,
     KummerTwoClass,
     NsClass,
+    _bbf_raw,
+    _fujiki_raw,
+    _ns_pair_raw,
     basis,
-    bbf,
-    c2_pair,
     fujiki_integral,
     two_class,
 )
-from .lattice import AbelianSurfaceModel, _frac
+from .lattice import AbelianSurfaceModel, _coef, _frac
 
 
 @dataclass(frozen=True)
@@ -58,19 +66,24 @@ VF = VfData()
 def vf_pair(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
     """Pairing on V of the restrictions of two halved-model degree-2
     classes: 18 * (ns part pairing) - 81 * (delta coefficients product)."""
-    return VF.pair_coeff * a.ns.pair(b.ns) + VF.delta_restriction_sq * a.x * b.x
+    return _frac(_vf_pair_raw(a, b))
+
+
+def _vf_pair_raw(a: KummerTwoClass, b: KummerTwoClass):
+    """vf_pair before the final Fraction: an int on integral classes."""
+    return VF.pair_coeff * _ns_pair_raw(a.ns, b.ns) + VF.delta_restriction_sq * a.x * b.x
 
 
 @dataclass(frozen=True)
 class XTwoClass:
     """Degree-2 class on X: pullback of `base` plus t times the exceptional
-    divisor class."""
+    divisor class; t is an int where integral (`_coef`)."""
 
     base: KummerTwoClass
-    t: Fraction
+    t: int | Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _frac(self.t))
+        object.__setattr__(self, "t", _coef(self.t))
 
     @property
     def model(self) -> AbelianSurfaceModel:
@@ -80,11 +93,11 @@ class XTwoClass:
         return XTwoClass(self.base + other.base, self.t + other.t)
 
     def scale(self, k) -> "XTwoClass":
-        return XTwoClass(self.base.scale(k), _frac(k) * self.t)
+        return XTwoClass(self.base.scale(k), _coef(k) * self.t)
 
 
 def exceptional_class(model: AbelianSurfaceModel) -> XTwoClass:
-    return XTwoClass(two_class(model, 0, 0, 0), Fraction(1))
+    return XTwoClass(two_class(model, 0, 0, 0), 1)
 
 
 def x_quartic(
@@ -93,34 +106,40 @@ def x_quartic(
     """Integral over X of a product of four degree-2 classes, by multilinear
     expansion into pullback/exceptional monomials and the reduction rules;
     the rules are linear in each base, so picks with a zero t or base vanish."""
+    return _frac(_x_quartic_raw(c1, c2, c3, c4))
+
+
+def _x_quartic_raw(c1, c2, c3, c4):
+    """x_quartic before the final Fraction: an int on integral classes."""
     cs = (c1, c2, c3, c4)
     if len({c.model for c in cs}) != 1:
         raise ValueError("classes live on different fourfolds")
     zero_base = [not any(c.base.coeffs()) for c in cs]
-    total = Fraction(0)
+    total = 0
     for picks in product((False, True), repeat=4):
-        factor = Fraction(1)
+        factor = 1
         bases = []
         for c, zero, exceptional in zip(cs, zero_base, picks):
             if exceptional:
                 factor *= c.t
             elif zero:
-                factor = Fraction(0)
+                factor = 0
             else:
                 bases.append(c.base)
         if factor == 0:
             continue
         k = 4 - len(bases)
         if k == 0:
-            term = fujiki_integral(*bases)
+            term = _fujiki_raw(*bases)
         elif k == 1:
-            term = Fraction(0)
+            continue
         elif k == 2:
-            term = -vf_pair(bases[0], bases[1])
+            term = -_vf_pair_raw(bases[0], bases[1])
         elif k == 3:
-            term = Fraction(81) * bases[0].x
+            # -int_V c1(N).b| with c1(N) = delta|: -delta_restriction_sq * x
+            term = -VF.delta_restriction_sq * bases[0].x
         else:
-            term = Fraction(VF.exceptional_fourth)
+            term = VF.exceptional_fourth
         total += factor * term
     return total
 
@@ -161,7 +180,7 @@ def quartic_chain(model_small: AbelianSurfaceModel):
     The first three are (81, (3/2)*81, 81); adding (1/4) * int D^4 gives 324,
     the delta^4 integral on the doubled model.
     """
-    q = XTwoClass(two_class(model_small, 0, 0, 1), Fraction(0))
+    q = XTwoClass(two_class(model_small, 0, 0, 1), 0)
     d = exceptional_class(model_small)
     term0 = x_quartic(q, q, q, q) / 4
     term2 = 6 * x_quartic(q, q, d, d) / 4
@@ -175,8 +194,8 @@ def ch1_bundle(omega: NsClass, x, y) -> KummerTwoClass:
     bundle with class pullback(mu(omega) + x*delta) + y*D:
     2 * mu(pushed omega) + (2x + 2y - 1) * delta on the doubled model."""
     big = doubled_model(omega.model)
-    x = _frac(x)
-    y = _frac(y)
+    x = _coef(x)
+    y = _coef(y)
     # push of p*omegabar + q*gamma through the isogeny is p*omegabar + 2q*gamma
     return two_class(big, 2 * omega.p, 4 * omega.q, 2 * x + 2 * y - 1)
 
@@ -184,7 +203,7 @@ def ch1_bundle(omega: NsClass, x, y) -> KummerTwoClass:
 def ch1_bundle_via_pushforward(omega: NsClass, x, y) -> KummerTwoClass:
     """Same class computed as pushforward of the line-bundle class minus half
     the pushforward of the exceptional class."""
-    line = XTwoClass(KummerTwoClass(omega, _frac(x)), _frac(y))
+    line = XTwoClass(KummerTwoClass(omega, x), y)
     half_d = exceptional_class(omega.model).scale(Fraction(1, 2))
     return pushforward_correspondence(line) - pushforward_correspondence(half_d)
 
@@ -197,13 +216,13 @@ def ch2_pairing(
     integrate against the pulled-back classes.
 
     The c2(X) pairing against two X classes u, v is
-    54 * q(u_base, v_base) - 243 t_u t_v  (pullback part of c2)
-    + vf(u_base, v_base) - 81 t_u t_v     (exceptional correction),
-    and the ambient correction is -4 * td2 = -(1/3) c2, i.e. -18 q(alpha, beta).
+    54 * q(u_base, v_base) - VF.c2_ambient t_u t_v  (pullback part of c2)
+    + vf(u_base, v_base) - VF.c2_normal t_u t_v     (exceptional correction),
+    with VF.c2_ambient = 243 and VF.c2_normal = 81, and the ambient correction
+    is -4 * td2 = -(1/3) c2, i.e. -18 q(alpha, beta). All three terms are
+    summed over the common denominator 12.
     """
     small = omega.model
-    x = _frac(x)
-    y = _frac(y)
     u = pullback_correspondence(alpha)
     v = pullback_correspondence(beta)
     if u.model != small or v.model != small:
@@ -211,16 +230,20 @@ def ch2_pairing(
     line = XTwoClass(KummerTwoClass(omega, x), y)
     d = exceptional_class(small)
     c2x = (
-        c2_pair(u.base, v.base)
-        - 243 * u.t * v.t
+        C2_PAIR_COEFF * _bbf_raw(u.base, v.base)
+        # int_X pi^*c2 . D^2 = -int_V c2(ambient)|
+        - VF.c2_ambient * u.t * v.t
         + vf_pair(u.base, v.base)
-        - 81 * u.t * v.t
+        # int_X (exceptional correction) . D^2 = -int_V c2(N)
+        - VF.c2_normal * u.t * v.t
     )
-    return (
-        (x_quartic(line, line, u, v) - x_quartic(line, d, u, v)) / 2
-        + (x_quartic(d, d, u, v) + c2x) / 12
-        - 18 * bbf(alpha, beta)
+    twelve_times = (
+        6 * (_x_quartic_raw(line, line, u, v) - _x_quartic_raw(line, d, u, v))
+        + _x_quartic_raw(d, d, u, v)
+        + c2x
+        - 12 * 18 * _bbf_raw(alpha, beta)
     )
+    return Fraction(twelve_times, 12)
 
 
 def delta_pairing_mu_mu(x, y, gamma1: NsClass, gamma2: NsClass | None = None):

@@ -14,7 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .abelian import IsogenyParams, is_simple_semihom, zeppola_integral
+from .abelian import IsogenyParams, is_simple_semihom, power_or_text
 from .blowup import is_modular_bundle
 from .chern import (
     a_invariant,
@@ -241,21 +241,12 @@ def _cmd_monodromy(args) -> int:
     return 0
 
 
-def _decimal_or(value: int, power: str) -> str:
-    """`value` in decimal, or `power` if it exceeds the int-to-string limit."""
-    try:
-        return str(value)
-    except ValueError:
-        return power
-
-
 def _cmd_semihom(args) -> int:
-    f, n, d0 = args.deg_f, args.n, args.d0
-    simple, rank = is_simple_semihom(IsogenyParams(f, n, d0))
+    n, d0 = args.n, args.d0
+    simple, rank = is_simple_semihom(IsogenyParams(args.deg_f, n, d0))
     if simple:
-        rank_text = _decimal_or(rank, f"{f}^{n}")
-        count_text = _decimal_or(zeppola_integral(n, d0), f"{n + 1}*{d0}^{n}")
-        print(f"Simple (rank {rank_text}, fiber count {count_text})")
+        # the fiber count (n+1)*d0^n, spelled like the rank
+        print(f"Simple (rank {rank}, fiber count {power_or_text(n + 1, d0, n)})")
     else:
         print("NotSimple")
     return 0

@@ -80,7 +80,7 @@ def subsheaf_rank(profile: SubsheafProfile, m: int, d: int) -> Fraction:
     (r1' + r1'')/2 - (r1' + r1'' - 2 r2)/(2 m d)."""
     md = _check_md(m, d)
     s = profile.r1p + profile.r1pp
-    return Fraction(s, 2) - Fraction(s - 2 * profile.r2, 2 * md)
+    return Fraction(s * md - (s - 2 * profile.r2), 2 * md)
 
 
 def subsheaf_rank_weighted(profile: SubsheafProfile, m: int, d: int) -> Fraction:

@@ -4,6 +4,10 @@ fourfold attached to a rank-2 surface model.
 The quadratic form on degree-2 classes is q(mu(ns) + x*delta) = ns.ns - 6x^2,
 and quadruple products integrate through the quartic form
 3 * (q12*q34 + q13*q24 + q14*q23).
+
+Class coefficients are ints where they are integral and Fractions
+otherwise (`lattice._coef`); the forms run in int arithmetic on integral
+classes and every public function returns a Fraction.
 """
 
 from __future__ import annotations
@@ -12,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .lattice import AbelianSurfaceModel, _frac
+from .lattice import AbelianSurfaceModel, _coef, _frac
 
 #: q(delta) on every generalized Kummer fourfold in this family.
-DELTA_SQUARE = Fraction(-6)
+DELTA_SQUARE = -6
 
 #: int c2 . alpha . beta = 54 * q(alpha, beta).
-C2_PAIR_COEFF = Fraction(54)
+C2_PAIR_COEFF = 54
 
 #: int c2^2.
 C2_SQUARE_VALUE = Fraction(756)
@@ -26,15 +30,16 @@ C2_SQUARE_VALUE = Fraction(756)
 
 @dataclass(frozen=True)
 class NsClass:
-    """Rational class p*omegabar + q*gamma in a surface model."""
+    """Rational class p*omegabar + q*gamma in a surface model; p and q are
+    ints where integral (`_coef`)."""
 
     model: AbelianSurfaceModel
-    p: Fraction
-    q: Fraction
+    p: int | Fraction
+    q: int | Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _frac(self.p))
-        object.__setattr__(self, "q", _frac(self.q))
+        object.__setattr__(self, "p", _coef(self.p))
+        object.__setattr__(self, "q", _coef(self.q))
 
     def pair(self, other: "NsClass") -> Fraction:
         if self.model != other.model:
@@ -56,25 +61,33 @@ class NsClass:
         return self + (-other)
 
     def scale(self, k) -> "NsClass":
-        k = _frac(k)
+        k = _coef(k)
         return NsClass(self.model, k * self.p, k * self.q)
+
+
+def _ns_pair_raw(a: NsClass, b: NsClass):
+    """NsClass.pair before the final Fraction, through the same kernel."""
+    if a.model is not b.model and a.model != b.model:
+        raise ValueError("classes live in different surface models")
+    return a.model._pair_raw(a.p, a.q, b.p, b.q)
 
 
 @dataclass(frozen=True)
 class KummerTwoClass:
-    """Degree-2 class mu(ns) + x*delta on the Kummer fourfold of ns.model."""
+    """Degree-2 class mu(ns) + x*delta on the Kummer fourfold of ns.model;
+    x is an int where integral (`_coef`)."""
 
     ns: NsClass
-    x: Fraction
+    x: int | Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _frac(self.x))
+        object.__setattr__(self, "x", _coef(self.x))
 
     @property
     def model(self) -> AbelianSurfaceModel:
         return self.ns.model
 
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
+    def coeffs(self) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
         return (self.ns.p, self.ns.q, self.x)
 
     def __add__(self, other: "KummerTwoClass") -> "KummerTwoClass":
@@ -87,7 +100,7 @@ class KummerTwoClass:
         return self + (-other)
 
     def scale(self, k) -> "KummerTwoClass":
-        return KummerTwoClass(self.ns.scale(k), _frac(k) * self.x)
+        return KummerTwoClass(self.ns.scale(k), _coef(k) * self.x)
 
 
 def two_class(model: AbelianSurfaceModel, p, q, x) -> KummerTwoClass:
@@ -105,7 +118,12 @@ def basis(model: AbelianSurfaceModel) -> tuple[KummerTwoClass, ...]:
 
 def bbf(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
     """The degree-2 quadratic form, polarized: ns.ns - 6 * x_a * x_b."""
-    return a.ns.pair(b.ns) + DELTA_SQUARE * a.x * b.x
+    return _frac(_bbf_raw(a, b))
+
+
+def _bbf_raw(a: KummerTwoClass, b: KummerTwoClass):
+    """bbf before the final Fraction: an int on integral classes."""
+    return _ns_pair_raw(a.ns, b.ns) + DELTA_SQUARE * a.x * b.x
 
 
 def fujiki_integral(
@@ -113,12 +131,18 @@ def fujiki_integral(
 ) -> Fraction:
     """Integral of a product of four degree-2 classes:
     3 * sum of q-products over the three perfect matchings of {1,2,3,4}."""
-    q12 = bbf(b1, b2)
-    q13 = bbf(b1, b3)
-    q14 = bbf(b1, b4)
-    q23 = bbf(b2, b3)
-    q24 = bbf(b2, b4)
-    q34 = bbf(b3, b4)
+    return _frac(_fujiki_raw(b1, b2, b3, b4))
+
+
+def _fujiki_raw(b1, b2, b3, b4):
+    """fujiki_integral before the final Fraction: an int on integral classes.
+    It is also the k = 0 term of blowup.x_quartic."""
+    q12 = _bbf_raw(b1, b2)
+    q13 = _bbf_raw(b1, b3)
+    q14 = _bbf_raw(b1, b4)
+    q23 = _bbf_raw(b2, b3)
+    q24 = _bbf_raw(b2, b4)
+    q34 = _bbf_raw(b3, b4)
     return 3 * (q12 * q34 + q13 * q24 + q14 * q23)
 
 
@@ -131,16 +155,16 @@ def fujiki_symmetrized(
     symmetry of q is assumed and the full 24-term sum is kept, so the
     oracle does not reduce to fujiki_integral's three-matching formula."""
     bs = (b1, b2, b3, b4)
-    q = {(i, j): bbf(bs[i], bs[j]) for i in range(4) for j in range(4) if i != j}
-    total = Fraction(0)
+    q = {(i, j): _bbf_raw(bs[i], bs[j]) for i in range(4) for j in range(4) if i != j}
+    total = 0
     for s in permutations(range(4)):
         total += q[s[0], s[1]] * q[s[2], s[3]]
-    return Fraction(3, 8) * total
+    return Fraction(3 * total, 8)
 
 
 def c2_pair(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
     """int c2 . a . b = 54 * q(a, b)."""
-    return C2_PAIR_COEFF * bbf(a, b)
+    return _frac(C2_PAIR_COEFF * _bbf_raw(a, b))
 
 
 def c2_square() -> Fraction:

@@ -1,9 +1,10 @@
 """Exact lattice primitives for the rank-2 surface models.
 
-Everything is integer or Fraction arithmetic. The basic object is a Gram
-matrix; on top of that sits the two-generator Neron-Severi model
-{omegabar, gamma} with gamma isotropic, which is the ambient lattice for
-all divisibility and moduli-case bookkeeping.
+Everything is integer or Fraction arithmetic: class coefficients stay ints
+where they are integral (`_coef`), and every pairing returns a Fraction. The
+basic object is a Gram matrix; on top of that sits the two-generator
+Neron-Severi model {omegabar, gamma} with gamma isotropic, which is the
+ambient lattice for all divisibility and moduli-case bookkeeping.
 """
 
 from __future__ import annotations
@@ -19,6 +20,17 @@ def _frac(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    raise TypeError(f"expected an integer or Fraction, got {value!r}")
+
+
+def _coef(value) -> int | Fraction:
+    """A class coefficient: an int or an integral Fraction becomes an int,
+    any other Fraction is kept, and anything else raises TypeError. Integral
+    coefficients then pair in int arithmetic, with no gcd per operation."""
+    if isinstance(value, int):
+        return int(value)  # a bool becomes 0 or 1
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
@@ -137,8 +149,13 @@ class AbelianSurfaceModel:
         v = (p', q'), computed directly; gram().pair is its oracle."""
         if len(u) != 2 or len(v) != 2:
             raise ValueError("coefficient vector length does not match rank")
-        p, q = _frac(u[0]), _frac(u[1])
-        p2, q2 = _frac(v[0]), _frac(v[1])
+        p, q = _coef(u[0]), _coef(u[1])
+        p2, q2 = _coef(v[0]), _coef(v[1])
+        return _frac(self._pair_raw(p, q, p2, q2))
+
+    def _pair_raw(self, p, q, p2, q2):
+        """The pairing kernel on normalized coefficients (`_coef`): an int when
+        they are all ints, else a Fraction. `pair` and kummer's `bbf` share it."""
         return self.self_omega * p * p2 + self.mixed_d * (p * q2 + q * p2)
 
     def discriminant(self) -> int:

@@ -1,0 +1,192 @@
+"""Exactness of the int fast path: class coefficients stay ints where they
+are integral, the forms on them compute in ints, and every public result is
+still an exact Fraction equal to the plain-Fraction formula. No claim value
+is a float."""
+
+import dataclasses
+from fractions import Fraction
+from itertools import product
+from math import prod
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hkverify.blowup import (
+    XTwoClass,
+    ch1_bundle,
+    ch1_bundle_via_pushforward,
+    ch2_pairing,
+    x_quartic,
+)
+from hkverify.chern import Poly
+from hkverify.kummer import KummerTwoClass, NsClass, bbf, fujiki_integral, two_class
+from hkverify.lattice import AbelianSurfaceModel, _coef
+from hkverify.report import CLAIMS, ReportConfig, Skipped, Sweep
+
+BIG = AbelianSurfaceModel(4, 5)
+SMALL = AbelianSurfaceModel(2, 5)
+
+# bounded rationals with denominators 1..6: integral ones take the int path,
+# the others the Fraction path
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def big_classes():
+    return st.builds(lambda p, q, x: two_class(BIG, p, q, x), rationals, rationals, rationals)
+
+
+def x_classes():
+    return st.builds(
+        lambda p, q, x, t: XTwoClass(two_class(SMALL, p, q, x), t),
+        rationals,
+        rationals,
+        rationals,
+        rationals,
+    )
+
+
+def _floats(value, path="value"):
+    """Paths to every float inside a claim value."""
+    if isinstance(value, float):
+        return [path]
+    if isinstance(value, (tuple, list)):
+        return [f for i, v in enumerate(value) for f in _floats(v, f"{path}[{i}]")]
+    if isinstance(value, (Sweep, Skipped)):
+        return [
+            f
+            for field in dataclasses.fields(value)
+            for f in _floats(getattr(value, field.name), f"{path}.{field.name}")
+        ]
+    if isinstance(value, Poly):
+        return _floats(value.coeffs, f"{path}.coeffs")
+    return []
+
+
+SWEEP_GRID = ReportConfig(abar_max=8, a_max=200, md_max=121, samples=150, seed=1)
+
+
+@pytest.mark.parametrize("cfg", [ReportConfig(), SWEEP_GRID], ids=["default", "sweep-grid"])
+def test_no_claim_value_is_a_float(cfg):
+    floats = [f for c in CLAIMS for f in _floats(c.compute(cfg), c.claim_id)]
+    assert floats == []
+
+
+def test_coefficients_are_ints_where_integral():
+    assert _coef(Fraction(6, 3)) == 2 and type(_coef(Fraction(6, 3))) is int
+    assert type(_coef(True)) is int
+    assert _coef(Fraction(1, 2)) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        _coef(0.5)
+    c = XTwoClass(two_class(SMALL, Fraction(4, 2), 3, Fraction(-1, 3)), Fraction(5))
+    assert [type(v) for v in (*c.base.coeffs(), c.t)] == [int, int, Fraction, int]
+
+
+# The plain-Fraction formulas, written out with no int path.
+
+
+def _ns_pair(a: NsClass, b: NsClass) -> Fraction:
+    w, d = Fraction(a.model.self_omega), Fraction(a.model.mixed_d)
+    p, q, p2, q2 = map(Fraction, (a.p, a.q, b.p, b.q))
+    return w * p * p2 + d * (p * q2 + q * p2)
+
+
+def _bbf(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
+    return _ns_pair(a.ns, b.ns) - 6 * Fraction(a.x) * Fraction(b.x)
+
+
+def _fujiki(b1, b2, b3, b4) -> Fraction:
+    q = _bbf
+    return 3 * (q(b1, b2) * q(b3, b4) + q(b1, b3) * q(b2, b4) + q(b1, b4) * q(b2, b3))
+
+
+def _vf(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
+    return 18 * _ns_pair(a.ns, b.ns) - 81 * Fraction(a.x) * Fraction(b.x)
+
+
+def _x_quartic(cs) -> Fraction:
+    total = Fraction(0)
+    for picks in product((False, True), repeat=4):
+        factor = prod((Fraction(c.t) for c, e in zip(cs, picks) if e), start=Fraction(1))
+        bases = [c.base for c, e in zip(cs, picks) if not e]
+        rules = {
+            0: lambda: _fujiki(*bases),
+            1: lambda: Fraction(0),
+            2: lambda: -_vf(*bases),
+            3: lambda: 81 * Fraction(bases[0].x),
+            4: lambda: Fraction(162),
+        }
+        total += factor * rules[4 - len(bases)]()
+    return total
+
+
+def _pullback(c: KummerTwoClass) -> XTwoClass:
+    x = Fraction(c.x)
+    return XTwoClass(two_class(SMALL, 2 * Fraction(c.ns.p), Fraction(c.ns.q), x), x)
+
+
+def _ch2_pairing(omega, x, y, alpha, beta) -> Fraction:
+    u, v = _pullback(alpha), _pullback(beta)
+    line = XTwoClass(KummerTwoClass(omega, x), y)
+    d = XTwoClass(two_class(SMALL, 0, 0, 0), Fraction(1))
+    tt = Fraction(u.t) * Fraction(v.t)
+    c2x = 54 * _bbf(u.base, v.base) - 243 * tt + _vf(u.base, v.base) - 81 * tt
+    return (
+        (_x_quartic((line, line, u, v)) - _x_quartic((line, d, u, v))) / 2
+        + (_x_quartic((d, d, u, v)) + c2x) / 12
+        - 18 * _bbf(alpha, beta)
+    )
+
+
+def _exactly(value, expected):
+    assert type(value) is Fraction
+    assert value == expected
+
+
+@given(big_classes(), big_classes())
+def test_bbf_matches_the_fraction_formula(a, b):
+    _exactly(bbf(a, b), _bbf(a, b))
+
+
+@given(big_classes(), big_classes(), big_classes(), big_classes())
+def test_fujiki_integral_matches_the_fraction_formula(b1, b2, b3, b4):
+    _exactly(fujiki_integral(b1, b2, b3, b4), _fujiki(b1, b2, b3, b4))
+
+
+@given(x_classes(), x_classes(), x_classes(), x_classes())
+def test_x_quartic_matches_the_fraction_formula(c1, c2, c3, c4):
+    _exactly(x_quartic(c1, c2, c3, c4), _x_quartic((c1, c2, c3, c4)))
+
+
+@given(rationals, rationals, rationals, rationals, big_classes(), big_classes())
+def test_ch2_pairing_matches_the_fraction_formula(p, q, x, y, alpha, beta):
+    omega = NsClass(SMALL, p, q)
+    _exactly(ch2_pairing(omega, x, y, alpha, beta), _ch2_pairing(omega, x, y, alpha, beta))
+
+
+def test_integral_inputs_still_give_fractions():
+    e = two_class(BIG, 0, 0, 1)
+    assert type(bbf(e, e)) is Fraction
+    assert type(fujiki_integral(e, e, e, e)) is Fraction
+    d = XTwoClass(two_class(SMALL, 0, 0, 0), 1)
+    assert type(x_quartic(d, d, d, d)) is Fraction
+    assert type(ch2_pairing(NsClass(SMALL, 1, 0), 0, 0, e, e)) is Fraction
+
+
+# The fact the blowup-ch1-paths certificate relies on: both ch1 paths are
+# affine in (p, q, x, y). A map on Q^4 that respects every affine
+# combination of two points is affine.
+
+points = st.tuples(rationals, rationals, rationals, rationals)
+
+
+@pytest.mark.parametrize("path", [ch1_bundle, ch1_bundle_via_pushforward])
+@given(a=points, b=points, lam=rationals)
+def test_ch1_paths_are_affine(path, a, b, lam):
+    def coeffs(point):
+        p, q, x, y = point
+        return path(NsClass(SMALL, p, q), x, y).coeffs()
+
+    mixed = tuple(lam * u + (1 - lam) * v for u, v in zip(a, b))
+    expected = tuple(lam * u + (1 - lam) * v for u, v in zip(coeffs(a), coeffs(b)))
+    assert coeffs(mixed) == expected

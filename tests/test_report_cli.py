@@ -1,6 +1,7 @@
 """The report builder and the command line front end: record schema,
 determinism, filtering, verdict bookkeeping, and the subcommand outputs."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import hkverify
 import hkverify.blowup
 import hkverify.report
 from hkverify.cli import main
-from hkverify.kummer import bbf
+from hkverify.kummer import bbf, two_class
 from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
@@ -130,6 +131,18 @@ def _x_quartic_with_extra_term(c1, c2, c3, c4):
     return true + c1.t * c2.t * c3.t * c4.base.x
 
 
+def _ch1_with_constant_plus_one(omega, x, y):
+    # the constant -1 of the delta coefficient 2x + 2y - 1 turned into +1
+    true = hkverify.blowup.ch1_bundle(omega, x, y)
+    return true + two_class(true.model, 0, 0, 2)
+
+
+def _ch1_with_wrong_gamma_coefficient(omega, x, y):
+    # 4q -> 3q in the gamma coefficient: wrong only where q != 0
+    true = hkverify.blowup.ch1_bundle(omega, x, y)
+    return true - two_class(true.model, 0, omega.q, 0)
+
+
 @pytest.mark.parametrize(
     ("module", "name", "wrong", "claim_id", "computed"),
     [
@@ -154,8 +167,22 @@ def _x_quartic_with_extra_term(c1, c2, c3, c4):
             "blowup-pullback-quartic",
             "1 failures / 81 cases",
         ),
+        (
+            hkverify.report,
+            "ch1_bundle",
+            _ch1_with_constant_plus_one,
+            "blowup-ch1-paths",
+            "5 failures / 5 cases",
+        ),
+        (
+            hkverify.report,
+            "ch1_bundle",
+            _ch1_with_wrong_gamma_coefficient,
+            "blowup-ch1-paths",
+            "1 failures / 5 cases",
+        ),
     ],
-    ids=["symmetrized-oracle", "delta-closed-form", "x-quartic"],
+    ids=["symmetrized-oracle", "delta-closed-form", "x-quartic", "ch1-constant", "ch1-gamma"],
 )
 def test_basis_certificates_catch_wrong_formulas(
     monkeypatch, module, name, wrong, claim_id, computed
@@ -164,6 +191,17 @@ def test_basis_certificates_catch_wrong_formulas(
     report = run_report(ReportConfig(only=claim_id))
     (record,) = report.records
     assert (record.claim_id, record.computed, record.verdict) == (claim_id, computed, "fail")
+    assert exit_code(report) == 1
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(hkverify.blowup.VfData)])
+def test_every_vf_field_is_checked_by_the_report(monkeypatch, field):
+    # the V data is read from VF alone: bumping any one field fails the report
+    vf = hkverify.blowup.VF
+    bumped = dataclasses.replace(vf, **{field: getattr(vf, field) + 1})
+    monkeypatch.setattr(hkverify.blowup, "VF", bumped)
+    report = run_report()
+    assert report.summary["fail"] > 0
     assert exit_code(report) == 1
 
 
@@ -326,6 +364,15 @@ def test_cli_semihom_million_is_fast(capsys):
     assert main(["semihom", "--deg-f", "4", "--n", "1000000", "--d0", "3"]) == 0
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().out == "Simple (rank 4^1000000, fiber count 1000001*3^1000000)\n"
+
+
+def test_cli_semihom_hundred_million_is_fast(capsys):
+    # the spelling is decided from the digit count, so no power is built
+    start = time.perf_counter()
+    assert main(["semihom", "--deg-f", "4", "--n", "100000000", "--d0", "3"]) == 0
+    assert time.perf_counter() - start < 2
+    expected = "Simple (rank 4^100000000, fiber count 100000001*3^100000000)\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_domain_errors_exit_one(capsys):
