@@ -136,13 +136,11 @@ def zeppola_oracle(n: int, d0: int) -> int:
 @dataclass(frozen=True)
 class JHShape:
     """Numeric shape (r0, b0, m) of a Jordan-Holder factor stack: the factor
-    has rank r0 and slope data b0 coprime to r0, repeated m times; g is the
-    gcd tying the shape to the ambient invariants."""
+    has rank r0 and slope data b0 coprime to r0, repeated m times."""
 
     r0: int
     b0: int
     m: int
-    g: int
 
     def __post_init__(self) -> None:
         if gcd(self.r0, self.b0) != 1:
@@ -170,7 +168,7 @@ def jh_decompositions(r: int, a: int, e: int) -> tuple[JHShape, ...]:
         b0 = (a * g) // (m * r0)
         if gcd(r0, b0) != 1:
             continue
-        shapes.append(JHShape(r0, b0, m, g))
+        shapes.append(JHShape(r0, b0, m))
     return tuple(shapes)
 
 
@@ -206,5 +204,5 @@ def satollo_transfer(abar: int, d: int) -> SaturatedModel:
         raise ValueError("abar must be a positive integer")
     if d < 1 or d % 2 == 0:
         raise ValueError("the transfer needs odd d")
-    model = AbelianSurfaceModel(4 * abar, d, saturated=True)
+    model = AbelianSurfaceModel(4 * abar, d)
     return SaturatedModel(model, (1, 2 * abar))

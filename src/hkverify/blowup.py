@@ -40,6 +40,8 @@ from .kummer import (
     _ns_pair_raw,
     basis,
     fujiki_integral,
+    integrate_degree4,
+    modularity_coefficient,
     two_class,
 )
 from .lattice import AbelianSurfaceModel, _coef, _frac
@@ -63,14 +65,10 @@ class VfData:
 VF = VfData()
 
 
-def vf_pair(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
-    """Pairing on V of the restrictions of two halved-model degree-2
-    classes: 18 * (ns part pairing) - 81 * (delta coefficients product)."""
-    return _frac(_vf_pair_raw(a, b))
-
-
 def _vf_pair_raw(a: KummerTwoClass, b: KummerTwoClass):
-    """vf_pair before the final Fraction: an int on integral classes."""
+    """Pairing on V of the restrictions of two halved-model degree-2
+    classes: 18 * (ns part pairing) - 81 * (delta coefficients product); an
+    int on integral classes."""
     return VF.pair_coeff * _ns_pair_raw(a.ns, b.ns) + VF.delta_restriction_sq * a.x * b.x
 
 
@@ -216,11 +214,11 @@ def ch2_pairing(
     integrate against the pulled-back classes.
 
     The c2(X) pairing against two X classes u, v is
-    54 * q(u_base, v_base) - VF.c2_ambient t_u t_v  (pullback part of c2)
+    C2_PAIR_COEFF * q(u_base, v_base) - VF.c2_ambient t_u t_v  (pullback part)
     + vf(u_base, v_base) - VF.c2_normal t_u t_v     (exceptional correction),
     with VF.c2_ambient = 243 and VF.c2_normal = 81, and the ambient correction
-    is -4 * td2 = -(1/3) c2, i.e. -18 q(alpha, beta). All three terms are
-    summed over the common denominator 12.
+    is -4 * td2 = -(1/3) c2, i.e. -(C2_PAIR_COEFF/3) q(alpha, beta). All three
+    terms are summed over the common denominator 12, in ints on integral classes.
     """
     small = omega.model
     u = pullback_correspondence(alpha)
@@ -233,7 +231,7 @@ def ch2_pairing(
         C2_PAIR_COEFF * _bbf_raw(u.base, v.base)
         # int_X pi^*c2 . D^2 = -int_V c2(ambient)|
         - VF.c2_ambient * u.t * v.t
-        + vf_pair(u.base, v.base)
+        + _vf_pair_raw(u.base, v.base)
         # int_X (exceptional correction) . D^2 = -int_V c2(N)
         - VF.c2_normal * u.t * v.t
     )
@@ -241,17 +239,16 @@ def ch2_pairing(
         6 * (_x_quartic_raw(line, line, u, v) - _x_quartic_raw(line, d, u, v))
         + _x_quartic_raw(d, d, u, v)
         + c2x
-        - 12 * 18 * _bbf_raw(alpha, beta)
+        - 4 * C2_PAIR_COEFF * _bbf_raw(alpha, beta)
     )
     return Fraction(twelve_times, 12)
 
 
-def delta_pairing_mu_mu(x, y, gamma1: NsClass, gamma2: NsClass | None = None):
+def delta_pairing_mu_mu(x, y, gamma1: NsClass, gamma2: NsClass):
     """Closed form int Delta(bundle) . mu(gamma1) . mu(gamma2)
     = 18 * (4t^2 + 4t + 3) * gamma1.gamma2 with t = x - y."""
     t = _frac(x) - _frac(y)
-    other = gamma1 if gamma2 is None else gamma2
-    return 18 * (4 * t * t + 4 * t + 3) * gamma1.pair(other)
+    return 18 * (4 * t * t + 4 * t + 3) * gamma1.pair(gamma2)
 
 
 def delta_pairing_mu_delta(x, y, gamma: NsClass) -> Fraction:
@@ -297,27 +294,25 @@ def delta_class_of_bundle(
 
 
 def is_modular_bundle(
-    x, y, model_big: AbelianSurfaceModel | None = None
+    x, y, model_big: AbelianSurfaceModel
 ) -> tuple[bool, Fraction | None]:
-    """Whether Delta(bundle) is a rational multiple of the quadratic form,
-    which happens exactly for t = x - y in {0, -1}; the coefficient is then
-    54 and Delta agrees with c2 on the whole pairing basis."""
+    """Whether Delta(bundle) on `model_big` is a rational multiple of the
+    quadratic form, which happens exactly for t = x - y in {0, -1}; the
+    coefficient is then C2_PAIR_COEFF and Delta agrees with c2 on the whole
+    pairing basis. Returns the coefficient `modularity_coefficient` found."""
     t = _frac(x) - _frac(y)
     if t * (t + 1) != 0:
         return (False, None)
-    model = model_big if model_big is not None else AbelianSurfaceModel(4, 3)
-    functional = delta_class_of_bundle(model, x, y)
-    from .kummer import integrate_degree4, modularity_coefficient
-
+    functional = delta_class_of_bundle(model_big, x, y)
     coeff = modularity_coefficient(functional)
-    if coeff != 54:
+    if coeff != C2_PAIR_COEFF:
         raise ArithmeticError(f"modular coefficient came out as {coeff}")
-    es = basis(model)
-    c2f = Degree4Pairing.c2_class(model)
+    es = basis(model_big)
+    c2f = Degree4Pairing.c2_class(model_big)
     for i in range(3):
         for j in range(3):
             lhs = integrate_degree4(functional, es[i], es[j])
             rhs = integrate_degree4(c2f, es[i], es[j])
             if lhs != rhs:
                 raise ArithmeticError("Delta and c2 disagree on the basis")
-    return (True, Fraction(54))
+    return (True, coeff)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .kummer import riemann_roch_from_square
+from .kummer import C2_PAIR_COEFF, C2_SQUARE_VALUE, riemann_roch_from_square
+from .lattice import _frac
 
 
 def _scalar(a):
@@ -34,8 +35,8 @@ def ch1_fourth(a):
 
 
 def ch1sq_c2(a):
-    """int ch1^2 . c2 = 54 * q(ch1)."""
-    return 54 * ch1_square_q(a)
+    """int ch1^2 . c2 = C2_PAIR_COEFF * q(ch1) = 54 q(ch1)."""
+    return C2_PAIR_COEFF * ch1_square_q(a)
 
 
 def ch1sq_ch2_stated(a):
@@ -79,8 +80,8 @@ def ch2_squared(a):
 
 def ch2_squared_derived(a):
     """int ch2^2 via ch2 = (ch1^2 - c2)/8:
-    (int ch1^4 - 2 * 54 q(ch1) + 756) / 64."""
-    return (ch1_fourth(a) - 2 * ch1sq_c2(a) + 756) / 64
+    (int ch1^4 - 2 * 54 q(ch1) + int c2^2) / 64, with int c2^2 = 756."""
+    return (ch1_fourth(a) - 2 * ch1sq_c2(a) + C2_SQUARE_VALUE) / 64
 
 
 def ch2_td2(a):
@@ -117,8 +118,8 @@ def chi_bundle_hrr(a):
 
 
 def ch2_c2(a):
-    """int ch2 . c2 via ch2 = (ch1^2 - c2)/8: (54 q(ch1) - 756) / 8."""
-    return (ch1sq_c2(a) - 756) / 8
+    """int ch2 . c2 via ch2 = (ch1^2 - c2)/8: (54 q(ch1) - int c2^2) / 8."""
+    return (ch1sq_c2(a) - C2_SQUARE_VALUE) / 8
 
 
 def chi_end_decomposition(a):
@@ -143,20 +144,23 @@ def chi_end_traceless(a):
     return chi_end(a) - 3
 
 
-def a_invariant(rank: int = 4, modular_coeff: int = 54) -> Fraction:
+def a_invariant() -> Fraction:
     """The invariant rank^2 * d / (4 * chi(O)) controlling deformation
-    counts; 16 * 54 / 12 = 72 for the rank-4 bundle."""
-    return Fraction(rank * rank * modular_coeff, 4 * 3)
+    counts, with d = C2_PAIR_COEFF the modularity coefficient; 16 * 54 / 12
+    = 72 for the rank-4 bundle."""
+    return Fraction(4 * 4 * C2_PAIR_COEFF, 4 * 3)
 
 
 def a_invariant_components() -> tuple[int, int, int]:
-    return (16, 54, 12)
+    return (16, C2_PAIR_COEFF, 12)
 
 
 @dataclass(frozen=True, eq=False)
 class Poly:
     """Polynomial in a with Fraction coefficients, lowest degree first and
-    trailing zeros trimmed, so the zero polynomial has no coefficients.
+    trailing zeros trimmed, so the zero polynomial has no coefficients. A
+    coefficient that is not an int or a Fraction, a float included, raises
+    TypeError.
 
     Mixes with ints and Fractions on either side of +, - and *, divides by
     a scalar, and compares by coefficients (Poly((3,)) == 3).
@@ -165,7 +169,7 @@ class Poly:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coeffs]
+        coeffs = [_frac(c) for c in self.coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))

@@ -11,6 +11,7 @@ failed recomputation or invalid domain input, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -34,8 +35,8 @@ from .fiber import (
     invariant_torsion_cosets,
     monodromy_fixed_points,
     monodromy_group_order,
+    only_trivial_coset,
     subsheaf_rank,
-    trivial_torsion_coset,
 )
 from .kummer import fujiki_integral, riemann_roch, riemann_roch_from_square, two_class
 from .lattice import AbelianSurfaceModel
@@ -79,8 +80,19 @@ def _side_model(abar: int, d: int, side: str) -> AbelianSurfaceModel:
     return AbelianSurfaceModel(4 * abar if side == "A" else 2 * abar, d)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token of "-", a digit or ".", then digits, ".", "/", "," and
+    "-" (such as -1/2 or -1,-2,0) as a value, not as an option; no hkverify
+    option starts with a digit. Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # replaces argparse's own test, which admits only -12 and -1.5
+        self._negative_number_matcher = re.compile(r"^-[\d.][\d./,-]*$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hkverify",
         description="Exact verification of the rank-4 modular bundle numerics.",
     )
@@ -93,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--d-max", type=int, default=None)
     rep.add_argument("--a-max", type=int, default=50)
     rep.add_argument("--md-max", type=int, default=41)
-    no_effect = "accepted and echoed in the report, but no claim samples: it changes no record"
-    rep.add_argument("--samples", type=int, default=50, help=no_effect)
-    rep.add_argument("--seed", type=int, default=1729, help=no_effect)
+    # no claim samples: both are still accepted and checked, then dropped
+    rep.add_argument("--samples", type=int, default=None, help=argparse.SUPPRESS)
+    rep.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
     fuj = sub.add_parser("fujiki", help="integrate a product of four classes")
     fuj.add_argument("--abar", type=int, required=True)
@@ -154,6 +166,8 @@ def _cmd_report(args) -> int:
         seed=args.seed,
         only=args.only,
     )
+    if args.samples is not None or args.seed is not None:
+        print("note: --samples and --seed change no record and will be removed", file=sys.stderr)
     report = run_report(config)
     text = to_json(report) if args.format == "json" else to_markdown(report)
     sys.stdout.write(text)
@@ -233,7 +247,7 @@ def _cmd_monodromy(args) -> int:
     zero_only = fixed == frozenset({((0, 0), (0, 0))})
     print(f"fixed 2-torsion points: {len(fixed)}" + (" (zero only)" if zero_only else ""))
     cosets = invariant_torsion_cosets()
-    trivial = len(cosets) == 1 and cosets[0] == trivial_torsion_coset()
+    trivial = only_trivial_coset(cosets)
     print(
         f"invariant 2-torsion cosets in 4-torsion: {len(cosets)}"
         + (" (trivial coset)" if trivial else "")

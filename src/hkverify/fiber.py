@@ -69,11 +69,6 @@ class SubsheafProfile:
             if not 0 <= v <= 4:
                 raise ValueError("restriction ranks must lie in 0..4")
 
-    @property
-    def admissible(self) -> bool:
-        # the two ruling ranks can be ordered without loss of generality
-        return self.r1p <= self.r1pp
-
 
 def subsheaf_rank(profile: SubsheafProfile, m: int, d: int) -> Fraction:
     """Generic rank forced by the degree bookkeeping:
@@ -139,7 +134,7 @@ def _normalize(mat, n: int):
     return tuple(tuple(v % n for v in row) for row in mat)
 
 
-def monodromy_group(n: int = 2) -> frozenset:
+def monodromy_group(n: int) -> frozenset:
     """Closure of the swap and shear generators in GL2(Z/n)."""
     gens = [_normalize(_SWAP, n), _normalize(_SHEAR, n)]
     identity = ((1, 0), (0, 1))
@@ -155,7 +150,7 @@ def monodromy_group(n: int = 2) -> frozenset:
     return frozenset(seen)
 
 
-def monodromy_group_order(n: int = 2) -> int:
+def monodromy_group_order(n: int) -> int:
     return len(monodromy_group(n))
 
 
@@ -192,9 +187,7 @@ def invariant_torsion_cosets() -> tuple[frozenset, ...]:
     """Cosets of the 2-torsion subgroup inside the 4-torsion model that the
     monodromy group preserves setwise; only the trivial coset survives."""
     group = monodromy_group(4)
-    torsion = frozenset(
-        el for el in _all_elements(4) if all(v % 2 == 0 for pair in el for v in pair)
-    )
+    torsion = trivial_torsion_coset()
     reps = [el for el in _all_elements(4) if all(v <= 1 for pair in el for v in pair)]
     invariant = []
     for rep in reps:
@@ -214,3 +207,8 @@ def trivial_torsion_coset() -> frozenset:
     return frozenset(
         el for el in _all_elements(4) if all(v % 2 == 0 for pair in el for v in pair)
     )
+
+
+def only_trivial_coset(cosets: tuple[frozenset, ...]) -> bool:
+    """Whether the invariant cosets are exactly the trivial one."""
+    return cosets == (trivial_torsion_coset(),)

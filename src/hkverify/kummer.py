@@ -163,7 +163,7 @@ def fujiki_symmetrized(
 
 
 def c2_pair(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
-    """int c2 . a . b = 54 * q(a, b)."""
+    """int c2 . a . b = C2_PAIR_COEFF * q(a, b)."""
     return _frac(C2_PAIR_COEFF * _bbf_raw(a, b))
 
 
@@ -219,22 +219,12 @@ class Degree4Pairing:
     def c2_class(cls, model: AbelianSurfaceModel) -> "Degree4Pairing":
         return cls(model, _ZERO3, Fraction(1))
 
-    @classmethod
-    def sym_square(cls, z: KummerTwoClass) -> "Degree4Pairing":
-        """The functional alpha, beta -> int z.z.alpha.beta."""
-        es = basis(z.model)
-        vals = tuple(
-            tuple(fujiki_integral(z, z, es[i], es[j]) for j in range(3))
-            for i in range(3)
-        )
-        return cls(z.model, vals, Fraction(0))
-
 
 def integrate_degree4(
     functional: Degree4Pairing, a: KummerTwoClass, b: KummerTwoClass
 ) -> Fraction:
     """Evaluate the degree-4 functional against the product a.b by bilinear
-    extension of its basis values, plus the c2 contribution 54*q(a, b)."""
+    extension of its basis values, plus the c2 contribution c2_pair(a, b)."""
     if a.model != functional.model or b.model != functional.model:
         raise ValueError("classes live in a different surface model")
     ca = a.coeffs()

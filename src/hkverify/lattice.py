@@ -129,7 +129,6 @@ class AbelianSurfaceModel:
 
     self_omega: int
     mixed_d: int
-    saturated: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.self_omega, int) or not isinstance(self.mixed_d, int):

@@ -6,8 +6,9 @@ canonical id, its provenance tag, a function that recomputes the value and
 the recorded value. `run_report` keeps only the claims whose id starts with
 `ReportConfig.only` and computes just those. Nothing is sampled: every
 sweep runs over a fixed grid or is an exact certificate on a basis, so a
-claim computes the same way alone as in the full catalogue, and `samples`
-and `seed` change no record.
+claim computes the same way alone as in the full catalogue. The config has
+no sample count or seed; `ReportConfig` still accepts `samples` and `seed`
+as init-only arguments, checks `samples`, and drops both.
 
 Each record carries the claim id, the recomputed value, the recorded value,
 a verdict, and the provenance tag:
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -85,9 +86,9 @@ from .fiber import (
     minimum_destabilizer_margin,
     monodromy_fixed_points,
     monodromy_group_order,
+    only_trivial_coset,
     subsheaf_rank,
     subsheaf_rank_weighted,
-    trivial_torsion_coset,
 )
 from .kummer import (
     Degree4Pairing,
@@ -107,7 +108,7 @@ from .lattice import (
     nocamere_bound,
     theorem_hypothesis,
 )
-from .walls import ample_thresholds, enumerate_wall_numerics, generate_wall_cases, is_ample_h, mukai_pair, MODULI_VECTOR
+from .walls import ample_thresholds, enumerate_wall_numerics, generate_wall_cases, is_ample_h, mukai_square, MODULI_VECTOR
 
 VERDICTS = ("pass", "fail", "discrepancy", "skipped")
 PROVENANCES = ("stated", "derived")
@@ -133,18 +134,20 @@ class ClaimRecord:
 
 @dataclass(frozen=True)
 class ReportConfig:
-    """Knobs for the sweeps; defaults reproduce the full report."""
+    """Knobs for the sweeps; defaults reproduce the full report. `samples`
+    and `seed` are accepted for old callers, checked and dropped: no claim
+    samples."""
 
     abar_max: int = 3
     d_max: int | None = None
     a_max: int = 50
     md_max: int = 41
-    samples: int = 50
-    seed: int = 1729
+    samples: InitVar[int | None] = None
+    seed: InitVar[int | None] = None
     only: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.abar_max < 1 or self.a_max < 1 or self.samples < 1:
+    def __post_init__(self, samples: int | None, seed: int | None) -> None:
+        if self.abar_max < 1 or self.a_max < 1 or (samples is not None and samples < 1):
             raise ValueError("abar_max, a_max and samples must be positive")
         if self.d_max is not None and self.d_max < 1:
             raise ValueError("d_max must be positive when given")
@@ -284,7 +287,7 @@ def _monodromy_fixed_point(cfg: ReportConfig) -> str:
 
 def _monodromy_invariant_coset(cfg: ReportConfig) -> str:
     cosets = invariant_torsion_cosets()
-    trivial = cosets and cosets[0] == trivial_torsion_coset()
+    trivial = only_trivial_coset(cosets)
     return f"{len(cosets)} ({'trivial' if trivial else 'other'})"
 
 
@@ -503,7 +506,7 @@ CLAIMS = (
         lambda cfg: tuple((w.ss, w.sv, w.q) for w in generate_wall_cases() if not w.retained),
         ((2, 3, 2),),
     ),
-    Claim("mukai-square", "stated", lambda cfg: mukai_pair(MODULI_VECTOR, MODULI_VECTOR), 6),
+    Claim("mukai-square", "stated", lambda cfg: mukai_square(MODULI_VECTOR), 6),
     Claim("ample-sweep", "derived", _ample_sweep, 0),
     Claim(
         "ample-witness-small-d",
@@ -642,8 +645,6 @@ def to_json(report: Report) -> str:
             "d_max": report.config.d_max,
             "a_max": report.config.a_max,
             "md_max": report.config.md_max,
-            "samples": report.config.samples,
-            "seed": report.config.seed,
             "only": report.config.only,
         },
         "records": [

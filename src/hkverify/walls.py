@@ -32,12 +32,9 @@ class MukaiVector:
             raise ValueError("ell^2 must be even")
 
 
-def mukai_pair(u: MukaiVector, v: MukaiVector, ell_dot: int | None = None) -> int:
-    """<u, v> = -r s' - r' s + ell.ell'. When ell_dot is omitted it defaults
-    to ell_sq for a self-pairing and to 0 otherwise."""
-    if ell_dot is None:
-        ell_dot = u.ell_sq if u == v else 0
-    return -u.r * v.s - v.r * u.s + ell_dot
+def mukai_square(v: MukaiVector) -> int:
+    """<v, v> = -2 r s + ell^2."""
+    return -2 * v.r * v.s + v.ell_sq
 
 
 #: Mukai vector of the moduli space carrying the family.
@@ -64,8 +61,6 @@ def generate_wall_cases() -> tuple[WallNumerics, ...]:
     cases = []
     for ss in (0, 2, 4):
         for sv in range(ss + 1, 3 + ss // 2 + 1):
-            if sv < 1:
-                continue
             n = gcd(sv, 6)
             q = Fraction(-6, n * n) * (sv * sv - 6 * ss)
             if q.denominator != 1:
@@ -87,7 +82,6 @@ def enumerate_wall_numerics() -> tuple[WallNumerics, ...]:
 class AmplenessResult:
     verdict: str                       # "ample" | "not-ample"
     witness: KummerTwoClass | None
-    on_wall_threshold: int             # no wall through h once d > 12 abar + 3
     separating_threshold: int          # no separating wall once d > 24 abar^2 + 6 abar
     below_threshold: bool              # d does not exceed the blanket threshold
 
@@ -120,7 +114,7 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
     if abar < 1 or d < 1 or m < 1:
         raise ValueError("abar, d, m must be positive integers")
     model = AbelianSurfaceModel(4 * abar, d)
-    on_wall_thr, separating_thr = ample_thresholds(abar)
+    _, separating_thr = ample_thresholds(abar)
     witness: KummerTwoClass | None = None
 
     def beta_from(c: int, p: int) -> tuple[int, int] | None:
@@ -168,7 +162,6 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
     return AmplenessResult(
         verdict="ample" if witness is None else "not-ample",
         witness=witness,
-        on_wall_threshold=on_wall_thr,
         separating_threshold=separating_thr,
         below_threshold=d <= separating_thr,
     )

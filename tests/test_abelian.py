@@ -84,16 +84,16 @@ def test_zeppola_validation():
 
 
 def test_jh_shape_validation():
-    JHShape(2, 1, 1, 1)
+    JHShape(2, 1, 1)
     with pytest.raises(ValueError):
-        JHShape(2, 4, 1, 1)  # not coprime
+        JHShape(2, 4, 1)  # not coprime
     with pytest.raises(ValueError):
-        JHShape(2, 1, 0, 1)
+        JHShape(2, 1, 0)
 
 
 def test_jh_decompositions_example():
     shapes = jh_decompositions(4, 2, 3)
-    assert shapes == (JHShape(2, 1, 1, 1),)
+    assert shapes == (JHShape(2, 1, 1),)
 
 
 def test_jh_decompositions_with_common_factor():
@@ -109,9 +109,9 @@ def test_jh_decompositions_with_common_factor():
 )
 def test_jh_shapes_resubstitute(r, a, e):
     for shape in jh_decompositions(r, a, e):
-        assert shape.g == gcd(shape.r0, e)
-        assert shape.m * shape.r0 * shape.r0 == r * shape.g
-        assert shape.m * shape.r0 * shape.b0 == a * shape.g
+        g = gcd(shape.r0, e)
+        assert shape.m * shape.r0 * shape.r0 == r * g
+        assert shape.m * shape.r0 * shape.b0 == a * g
         assert gcd(shape.r0, shape.b0) == 1
 
 
@@ -140,7 +140,7 @@ def test_forced_stable_two_paths_agree(s0, c0, e):
 
 def test_satollo_transfer_examples():
     sat = satollo_transfer(1, 5)
-    assert sat.model == AbelianSurfaceModel(4, 5, saturated=True)
+    assert sat.model == AbelianSurfaceModel(4, 5)
     assert sat.elementary_divisors == (1, 2)
     sat2 = satollo_transfer(2, 7)
     assert sat2.model.self_omega == 8
@@ -153,6 +153,3 @@ def test_satollo_transfer_requires_odd_d():
     with pytest.raises(ValueError):
         satollo_transfer(0, 5)
 
-
-def test_saturated_model_distinct_from_plain():
-    assert satollo_transfer(1, 5).model != AbelianSurfaceModel(4, 5)

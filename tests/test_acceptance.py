@@ -100,7 +100,7 @@ def test_criterion_modularity_window_and_coefficient():
     # t = x - y in {0, -1}, with coefficient 54, and then agrees with c2
     # on every basis pair, for every small model
     for t in range(-10, 11):
-        modular, coeff = is_modular_bundle(t, 0)
+        modular, coeff = is_modular_bundle(t, 0, AbelianSurfaceModel(4, 3))
         assert modular == (t in (0, -1))
         assert coeff == (54 if modular else None)
     for abar in (1, 2, 3):

@@ -30,7 +30,6 @@ from hkverify.blowup import (
     pullback_correspondence,
     pushforward_correspondence,
     quartic_chain,
-    vf_pair,
     x_quartic,
 )
 from hkverify.kummer import (
@@ -70,11 +69,14 @@ def test_vf_constants():
 
 
 def test_vf_pair_values():
-    delta_r = two_class(SMALL, 0, 0, 1)
-    omega_r = two_class(SMALL, 1, 0, 0)
-    assert vf_pair(delta_r, delta_r) == -81
-    assert vf_pair(omega_r, omega_r) == 36
-    assert vf_pair(omega_r, delta_r) == 0
+    # with two exceptional factors only the k = 2 rule is left:
+    # int_X u.v.D.D = -vf(u, v)
+    d = exceptional_class(SMALL)
+    delta_r = XTwoClass(two_class(SMALL, 0, 0, 1), 0)
+    omega_r = XTwoClass(two_class(SMALL, 1, 0, 0), 0)
+    assert x_quartic(delta_r, delta_r, d, d) == 81
+    assert x_quartic(omega_r, omega_r, d, d) == -36
+    assert x_quartic(omega_r, delta_r, d, d) == 0
 
 
 def test_exceptional_fourth_power():
@@ -191,11 +193,11 @@ def test_discriminant_closed_form_values():
     gamma = NsClass(BIG, 0, 1)  # isotropic
     omega = NsClass(BIG, 1, 0)
     # t = 0: coefficient 18 * 3
-    assert delta_pairing_mu_mu(0, 0, omega) == 54 * 4
+    assert delta_pairing_mu_mu(0, 0, omega, omega) == 54 * 4
     # gamma vs omega picks up the mixed pairing 5
     assert delta_pairing_mu_mu(0, 0, gamma, omega) == 54 * 5
     # t = -2: coefficient 18 * (16 - 8 + 3) = 198
-    assert delta_pairing_mu_mu(-2, 0, omega) == 198 * 4
+    assert delta_pairing_mu_mu(-2, 0, omega, omega) == 198 * 4
     assert delta_pairing_mu_delta(1, 5, omega) == 0
     assert delta_pairing_delta_delta(0, 0) == -324
     assert delta_pairing_delta_delta(-1, 0) == -324
@@ -203,17 +205,17 @@ def test_discriminant_closed_form_values():
 
 
 def test_modularity_window():
-    assert is_modular_bundle(0, 0) == (True, 54)
-    assert is_modular_bundle(0, 1) == (True, 54)
-    assert is_modular_bundle(3, 3) == (True, 54)
-    assert is_modular_bundle(0, 2) == (False, None)
-    assert is_modular_bundle(5, 1) == (False, None)
+    assert is_modular_bundle(0, 0, BIG) == (True, 54)
+    assert is_modular_bundle(0, 1, BIG) == (True, 54)
+    assert is_modular_bundle(3, 3, BIG) == (True, 54)
+    assert is_modular_bundle(0, 2, BIG) == (False, None)
+    assert is_modular_bundle(5, 1, BIG) == (False, None)
 
 
 @given(st.integers(min_value=-10, max_value=10), st.integers(min_value=-10, max_value=10))
 def test_modularity_iff_t_in_window(x, y):
     t = x - y
-    modular, coeff = is_modular_bundle(x, y)
+    modular, coeff = is_modular_bundle(x, y, BIG)
     assert modular == (t in (0, -1))
     assert coeff == (54 if modular else None)
 
@@ -311,7 +313,8 @@ def _x_quartic_unskipped(cs):
         rules = {
             0: lambda: fujiki_integral(*bases),
             1: lambda: 0,
-            2: lambda: -vf_pair(*bases),
+            # -vf, with vf = 18 * (ns pairing) - 81 * (delta coefficients product)
+            2: lambda: 81 * Fraction(bases[0].x) * bases[1].x - 18 * bases[0].ns.pair(bases[1].ns),
             3: lambda: 81 * bases[0].x,
             4: lambda: 162,
         }

@@ -131,7 +131,6 @@ def test_ch2_td2_and_c2_values():
 
 def test_a_invariant():
     assert a_invariant() == 72
-    assert a_invariant(rank=2) == 18
     assert a_invariant_components() == (16, 54, 12)
     # components multiply out: rank^2 * coeff / 12
     r2, coeff, denom = a_invariant_components()
@@ -227,3 +226,9 @@ def test_poly_compares_with_scalars():
     assert Poly((Fraction(1, 2),)) == Fraction(1, 2)
     assert a != 0 and a * a != a
     assert Poly((1, 2, 0)) == Poly((1, 2))
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, 1), (1, 0.0), (Fraction(1, 2), "1")])
+def test_poly_rejects_inexact_coefficients(coeffs):
+    with pytest.raises(TypeError):
+        Poly(coeffs)

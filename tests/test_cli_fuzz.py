@@ -5,6 +5,7 @@ never raise. The report's size flags stay small so every run is short."""
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +108,63 @@ def test_cli_exits_0_1_or_2_without_a_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+NEGATIVE = st.one_of(
+    st.integers(-20, -1).map(str),
+    st.builds(lambda p, q: f"-{p}/{q}", st.integers(1, 20), st.integers(1, 6)),
+)
+NONNEGATIVE = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 20), st.integers(1, 6))
+VALID_RATIONAL = st.one_of(NEGATIVE, NONNEGATIVE)
+NEGATIVE_CLASS = st.builds(
+    lambda first, rest: ",".join([first, *rest]),
+    NEGATIVE,
+    st.lists(VALID_RATIONAL, min_size=2, max_size=2),
+)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(["fujiki", "rr", "modularity"]),
+    st.lists(NEGATIVE_CLASS, min_size=4, max_size=4),
+    NEGATIVE,
+    VALID_RATIONAL,
+)
+def test_negative_values_parse_as_values(command, classes, x, y):
+    # a value that starts with "-" and a digit is read as a value, so it
+    # behaves like its spelling that argparse cannot mistake for an option
+    common = {"fujiki": ["--abar", "1", "--d", "3"], "rr": ["--abar", "1", "--d", "5"]}
+    argv = [command, *common.get(command, [])]
+    if command == "fujiki":
+        bare, spelled = argv + classes, argv + ["--", *classes]
+    elif command == "rr":
+        bare, spelled = argv + ["--cls", classes[0]], argv + [f"--cls={classes[0]}"]
+    else:
+        bare, spelled = argv + ["--x", x, "--y", y], argv + [f"--x={x}", f"--y={y}"]
+    code, out = _run(bare)
+    assert code != 2, bare
+    assert (code, out) == _run(spelled)
+
+
+@pytest.mark.parametrize(
+    ("argv", "out"),
+    [
+        (["fujiki", "--abar", "1", "--d", "3", "-1,0,0", "0,0,1", "0,0,1", "0,0,1"], "0\n"),
+        (["rr", "--abar", "1", "--d", "5", "--cls", "-2,0,1"], "63\n"),
+        (["rr", "--q", "-1/2"], "63/32\n"),
+        (["modularity", "--x", "-1/2", "--y", "0"], "NotModular\n"),
+        (["modularity", "--x", "-1", "--y", "0"], "Modular (coefficient 54)\n"),
+    ],
+)
+def test_negative_values_from_the_command_line(argv, out):
+    assert _run(argv) == (0, out)

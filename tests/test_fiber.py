@@ -73,8 +73,6 @@ def test_subsheaf_rank_example():
 def test_profile_validation():
     with pytest.raises(ValueError):
         SubsheafProfile(5, 0, 0)
-    assert SubsheafProfile(1, 3, 2).admissible
-    assert not SubsheafProfile(3, 1, 2).admissible
 
 
 @given(
@@ -109,7 +107,7 @@ def test_destabilizer_profiles():
     profiles = destabilizer_profiles()
     assert len(profiles) == 7
     assert all(p.r1p + p.r1pp == 2 * p.r2 for p in profiles)
-    assert all(p.admissible for p in profiles)
+    assert all(p.r1p <= p.r1pp for p in profiles)
     assert SubsheafProfile(0, 2, 1) in profiles
     assert SubsheafProfile(3, 3, 3) in profiles
 

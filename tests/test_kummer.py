@@ -159,19 +159,16 @@ def test_c2_class_integrates_to_c2_pair():
     assert integrate_degree4(functional, a, b) == c2_pair(a, b)
 
 
-@given(classes(), classes(), classes())
-def test_sym_square_reproduces_fujiki(z, a, b):
-    functional = Degree4Pairing.sym_square(z)
-    assert integrate_degree4(functional, a, b) == fujiki_integral(z, z, a, b)
-
-
 def test_modularity_coefficient_of_c2():
     assert modularity_coefficient(Degree4Pairing.c2_class(MODEL)) == 54
 
 
 def test_modularity_coefficient_rejects_generic_square():
+    # alpha, beta -> int mu(omegabar)^2 . alpha . beta, built by hand
     mu_o = two_class(MODEL, 1, 0, 0)
-    assert modularity_coefficient(Degree4Pairing.sym_square(mu_o)) is None
+    es = basis(MODEL)
+    values = tuple(tuple(fujiki_integral(mu_o, mu_o, a, b) for b in es) for a in es)
+    assert modularity_coefficient(Degree4Pairing(MODEL, values)) is None
 
 
 def test_modularity_coefficient_accepts_scaled_c2():

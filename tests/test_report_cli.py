@@ -71,8 +71,6 @@ def test_json_schema(default_report):
         "d_max",
         "a_max",
         "md_max",
-        "samples",
-        "seed",
         "only",
     }
     for record in payload["records"]:
@@ -121,9 +119,9 @@ def _symmetrized_missing_one_ordering(*bs):
     return Fraction(3, 8) * sum(bbf(bs[a], bs[b]) * bbf(bs[c], bs[d]) for a, b, c, d in orderings)
 
 
-def _mu_mu_with_wrong_linear_term(x, y, gamma1, gamma2=None):
+def _mu_mu_with_wrong_linear_term(x, y, gamma1, gamma2):
     t = Fraction(x) - Fraction(y)
-    return 18 * (4 * t * t + 5 * t + 3) * gamma1.pair(gamma1 if gamma2 is None else gamma2)
+    return 18 * (4 * t * t + 5 * t + 3) * gamma1.pair(gamma2)
 
 
 def _x_quartic_with_extra_term(c1, c2, c3, c4):
@@ -235,6 +233,21 @@ def test_report_config_validation():
         ReportConfig(abar_max=0)
     with pytest.raises(ValueError):
         ReportConfig(d_max=-1)
+    with pytest.raises(ValueError):
+        ReportConfig(samples=0)
+
+
+def test_report_config_stores_no_samples_or_seed():
+    # samples and seed are init-only: accepted, checked, not stored
+    config = ReportConfig(samples=150, seed=3)
+    assert [f.name for f in dataclasses.fields(config)] == [
+        "abar_max",
+        "d_max",
+        "a_max",
+        "md_max",
+        "only",
+    ]
+    assert config == ReportConfig()
 
 
 def test_cli_report_json(capsys):
@@ -258,8 +271,42 @@ def test_cli_report_markdown(capsys):
 
 
 def test_cli_report_seed_changes_nothing_but_stays_green(capsys):
+    assert main(["report", "--only", "fujiki-"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
     assert main(["report", "--seed", "7", "--samples", "5", "--only", "fujiki-"]) == 0
-    capsys.readouterr()
+    flagged = capsys.readouterr()
+    assert flagged.out == plain.out
+    assert flagged.err == "note: --samples and --seed change no record and will be removed\n"
+
+
+def test_cli_report_full_stdout_ignores_samples_and_seed(capsys):
+    assert main(["report"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["report", "--samples", "5", "--seed", "7"]) == 0
+    flagged = capsys.readouterr()
+    assert flagged.out == plain
+    assert len(flagged.err.splitlines()) == 1
+
+
+def test_cli_report_help_hides_samples_and_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--only" in out
+    assert "--samples" not in out and "--seed" not in out
+
+
+def test_cli_report_still_rejects_bad_samples(capsys):
+    assert main(["report", "--samples", "0", "--only", "fujiki-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: abar_max, a_max and samples must be positive\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--samples", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_samples_and_seed_change_no_record():

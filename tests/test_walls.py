@@ -13,19 +13,13 @@ from hkverify.walls import (
     enumerate_wall_numerics,
     generate_wall_cases,
     is_ample_h,
-    mukai_pair,
+    mukai_square,
 )
 
 
 def test_moduli_vector_square():
     assert MODULI_VECTOR == MukaiVector(1, 0, -3)
-    assert mukai_pair(MODULI_VECTOR, MODULI_VECTOR) == 6
-
-
-def test_mukai_pair_explicit_dot():
-    u = MukaiVector(2, 4, 1)
-    v = MukaiVector(1, 2, -1)
-    assert mukai_pair(u, v, ell_dot=3) == -2 * (-1) - 1 * 1 + 3 == 4
+    assert mukai_square(MODULI_VECTOR) == 6
 
 
 def test_mukai_vector_rejects_odd_square():
@@ -78,7 +72,6 @@ def test_ampleness_verdicts():
 
 def test_ampleness_thresholds_attached_to_result():
     result = is_ample_h(1, 31, 1)
-    assert result.on_wall_threshold == 15
     assert result.separating_threshold == 30
     assert not result.below_threshold
     assert is_ample_h(1, 30, 1).below_threshold
@@ -119,7 +112,7 @@ def test_large_odd_d_is_ample(abar, m):
 
 
 def test_result_render_shapes():
-    ample = AmplenessResult("ample", None, 15, 30, False)
+    ample = AmplenessResult("ample", None, 30, False)
     assert ample.render() == "Ample"
-    hedged = AmplenessResult("ample", None, 15, 30, True)
+    hedged = AmplenessResult("ample", None, 30, True)
     assert "below certified threshold" in hedged.render()
