@@ -2,11 +2,13 @@
 bundle, as exact polynomials in the polarization parameter a (the halved
 model has omega^2 = 2a, so q(ch1) = 16a - 6).
 
-Every function accepts an int, a Fraction, a Poly, or a sympy expression
-and computes with it exactly; ints are promoted to Fractions. Poly is the
-exact polynomial type the report evaluates them on. The stated
-closed form for int ch1^2 ch2 disagrees with the derived one, and both
-are exposed so the report can flag exactly that record.
+Every function accepts an int, a Fraction or a Poly and computes with it
+exactly. Ints stay ints: a closed form with fractional coefficients is one
+numerator over one denominator, and every division is exact (`_quotient`),
+so an int input gives an int or one Fraction, never a float. Poly is the
+exact polynomial type the report evaluates them on. The stated closed form
+for int ch1^2 ch2 disagrees with the derived one, and both are exposed so
+the report can flag exactly that record.
 """
 
 from __future__ import annotations
@@ -16,16 +18,12 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .kummer import C2_PAIR_COEFF, C2_SQUARE_VALUE, riemann_roch_from_square
-from .lattice import _frac
-
-
-def _scalar(a):
-    return Fraction(a) if isinstance(a, int) else a
+from .lattice import _frac, _quotient
 
 
 def ch1_square_q(a):
     """q(ch1) = 16a - 6."""
-    return 16 * _scalar(a) - 6
+    return 16 * a - 6
 
 
 def ch1_fourth(a):
@@ -41,58 +39,58 @@ def ch1sq_c2(a):
 
 def ch1sq_ch2_stated(a):
     """int ch1^2 ch2 as stated: 576 a^2 - 540 a + 81."""
-    a = _scalar(a)
     return 576 * a * a - 540 * a + 81
 
 
 def ch1sq_ch2_derived(a):
     """int ch1^2 ch2 via ch2 = (ch1^2 - c2)/8: (int ch1^4 - 54 q(ch1)) / 8
     = 288 a^2 - 324 a + 81."""
-    return (ch1_fourth(a) - ch1sq_c2(a)) / 8
+    return _quotient(ch1_fourth(a) - ch1sq_c2(a), 8)
+
+
+def _gianni_doubled(a):
+    """Twice the five summands of int ch1 ch3, all integral on an int a."""
+    return (54 - 144 * a, -27 + 0 * a, 72 * a, -18 * a, 48 * a * a)
 
 
 def gianni_decomposition(a):
     """The five summands of int ch1 ch3: the curvature-weighted piece and
     the four Todd-expansion integrals, in that order."""
-    a = _scalar(a)
-    return (
-        27 - 72 * a,
-        Fraction(-27, 2) + 0 * a,
-        36 * a,
-        -9 * a,
-        24 * a * a,
-    )
+    return tuple(_quotient(part, 2) for part in _gianni_doubled(a))
 
 
 def ch1_ch3(a):
-    """int ch1 ch3 = 24 a^2 - 45 a + 27/2."""
-    total = 0
-    for part in gianni_decomposition(a):
-        total = total + part
-    return total
+    """int ch1 ch3 = 24 a^2 - 45 a + 27/2, the sum of the five summands."""
+    return _quotient(sum(_gianni_doubled(a)), 2)
 
 
 def ch2_squared(a):
     """int ch2^2 = 36 a^2 - 54 a + 27."""
-    a = _scalar(a)
     return 36 * a * a - 54 * a + 27
+
+
+def _ch2_squared_derived_num(a):
+    return ch1_fourth(a) - 2 * ch1sq_c2(a) + C2_SQUARE_VALUE
 
 
 def ch2_squared_derived(a):
     """int ch2^2 via ch2 = (ch1^2 - c2)/8:
     (int ch1^4 - 2 * 54 q(ch1) + int c2^2) / 64, with int c2^2 = 756."""
-    return (ch1_fourth(a) - 2 * ch1sq_c2(a) + C2_SQUARE_VALUE) / 64
+    return _quotient(_ch2_squared_derived_num(a), 64)
 
 
 def ch2_td2(a):
-    """int ch2 . td2 = 9a - 45/4."""
-    return 9 * _scalar(a) - Fraction(45, 4)
+    """int ch2 . td2 = 9a - 45/4 = (36a - 45)/4."""
+    return _quotient(36 * a - 45, 4)
+
+
+def _ch4_num(a):
+    return 6 * a * a - 18 * a + 9
 
 
 def ch4_integral(a):
-    """int ch4 = (3/2) a^2 - (9/2) a + 9/4."""
-    a = _scalar(a)
-    return Fraction(3, 2) * a * a - Fraction(9, 2) * a + Fraction(9, 4)
+    """int ch4 = (3/2) a^2 - (9/2) a + 9/4 = (6a^2 - 18a + 9)/4."""
+    return _quotient(_ch4_num(a), 4)
 
 
 def ch4_via_chi(a):
@@ -101,15 +99,14 @@ def ch4_via_chi(a):
 
 
 def chi_bundle(a):
-    """chi of the rank-4 bundle: (3/2) a^2 + (9/2) a + 3."""
-    a = _scalar(a)
-    return Fraction(3, 2) * a * a + Fraction(9, 2) * a + 3
+    """chi of the rank-4 bundle: (3/2) a^2 + (9/2) a + 3 = (3a^2 + 9a + 6)/2."""
+    return _quotient(3 * a * a + 9 * a + 6, 2)
 
 
 def chi_bundle_rr(a):
     """Same chi through the line-bundle count on the halved model, where
     q(c1) = 2a."""
-    return riemann_roch_from_square(2 * _scalar(a))
+    return riemann_roch_from_square(2 * a)
 
 
 def chi_bundle_hrr(a):
@@ -117,31 +114,43 @@ def chi_bundle_hrr(a):
     return 12 + ch2_td2(a) + ch4_integral(a)
 
 
-def ch2_c2(a):
-    """int ch2 . c2 via ch2 = (ch1^2 - c2)/8: (54 q(ch1) - int c2^2) / 8."""
-    return (ch1sq_c2(a) - C2_SQUARE_VALUE) / 8
+def _ch2_c2_num(a):
+    """8 int ch2 . c2 via ch2 = (ch1^2 - c2)/8: 54 q(ch1) - int c2^2."""
+    return ch1sq_c2(a) - C2_SQUARE_VALUE
+
+
+def _chi_end_summand_nums(a):
+    """Numerators of the three chi(End) summands, over 1, 12 and 64. With
+    int ch4 = n4/4 and int ch1 ch3 = n13/2, the middle one is
+    8 int ch2 c2 - int ch1^2 c2 and the last is 64 (2 n4 - n13) plus the
+    numerator of the derived int ch2^2."""
+    first = 48 + 0 * a
+    middle = _ch2_c2_num(a) - ch1sq_c2(a)
+    last = 64 * (2 * _ch4_num(a) - sum(_gianni_doubled(a))) + _ch2_squared_derived_num(a)
+    return (first, middle, last)
 
 
 def chi_end_decomposition(a):
     """chi(End) = rank^2 chi(O) + (1/12) int (8 ch2 - ch1^2) c2
     + int (8 ch4 - 2 ch1 ch3 + ch2^2), using derived entries only.
     Returns the three summands (48, -63, 18)."""
-    first = 48 + 0 * _scalar(a)
-    middle = (8 * ch2_c2(a) - ch1sq_c2(a)) / 12
-    last = 8 * ch4_integral(a) - 2 * ch1_ch3(a) + ch2_squared_derived(a)
-    return (first, middle, last)
+    first, middle, last = _chi_end_summand_nums(a)
+    return (first, _quotient(middle, 12), _quotient(last, 64))
+
+
+def _chi_end_num(a):
+    """chi(End) over the common denominator 192 of its summands."""
+    first, middle, last = _chi_end_summand_nums(a)
+    return 192 * first + 16 * middle + 3 * last
 
 
 def chi_end(a):
-    total = 0
-    for part in chi_end_decomposition(a):
-        total = total + part
-    return total
+    return _quotient(_chi_end_num(a), 192)
 
 
 def chi_end_traceless(a):
     """chi of the traceless endomorphisms: chi(End) - chi(O) = 0."""
-    return chi_end(a) - 3
+    return _quotient(_chi_end_num(a) - 3 * 192, 192)
 
 
 def a_invariant() -> Fraction:

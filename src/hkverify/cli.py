@@ -36,6 +36,7 @@ from .fiber import (
     monodromy_fixed_points,
     monodromy_group_order,
     only_trivial_coset,
+    only_zero_fixed,
     subsheaf_rank,
 )
 from .kummer import fujiki_integral, riemann_roch, riemann_roch_from_square, two_class
@@ -244,7 +245,7 @@ def _cmd_fiber(args) -> int:
 def _cmd_monodromy(args) -> int:
     print(f"group order on 2-torsion: {monodromy_group_order(2)}")
     fixed = monodromy_fixed_points()
-    zero_only = fixed == frozenset({((0, 0), (0, 0))})
+    zero_only = only_zero_fixed(fixed)
     print(f"fixed 2-torsion points: {len(fixed)}" + (" (zero only)" if zero_only else ""))
     cosets = invariant_torsion_cosets()
     trivial = only_trivial_coset(cosets)

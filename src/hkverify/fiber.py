@@ -73,16 +73,23 @@ class SubsheafProfile:
 def subsheaf_rank(profile: SubsheafProfile, m: int, d: int) -> Fraction:
     """Generic rank forced by the degree bookkeeping:
     (r1' + r1'')/2 - (r1' + r1'' - 2 r2)/(2 m d)."""
-    md = _check_md(m, d)
+    return Fraction(*_subsheaf_rank_raw(profile, _check_md(m, d)))
+
+
+def _subsheaf_rank_raw(profile: SubsheafProfile, md: int) -> tuple[int, int]:
+    """subsheaf_rank as (numerator, denominator), md = m d > 1 checked by the
+    caller; the denominator 2 m d is positive and the pair is not reduced."""
     s = profile.r1p + profile.r1pp
-    return Fraction(s * md - (s - 2 * profile.r2), 2 * md)
+    return (s * md - (s - 2 * profile.r2), 2 * md)
 
 
-def subsheaf_rank_weighted(profile: SubsheafProfile, m: int, d: int) -> Fraction:
-    """Same rank as the degree-weighted average over the fiber components."""
+def _subsheaf_rank_weighted_raw(profile: SubsheafProfile, m: int, d: int) -> tuple[int, int]:
+    """The same rank as the degree-weighted average over the fiber
+    components, as (numerator, denominator) with a positive denominator:
+    (r1' + r1'') deg V + r2 deg Delta over 2 deg V + deg Delta."""
     deg_v, deg_delta = fiber_degrees(m, d)
     s = profile.r1p + profile.r1pp
-    return Fraction(s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta)
+    return (s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta)
 
 
 def integer_rank_criterion(profile: SubsheafProfile, m: int, d: int) -> bool:
@@ -212,3 +219,8 @@ def trivial_torsion_coset() -> frozenset:
 def only_trivial_coset(cosets: tuple[frozenset, ...]) -> bool:
     """Whether the invariant cosets are exactly the trivial one."""
     return cosets == (trivial_torsion_coset(),)
+
+
+def only_zero_fixed(fixed: frozenset) -> bool:
+    """Whether the fixed 2-torsion points are exactly the zero element."""
+    return fixed == frozenset({((0, 0), (0, 0))})

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .lattice import AbelianSurfaceModel, _coef, _frac
+from .lattice import AbelianSurfaceModel, _coef, _frac, _quotient
 
 #: q(delta) on every generalized Kummer fourfold in this family.
 DELTA_SQUARE = -6
@@ -25,7 +25,7 @@ DELTA_SQUARE = -6
 C2_PAIR_COEFF = 54
 
 #: int c2^2.
-C2_SQUARE_VALUE = Fraction(756)
+C2_SQUARE_VALUE = 756
 
 
 @dataclass(frozen=True)
@@ -169,17 +169,14 @@ def c2_pair(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
 
 def c2_square() -> Fraction:
     """int c2^2."""
-    return C2_SQUARE_VALUE
+    return Fraction(C2_SQUARE_VALUE)
 
 
 def riemann_roch_from_square(qval):
     """Euler characteristic of a line bundle with q(c1) = qval:
-    3 * binom(qval/2 + 2, 2). Accepts any exact scalar: a Fraction, a
-    chern.Poly, or a sympy expression."""
-    if isinstance(qval, int):
-        qval = Fraction(qval)
-    half = qval / 2
-    return 3 * (half + 2) * (half + 1) / 2
+    3 * binom(qval/2 + 2, 2) = 3 (qval + 4)(qval + 2) / 8. Accepts an int, a
+    Fraction or a chern.Poly and computes exactly."""
+    return _quotient(3 * (qval + 4) * (qval + 2), 8)
 
 
 def riemann_roch(c1: KummerTwoClass) -> Fraction:

@@ -23,6 +23,12 @@ def _frac(value) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
+def _quotient(x, k: int):
+    """x / k exactly: Fraction(x, k) on an int x, since int / int is a
+    float; x / k on a Fraction or a chern.Poly, which divide exactly."""
+    return Fraction(x, k) if isinstance(x, int) else x / k
+
+
 def _coef(value) -> int | Fraction:
     """A class coefficient: an int or an integral Fraction becomes an int,
     any other Fraction is kept, and anything else raises TypeError. Integral

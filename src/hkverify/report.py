@@ -87,8 +87,10 @@ from .fiber import (
     monodromy_fixed_points,
     monodromy_group_order,
     only_trivial_coset,
+    only_zero_fixed,
     subsheaf_rank,
-    subsheaf_rank_weighted,
+    _subsheaf_rank_raw,
+    _subsheaf_rank_weighted_raw,
 )
 from .kummer import (
     Degree4Pairing,
@@ -274,15 +276,19 @@ def _rank_integrality_sweep(cfg: ReportConfig):
 
 
 def _rank_failures(profile: SubsheafProfile, md: int) -> int:
-    rank = subsheaf_rank(profile, 1, md)
-    criterion_wrong = integer_rank_criterion(profile, 1, md) != (rank.denominator == 1)
-    return criterion_wrong + (subsheaf_rank_weighted(profile, 1, md) != rank)
+    """Failed checks for one profile at m = 1, d = md, on (numerator,
+    denominator) pairs with positive denominators: the rank is integral iff
+    the denominator divides the numerator, and the two paths agree iff the
+    cross products are equal."""
+    num, den = _subsheaf_rank_raw(profile, md)
+    criterion_wrong = integer_rank_criterion(profile, 1, md) != (num % den == 0)
+    w_num, w_den = _subsheaf_rank_weighted_raw(profile, 1, md)
+    return criterion_wrong + (w_num * den != num * w_den)
 
 
 def _monodromy_fixed_point(cfg: ReportConfig) -> str:
     fixed = monodromy_fixed_points()
-    zero_only = fixed == frozenset({((0, 0), (0, 0))})
-    return f"{len(fixed)} ({'zero only' if zero_only else 'other'})"
+    return f"{len(fixed)} ({'zero only' if only_zero_fixed(fixed) else 'other'})"
 
 
 def _monodromy_invariant_coset(cfg: ReportConfig) -> str:

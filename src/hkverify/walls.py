@@ -113,52 +113,47 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
     """
     if abar < 1 or d < 1 or m < 1:
         raise ValueError("abar, d, m must be positive integers")
-    model = AbelianSurfaceModel(4 * abar, d)
+    if not isinstance(abar, int) or not isinstance(d, int):
+        # the same check AbelianSurfaceModel(4 abar, d) makes, which is built
+        # only for a witness
+        raise TypeError("omegabar^2 and d must be integers")
     _, separating_thr = ample_thresholds(abar)
-    witness: KummerTwoClass | None = None
+    found: tuple[int, int, int] | None = None
 
-    def beta_from(c: int, p: int) -> tuple[int, int] | None:
-        num = c - 4 * abar * p
-        if num % d:
-            return None
-        return (p, num // d)
-
-    # wall through h: x = 0, beta orthogonal to omegabar, beta^2 = -6
+    # wall through h: x = 0, beta orthogonal to omegabar, beta^2 = -6;
+    # beta = p omegabar + q gamma needs 4 abar p + q d = 0
     for p in range(-2, 3):
-        got = beta_from(0, p)
-        if got is None:
+        num = -4 * abar * p
+        if p == 0 or num % d:
             continue
-        p0, q0 = got
-        if (p0, q0) == (0, 0):
-            continue
-        beta_sq = 4 * abar * p0 * p0 + 2 * p0 * q0 * d
-        if beta_sq == -6:
-            if abs(p0) == 2:
+        q = num // d
+        if 4 * abar * p * p + 2 * p * q * d == -6:
+            if abs(p) == 2:
                 raise ArithmeticError("ampleness search hit the box boundary")
-            witness = two_class(model, p0, q0, 0)
+            found = (p, q, 0)
             break
 
     # separating wall: x = 1, beta.omegabar = c with m c <= 3, beta^2 in {0, 2}
-    if witness is None:
+    if found is None:
         for c in (1, 2, 3):
             if m * c > 3:
                 continue
             for p in range(-2, 3):
-                got = beta_from(c, p)
-                if got is None:
+                num = c - 4 * abar * p
+                if num % d:
                     continue
-                p0, q0 = got
-                beta_sq = 4 * abar * p0 * p0 + 2 * p0 * q0 * d
-                if beta_sq in (0, 2):
-                    if abs(p0) == 2:
+                q = num // d
+                if 4 * abar * p * p + 2 * p * q * d in (0, 2):
+                    if abs(p) == 2:
                         raise ArithmeticError(
                             "ampleness search hit the box boundary"
                         )
-                    witness = two_class(model, p0, q0, -1)
+                    found = (p, q, -1)
                     break
-            if witness is not None:
+            if found is not None:
                 break
 
+    witness = None if found is None else two_class(AbelianSurfaceModel(4 * abar, d), *found)
     return AmplenessResult(
         verdict="ample" if witness is None else "not-ample",
         witness=witness,

@@ -20,7 +20,6 @@ from hkverify.chern import (
     ch1sq_c2,
     ch1sq_ch2_derived,
     ch1sq_ch2_stated,
-    ch2_c2,
     ch2_squared,
     ch2_squared_derived,
     ch2_td2,
@@ -34,6 +33,7 @@ from hkverify.chern import (
     chi_end_traceless,
     gianni_decomposition,
     polynomial_identities,
+    _ch2_c2_num,
 )
 from hkverify.cli import main
 
@@ -126,7 +126,8 @@ def test_chi_end_decomposition(a):
 
 def test_ch2_td2_and_c2_values():
     assert ch2_td2(1) == Fraction(-9, 4)
-    assert ch2_c2(1) == -27
+    # int ch2 . c2 = 108 a - 135, kept as its numerator over 8
+    assert _ch2_c2_num(1) == 8 * -27
 
 
 def test_a_invariant():

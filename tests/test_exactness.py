@@ -1,9 +1,11 @@
 """Exactness of the int fast path: class coefficients stay ints where they
 are integral, the forms on them compute in ints, and every public result is
-still an exact Fraction equal to the plain-Fraction formula. No claim value
-is a float."""
+still an exact Fraction equal to the plain-Fraction formula. The Chern
+numbers of an int are an int or a Fraction equal to their closed form. No
+claim value is a float."""
 
 import dataclasses
+import inspect
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hkverify.chern
 from hkverify.blowup import (
     XTwoClass,
     ch1_bundle,
@@ -190,3 +193,51 @@ def test_ch1_paths_are_affine(path, a, b, lam):
     mixed = tuple(lam * u + (1 - lam) * v for u, v in zip(a, b))
     expected = tuple(lam * u + (1 - lam) * v for u, v in zip(coeffs(a), coeffs(b)))
     assert coeffs(mixed) == expected
+
+
+# Every public function of chern that takes the parameter a, with its
+# docstring closed form in plain Fractions.
+CHERN_CLOSED_FORMS = {
+    "ch1_square_q": lambda a: 16 * a - 6,
+    "ch1_fourth": lambda a: 2304 * a * a - 1728 * a + 324,
+    "ch1sq_c2": lambda a: 864 * a - 324,
+    "ch1sq_ch2_stated": lambda a: 576 * a * a - 540 * a + 81,
+    "ch1sq_ch2_derived": lambda a: 288 * a * a - 324 * a + 81,
+    "gianni_decomposition": lambda a: (27 - 72 * a, Fraction(-27, 2), 36 * a, -9 * a, 24 * a * a),
+    "ch1_ch3": lambda a: 24 * a * a - 45 * a + Fraction(27, 2),
+    "ch2_squared": lambda a: 36 * a * a - 54 * a + 27,
+    "ch2_squared_derived": lambda a: 36 * a * a - 54 * a + 27,
+    "ch2_td2": lambda a: 9 * a - Fraction(45, 4),
+    "ch4_integral": lambda a: Fraction(3, 2) * a * a - Fraction(9, 2) * a + Fraction(9, 4),
+    "ch4_via_chi": lambda a: Fraction(3, 2) * a * a - Fraction(9, 2) * a + Fraction(9, 4),
+    "chi_bundle": lambda a: Fraction(3, 2) * a * a + Fraction(9, 2) * a + 3,
+    "chi_bundle_rr": lambda a: Fraction(3, 2) * a * a + Fraction(9, 2) * a + 3,
+    "chi_bundle_hrr": lambda a: Fraction(3, 2) * a * a + Fraction(9, 2) * a + 3,
+    "chi_end_decomposition": lambda a: (48, -63, 18),
+    "chi_end": lambda a: 3,
+    "chi_end_traceless": lambda a: 0,
+}
+
+
+def test_every_chern_function_of_a_has_a_closed_form():
+    public = {
+        name
+        for name, fn in inspect.getmembers(hkverify.chern, inspect.isfunction)
+        if fn.__module__ == "hkverify.chern"
+        and not name.startswith("_")
+        and list(inspect.signature(fn).parameters) == ["a"]
+    }
+    assert public == set(CHERN_CLOSED_FORMS)
+
+
+def _exact_scalars(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("name", sorted(CHERN_CLOSED_FORMS))
+@given(v=st.integers(-10**6, 10**6) | st.sampled_from([-1, 0, 1]))
+def test_chern_functions_stay_exact_on_ints(name, v):
+    fn = getattr(hkverify.chern, name)
+    value = fn(v)
+    assert all(type(x) in (int, Fraction) for x in _exact_scalars(value))
+    assert value == fn(Fraction(v)) == CHERN_CLOSED_FORMS[name](Fraction(v))

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -17,12 +17,14 @@ import hkverify
 import hkverify.blowup
 import hkverify.report
 from hkverify.cli import main
+from hkverify.fiber import SubsheafProfile, fiber_degrees, integer_rank_criterion
 from hkverify.kummer import bbf, two_class
 from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
     ClaimRecord,
     ReportConfig,
+    _rank_failures,
     exit_code,
     run_report,
     to_json,
@@ -189,6 +191,41 @@ def test_basis_certificates_catch_wrong_formulas(
     report = run_report(ReportConfig(only=claim_id))
     (record,) = report.records
     assert (record.claim_id, record.computed, record.verdict) == (claim_id, computed, "fail")
+    assert exit_code(report) == 1
+
+
+def _rank_failures_in_fractions(profile, md):
+    # the rank sweep's checks written with plain Fractions, no int kernel
+    s = profile.r1p + profile.r1pp
+    rank = Fraction(s, 2) - Fraction(s - 2 * profile.r2, 2 * md)
+    criterion_wrong = integer_rank_criterion(profile, 1, md) != (rank.denominator == 1)
+    deg_v, deg_delta = fiber_degrees(1, md)
+    weighted = Fraction(s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta)
+    return criterion_wrong + (weighted != rank)
+
+
+def test_rank_failures_match_the_fraction_checks():
+    # every profile at every md of the sweep-grid range, odd and even
+    for ranks, md in product(product(range(5), repeat=3), range(9, 122)):
+        profile = SubsheafProfile(*ranks)
+        assert _rank_failures(profile, md) == _rank_failures_in_fractions(profile, md), (ranks, md)
+
+
+def _weighted_rank_with_wrong_denominator(profile, m, d):
+    # 2 deg V + deg Delta -> 2 deg V + deg Delta + 1
+    deg_v, deg_delta = fiber_degrees(m, d)
+    s = profile.r1p + profile.r1pp
+    return (s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta + 1)
+
+
+def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
+    # only the zero profile (rank 0 either way) survives, once per md
+    monkeypatch.setattr(
+        hkverify.report, "_subsheaf_rank_weighted_raw", _weighted_rank_with_wrong_denominator
+    )
+    report = run_report(ReportConfig(only="fiber-rank-integrality"))
+    (record,) = report.records
+    assert (record.computed, record.verdict) == ("2108 failures / 2125 cases", "fail")
     assert exit_code(report) == 1
 
 

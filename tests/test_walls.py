@@ -1,10 +1,14 @@
 """Wall numerics for the moduli vector and the ampleness decision for the
 family of polarizations h = 2m*mu(omegabar) - delta."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hkverify.kummer import two_class
+from hkverify.lattice import AbelianSurfaceModel
 from hkverify.walls import (
     MODULI_VECTOR,
     AmplenessResult,
@@ -82,6 +86,75 @@ def test_ampleness_validation():
         is_ample_h(0, 3, 1)
     with pytest.raises(ValueError):
         is_ample_h(1, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "abar, d, m",
+    [(1.5, 3, 1), (1, 2.0, 1), (1, 31.0, 1), (1.0, 31, 1), (Fraction(3, 2), 101, 1)],
+)
+def test_ampleness_rejects_non_integers(abar, d, m):
+    # the model is built only for a witness; the last three find none, so
+    # only the up-front check rejects them
+    with pytest.raises(TypeError):
+        is_ample_h(abar, d, m)
+
+
+def _is_ample_h_reference(abar, d, m):
+    # the search as it was written with the model built up front and a
+    # helper solving the pairing equation for q
+    model = AbelianSurfaceModel(4 * abar, d)
+    _, separating_thr = ample_thresholds(abar)
+    witness = None
+
+    def beta_from(c, p):
+        num = c - 4 * abar * p
+        if num % d:
+            return None
+        return (p, num // d)
+
+    for p in range(-2, 3):
+        got = beta_from(0, p)
+        if got is None or got == (0, 0):
+            continue
+        p0, q0 = got
+        if 4 * abar * p0 * p0 + 2 * p0 * q0 * d == -6:
+            assert abs(p0) < 2
+            witness = two_class(model, p0, q0, 0)
+            break
+    if witness is None:
+        for c in (1, 2, 3):
+            if m * c > 3:
+                continue
+            for p in range(-2, 3):
+                got = beta_from(c, p)
+                if got is None:
+                    continue
+                p0, q0 = got
+                if 4 * abar * p0 * p0 + 2 * p0 * q0 * d in (0, 2):
+                    assert abs(p0) < 2
+                    witness = two_class(model, p0, q0, -1)
+                    break
+            if witness is not None:
+                break
+    return AmplenessResult(
+        "ample" if witness is None else "not-ample",
+        witness,
+        separating_thr,
+        d <= separating_thr,
+    )
+
+
+def test_ampleness_matches_the_reference_search():
+    # every d up to 200 past the separating threshold, as in the sweep-grid
+    # configuration, plus every small d below it
+    for abar in range(1, 9):
+        _, sep = ample_thresholds(abar)
+        for m in (1, 2, 3):
+            for d in range(1, sep + 201):
+                expected = _is_ample_h_reference(abar, d, m)
+                got = is_ample_h(abar, d, m)
+                assert got == expected, (abar, d, m)
+                assert got.render() == expected.render()
 
 
 @given(
