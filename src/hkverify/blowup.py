@@ -20,8 +20,9 @@ int_X D^4 = (c2 of the normal bundle) - (c1 of the normal bundle)^2
 one of these numbers is read from `VF`.
 
 The coefficients t of X classes are ints where they are integral
-(`lattice._coef`), so the quartic runs in int arithmetic on integral classes
-and builds one Fraction on return, as every public function here does.
+(`lattice._coef`), and every division is `lattice._quotient`: as in `kummer`,
+each public form returns what its exact arithmetic gives, an int on integral
+classes and otherwise an int or a Fraction, never a float.
 """
 
 from __future__ import annotations
@@ -35,16 +36,14 @@ from .kummer import (
     Degree4Pairing,
     KummerTwoClass,
     NsClass,
-    _bbf_raw,
-    _fujiki_raw,
-    _ns_pair_raw,
     basis,
+    bbf,
     fujiki_integral,
     integrate_degree4,
     modularity_coefficient,
     two_class,
 )
-from .lattice import AbelianSurfaceModel, _coef, _frac
+from .lattice import AbelianSurfaceModel, _coef, _quotient
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,10 @@ class VfData:
 VF = VfData()
 
 
-def _vf_pair_raw(a: KummerTwoClass, b: KummerTwoClass):
+def _vf_pair(a: KummerTwoClass, b: KummerTwoClass):
     """Pairing on V of the restrictions of two halved-model degree-2
-    classes: 18 * (ns part pairing) - 81 * (delta coefficients product); an
-    int on integral classes."""
-    return VF.pair_coeff * _ns_pair_raw(a.ns, b.ns) + VF.delta_restriction_sq * a.x * b.x
+    classes: 18 * (ns part pairing) - 81 * (delta coefficients product)."""
+    return VF.pair_coeff * a.ns.pair(b.ns) + VF.delta_restriction_sq * a.x * b.x
 
 
 @dataclass(frozen=True)
@@ -100,15 +98,10 @@ def exceptional_class(model: AbelianSurfaceModel) -> XTwoClass:
 
 def x_quartic(
     c1: XTwoClass, c2: XTwoClass, c3: XTwoClass, c4: XTwoClass
-) -> Fraction:
+) -> int | Fraction:
     """Integral over X of a product of four degree-2 classes, by multilinear
     expansion into pullback/exceptional monomials and the reduction rules;
     the rules are linear in each base, so picks with a zero t or base vanish."""
-    return _frac(_x_quartic_raw(c1, c2, c3, c4))
-
-
-def _x_quartic_raw(c1, c2, c3, c4):
-    """x_quartic before the final Fraction: an int on integral classes."""
     cs = (c1, c2, c3, c4)
     if len({c.model for c in cs}) != 1:
         raise ValueError("classes live on different fourfolds")
@@ -128,11 +121,11 @@ def _x_quartic_raw(c1, c2, c3, c4):
             continue
         k = 4 - len(bases)
         if k == 0:
-            term = _fujiki_raw(*bases)
+            term = fujiki_integral(*bases)
         elif k == 1:
             continue
         elif k == 2:
-            term = -_vf_pair_raw(bases[0], bases[1])
+            term = -_vf_pair(bases[0], bases[1])
         elif k == 3:
             # -int_V c1(N).b| with c1(N) = delta|: -delta_restriction_sq * x
             term = -VF.delta_restriction_sq * bases[0].x
@@ -180,10 +173,10 @@ def quartic_chain(model_small: AbelianSurfaceModel):
     """
     q = XTwoClass(two_class(model_small, 0, 0, 1), 0)
     d = exceptional_class(model_small)
-    term0 = x_quartic(q, q, q, q) / 4
-    term2 = 6 * x_quartic(q, q, d, d) / 4
-    term3 = 4 * x_quartic(q, d, d, d) / 4
-    term4 = x_quartic(d, d, d, d) / 4
+    term0 = _quotient(x_quartic(q, q, q, q), 4)
+    term2 = _quotient(6 * x_quartic(q, q, d, d), 4)
+    term3 = _quotient(4 * x_quartic(q, d, d, d), 4)
+    term4 = _quotient(x_quartic(d, d, d, d), 4)
     return (term0, term2, term3, term4)
 
 
@@ -208,7 +201,7 @@ def ch1_bundle_via_pushforward(omega: NsClass, x, y) -> KummerTwoClass:
 
 def ch2_pairing(
     omega: NsClass, x, y, alpha: KummerTwoClass, beta: KummerTwoClass
-) -> Fraction:
+) -> int | Fraction:
     """int ch2(bundle) . alpha . beta on the doubled model, computed entirely
     on X: expand ch2 through the pushforward of ch(line bundle) * td(X) and
     integrate against the pulled-back classes.
@@ -228,41 +221,41 @@ def ch2_pairing(
     line = XTwoClass(KummerTwoClass(omega, x), y)
     d = exceptional_class(small)
     c2x = (
-        C2_PAIR_COEFF * _bbf_raw(u.base, v.base)
+        C2_PAIR_COEFF * bbf(u.base, v.base)
         # int_X pi^*c2 . D^2 = -int_V c2(ambient)|
         - VF.c2_ambient * u.t * v.t
-        + _vf_pair_raw(u.base, v.base)
+        + _vf_pair(u.base, v.base)
         # int_X (exceptional correction) . D^2 = -int_V c2(N)
         - VF.c2_normal * u.t * v.t
     )
     twelve_times = (
-        6 * (_x_quartic_raw(line, line, u, v) - _x_quartic_raw(line, d, u, v))
-        + _x_quartic_raw(d, d, u, v)
+        6 * (x_quartic(line, line, u, v) - x_quartic(line, d, u, v))
+        + x_quartic(d, d, u, v)
         + c2x
-        - 4 * C2_PAIR_COEFF * _bbf_raw(alpha, beta)
+        - 4 * C2_PAIR_COEFF * bbf(alpha, beta)
     )
-    return Fraction(twelve_times, 12)
+    return _quotient(twelve_times, 12)
 
 
 def delta_pairing_mu_mu(x, y, gamma1: NsClass, gamma2: NsClass):
     """Closed form int Delta(bundle) . mu(gamma1) . mu(gamma2)
     = 18 * (4t^2 + 4t + 3) * gamma1.gamma2 with t = x - y."""
-    t = _frac(x) - _frac(y)
+    t = _coef(x) - _coef(y)
     return 18 * (4 * t * t + 4 * t + 3) * gamma1.pair(gamma2)
 
 
-def delta_pairing_mu_delta(x, y, gamma: NsClass) -> Fraction:
+def delta_pairing_mu_delta(x, y, gamma: NsClass) -> int:
     """Closed form int Delta(bundle) . mu(gamma) . delta = 0."""
-    return Fraction(0)
+    return 0
 
 
-def delta_pairing_delta_delta(x, y) -> Fraction:
+def delta_pairing_delta_delta(x, y) -> int | Fraction:
     """Closed form int Delta(bundle) . delta^2 = -324 * (t^2 + t + 1)."""
-    t = _frac(x) - _frac(y)
+    t = _coef(x) - _coef(y)
     return -324 * (t * t + t + 1)
 
 
-def delta_pairing_closed(x, y, alpha: KummerTwoClass, beta: KummerTwoClass) -> Fraction:
+def delta_pairing_closed(x, y, alpha: KummerTwoClass, beta: KummerTwoClass) -> int | Fraction:
     """Bilinear combination of the closed forms; the mu-delta cross terms
     vanish."""
     return delta_pairing_mu_mu(x, y, alpha.ns, beta.ns) + (
@@ -272,7 +265,7 @@ def delta_pairing_closed(x, y, alpha: KummerTwoClass, beta: KummerTwoClass) -> F
 
 def delta_pairing_via_chern(
     omega: NsClass, x, y, alpha: KummerTwoClass, beta: KummerTwoClass
-) -> Fraction:
+) -> int | Fraction:
     """Independent recomputation of int Delta . alpha . beta through
     Delta = ch1^2 - 8 ch2 and the X calculus."""
     c1 = ch1_bundle(omega, x, y)
@@ -290,17 +283,17 @@ def delta_class_of_bundle(
         tuple(delta_pairing_closed(x, y, es[i], es[j]) for j in range(3))
         for i in range(3)
     )
-    return Degree4Pairing(model_big, vals, Fraction(0))
+    return Degree4Pairing(model_big, vals)
 
 
 def is_modular_bundle(
     x, y, model_big: AbelianSurfaceModel
-) -> tuple[bool, Fraction | None]:
+) -> tuple[bool, int | Fraction | None]:
     """Whether Delta(bundle) on `model_big` is a rational multiple of the
     quadratic form, which happens exactly for t = x - y in {0, -1}; the
     coefficient is then C2_PAIR_COEFF and Delta agrees with c2 on the whole
     pairing basis. Returns the coefficient `modularity_coefficient` found."""
-    t = _frac(x) - _frac(y)
+    t = _coef(x) - _coef(y)
     if t * (t + 1) != 0:
         return (False, None)
     functional = delta_class_of_bundle(model_big, x, y)

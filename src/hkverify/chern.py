@@ -3,12 +3,13 @@ bundle, as exact polynomials in the polarization parameter a (the halved
 model has omega^2 = 2a, so q(ch1) = 16a - 6).
 
 Every function accepts an int, a Fraction or a Poly and computes with it
-exactly. Ints stay ints: a closed form with fractional coefficients is one
-numerator over one denominator, and every division is exact (`_quotient`),
-so an int input gives an int or one Fraction, never a float. Poly is the
-exact polynomial type the report evaluates them on. The stated closed form
-for int ch1^2 ch2 disagrees with the derived one, and both are exposed so
-the report can flag exactly that record.
+exactly; a float raises TypeError in the leaf forms (`@_exact_arg`) that
+every function of a reaches. Ints stay ints: a closed form with fractional
+coefficients is one numerator over one denominator, and every division is
+exact (`_quotient`), so an int input gives an int or one Fraction, never a
+float. Poly is the exact polynomial type the report evaluates them on. The
+stated closed form for int ch1^2 ch2 disagrees with the derived one, and
+both are exposed so the report can flag exactly that record.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .kummer import C2_PAIR_COEFF, C2_SQUARE_VALUE, riemann_roch_from_square
-from .lattice import _frac, _quotient
+from .lattice import _coef, _exact_arg, _quotient
 
 
+@_exact_arg
 def ch1_square_q(a):
     """q(ch1) = 16a - 6."""
     return 16 * a - 6
@@ -37,6 +39,7 @@ def ch1sq_c2(a):
     return C2_PAIR_COEFF * ch1_square_q(a)
 
 
+@_exact_arg
 def ch1sq_ch2_stated(a):
     """int ch1^2 ch2 as stated: 576 a^2 - 540 a + 81."""
     return 576 * a * a - 540 * a + 81
@@ -48,6 +51,7 @@ def ch1sq_ch2_derived(a):
     return _quotient(ch1_fourth(a) - ch1sq_c2(a), 8)
 
 
+@_exact_arg
 def _gianni_doubled(a):
     """Twice the five summands of int ch1 ch3, all integral on an int a."""
     return (54 - 144 * a, -27 + 0 * a, 72 * a, -18 * a, 48 * a * a)
@@ -64,6 +68,7 @@ def ch1_ch3(a):
     return _quotient(sum(_gianni_doubled(a)), 2)
 
 
+@_exact_arg
 def ch2_squared(a):
     """int ch2^2 = 36 a^2 - 54 a + 27."""
     return 36 * a * a - 54 * a + 27
@@ -79,11 +84,13 @@ def ch2_squared_derived(a):
     return _quotient(_ch2_squared_derived_num(a), 64)
 
 
+@_exact_arg
 def ch2_td2(a):
     """int ch2 . td2 = 9a - 45/4 = (36a - 45)/4."""
     return _quotient(36 * a - 45, 4)
 
 
+@_exact_arg
 def _ch4_num(a):
     return 6 * a * a - 18 * a + 9
 
@@ -98,6 +105,7 @@ def ch4_via_chi(a):
     return chi_bundle(a) - 12 - ch2_td2(a)
 
 
+@_exact_arg
 def chi_bundle(a):
     """chi of the rank-4 bundle: (3/2) a^2 + (9/2) a + 3 = (3a^2 + 9a + 6)/2."""
     return _quotient(3 * a * a + 9 * a + 6, 2)
@@ -153,11 +161,11 @@ def chi_end_traceless(a):
     return _quotient(_chi_end_num(a) - 3 * 192, 192)
 
 
-def a_invariant() -> Fraction:
+def a_invariant() -> int | Fraction:
     """The invariant rank^2 * d / (4 * chi(O)) controlling deformation
     counts, with d = C2_PAIR_COEFF the modularity coefficient; 16 * 54 / 12
     = 72 for the rank-4 bundle."""
-    return Fraction(4 * 4 * C2_PAIR_COEFF, 4 * 3)
+    return _quotient(4 * 4 * C2_PAIR_COEFF, 4 * 3)
 
 
 def a_invariant_components() -> tuple[int, int, int]:
@@ -166,19 +174,19 @@ def a_invariant_components() -> tuple[int, int, int]:
 
 @dataclass(frozen=True, eq=False)
 class Poly:
-    """Polynomial in a with Fraction coefficients, lowest degree first and
-    trailing zeros trimmed, so the zero polynomial has no coefficients. A
-    coefficient that is not an int or a Fraction, a float included, raises
-    TypeError.
+    """Polynomial in a with exact coefficients, ints where integral
+    (`_coef`), lowest degree first and trailing zeros trimmed, so the zero
+    polynomial has no coefficients. A coefficient that is not an int or a
+    Fraction, a float included, raises TypeError.
 
     Mixes with ints and Fractions on either side of +, - and *, divides by
     a scalar, and compares by coefficients (Poly((3,)) == 3).
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[int | Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = [_frac(c) for c in self.coeffs]
+        coeffs = [_coef(c) for c in self.coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -210,7 +218,7 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             for j, y in enumerate(other.coeffs):
                 out[i + j] += x * y
@@ -221,7 +229,7 @@ class Poly:
     def __truediv__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return Poly(tuple(c / other for c in self.coeffs))
+        return Poly(tuple(_quotient(c, other) for c in self.coeffs))
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -242,7 +250,7 @@ class Poly:
         return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
     @staticmethod
-    def _term(degree: int, coeff: Fraction) -> str:
+    def _term(degree: int, coeff: int | Fraction) -> str:
         """sympy's string for coeff * a**degree with coeff > 0."""
         if degree == 0:
             return str(coeff)

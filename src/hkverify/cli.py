@@ -60,8 +60,16 @@ _CHERN_TABLE = (
 )
 
 
+#: An integer (-3), a quotient of integers (1/2) or a decimal (-0.5, .5, 2.),
+#: with an optional sign and surrounding blanks. Fraction itself also reads
+#: exponents, and 1e10000000 would build a ten-million-digit integer.
+_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+
+
 def _fraction(text: str) -> Fraction:
     try:
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc

@@ -6,8 +6,9 @@ and quadruple products integrate through the quartic form
 3 * (q12*q34 + q13*q24 + q14*q23).
 
 Class coefficients are ints where they are integral and Fractions
-otherwise (`lattice._coef`); the forms run in int arithmetic on integral
-classes and every public function returns a Fraction.
+otherwise (`lattice._coef`), and every division is `lattice._quotient`: each
+public form returns what its exact arithmetic gives, an int on integral
+classes and otherwise an int or a Fraction, never a float.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .lattice import AbelianSurfaceModel, _coef, _frac, _quotient
+from .lattice import AbelianSurfaceModel, _coef, _exact_arg, _quotient
 
 #: q(delta) on every generalized Kummer fourfold in this family.
 DELTA_SQUARE = -6
@@ -41,13 +42,13 @@ class NsClass:
         object.__setattr__(self, "p", _coef(self.p))
         object.__setattr__(self, "q", _coef(self.q))
 
-    def pair(self, other: "NsClass") -> Fraction:
-        if self.model != other.model:
+    def pair(self, other: "NsClass") -> int | Fraction:
+        """self_omega*p*p' + mixed_d*(p*q' + q*p'), computed directly;
+        model.gram().pair is its oracle."""
+        m = self.model
+        if m is not other.model and m != other.model:
             raise ValueError("classes live in different surface models")
-        return self.model.pair((self.p, self.q), (other.p, other.q))
-
-    def square(self) -> Fraction:
-        return self.pair(self)
+        return m.self_omega * self.p * other.p + m.mixed_d * (self.p * other.q + self.q * other.p)
 
     def __add__(self, other: "NsClass") -> "NsClass":
         if self.model != other.model:
@@ -63,13 +64,6 @@ class NsClass:
     def scale(self, k) -> "NsClass":
         k = _coef(k)
         return NsClass(self.model, k * self.p, k * self.q)
-
-
-def _ns_pair_raw(a: NsClass, b: NsClass):
-    """NsClass.pair before the final Fraction, through the same kernel."""
-    if a.model is not b.model and a.model != b.model:
-        raise ValueError("classes live in different surface models")
-    return a.model._pair_raw(a.p, a.q, b.p, b.q)
 
 
 @dataclass(frozen=True)
@@ -116,70 +110,57 @@ def basis(model: AbelianSurfaceModel) -> tuple[KummerTwoClass, ...]:
     )
 
 
-def bbf(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
+def bbf(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
     """The degree-2 quadratic form, polarized: ns.ns - 6 * x_a * x_b."""
-    return _frac(_bbf_raw(a, b))
-
-
-def _bbf_raw(a: KummerTwoClass, b: KummerTwoClass):
-    """bbf before the final Fraction: an int on integral classes."""
-    return _ns_pair_raw(a.ns, b.ns) + DELTA_SQUARE * a.x * b.x
+    return a.ns.pair(b.ns) + DELTA_SQUARE * a.x * b.x
 
 
 def fujiki_integral(
     b1: KummerTwoClass, b2: KummerTwoClass, b3: KummerTwoClass, b4: KummerTwoClass
-) -> Fraction:
+) -> int | Fraction:
     """Integral of a product of four degree-2 classes:
-    3 * sum of q-products over the three perfect matchings of {1,2,3,4}."""
-    return _frac(_fujiki_raw(b1, b2, b3, b4))
-
-
-def _fujiki_raw(b1, b2, b3, b4):
-    """fujiki_integral before the final Fraction: an int on integral classes.
+    3 * sum of q-products over the three perfect matchings of {1,2,3,4}.
     It is also the k = 0 term of blowup.x_quartic."""
-    q12 = _bbf_raw(b1, b2)
-    q13 = _bbf_raw(b1, b3)
-    q14 = _bbf_raw(b1, b4)
-    q23 = _bbf_raw(b2, b3)
-    q24 = _bbf_raw(b2, b4)
-    q34 = _bbf_raw(b3, b4)
-    return 3 * (q12 * q34 + q13 * q24 + q14 * q23)
+    return 3 * (
+        bbf(b1, b2) * bbf(b3, b4) + bbf(b1, b3) * bbf(b2, b4) + bbf(b1, b4) * bbf(b2, b3)
+    )
 
 
 def fujiki_symmetrized(
     b1: KummerTwoClass, b2: KummerTwoClass, b3: KummerTwoClass, b4: KummerTwoClass
-) -> Fraction:
+) -> int | Fraction:
     """Oracle for fujiki_integral: (3/8) * sum over all 24 orderings of
     q(s1, s2) * q(s3, s4). Each matching appears 8 times in the sum.
     q is evaluated once per ordered pair (i, j), i != j, and tabled. No
     symmetry of q is assumed and the full 24-term sum is kept, so the
     oracle does not reduce to fujiki_integral's three-matching formula."""
     bs = (b1, b2, b3, b4)
-    q = {(i, j): _bbf_raw(bs[i], bs[j]) for i in range(4) for j in range(4) if i != j}
+    q = {(i, j): bbf(bs[i], bs[j]) for i in range(4) for j in range(4) if i != j}
     total = 0
     for s in permutations(range(4)):
         total += q[s[0], s[1]] * q[s[2], s[3]]
-    return Fraction(3 * total, 8)
+    return _quotient(3 * total, 8)
 
 
-def c2_pair(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
+def c2_pair(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
     """int c2 . a . b = C2_PAIR_COEFF * q(a, b)."""
-    return _frac(C2_PAIR_COEFF * _bbf_raw(a, b))
+    return C2_PAIR_COEFF * bbf(a, b)
 
 
-def c2_square() -> Fraction:
+def c2_square() -> int:
     """int c2^2."""
-    return Fraction(C2_SQUARE_VALUE)
+    return C2_SQUARE_VALUE
 
 
+@_exact_arg
 def riemann_roch_from_square(qval):
     """Euler characteristic of a line bundle with q(c1) = qval:
     3 * binom(qval/2 + 2, 2) = 3 (qval + 4)(qval + 2) / 8. Accepts an int, a
-    Fraction or a chern.Poly and computes exactly."""
+    Fraction or a chern.Poly and computes exactly; a float raises TypeError."""
     return _quotient(3 * (qval + 4) * (qval + 2), 8)
 
 
-def riemann_roch(c1: KummerTwoClass) -> Fraction:
+def riemann_roch(c1: KummerTwoClass) -> int | Fraction:
     """chi of the line bundle with first Chern class c1; q(c1) must be an
     even integer or the input is rejected."""
     q = bbf(c1, c1)
@@ -188,7 +169,7 @@ def riemann_roch(c1: KummerTwoClass) -> Fraction:
     return riemann_roch_from_square(q)
 
 
-_ZERO3 = ((Fraction(0),) * 3,) * 3
+_ZERO3 = ((0,) * 3,) * 3
 
 
 @dataclass(frozen=True)
@@ -198,11 +179,11 @@ class Degree4Pairing:
     rational multiple of c2."""
 
     model: AbelianSurfaceModel
-    values: tuple[tuple[Fraction, ...], ...] = _ZERO3
-    c2_coeff: Fraction = Fraction(0)
+    values: tuple[tuple[int | Fraction, ...], ...] = _ZERO3
+    c2_coeff: int | Fraction = 0
 
     def __post_init__(self) -> None:
-        vals = tuple(tuple(_frac(v) for v in row) for row in self.values)
+        vals = tuple(tuple(_coef(v) for v in row) for row in self.values)
         if len(vals) != 3 or any(len(row) != 3 for row in vals):
             raise ValueError("value matrix must be 3x3")
         for i in range(3):
@@ -210,30 +191,30 @@ class Degree4Pairing:
                 if vals[i][j] != vals[j][i]:
                     raise ValueError("value matrix must be symmetric")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "c2_coeff", _frac(self.c2_coeff))
+        object.__setattr__(self, "c2_coeff", _coef(self.c2_coeff))
 
     @classmethod
     def c2_class(cls, model: AbelianSurfaceModel) -> "Degree4Pairing":
-        return cls(model, _ZERO3, Fraction(1))
+        return cls(model, _ZERO3, 1)
 
 
 def integrate_degree4(
     functional: Degree4Pairing, a: KummerTwoClass, b: KummerTwoClass
-) -> Fraction:
+) -> int | Fraction:
     """Evaluate the degree-4 functional against the product a.b by bilinear
     extension of its basis values, plus the c2 contribution c2_pair(a, b)."""
     if a.model != functional.model or b.model != functional.model:
         raise ValueError("classes live in a different surface model")
     ca = a.coeffs()
     cb = b.coeffs()
-    total = Fraction(0)
+    total = 0
     for i in range(3):
         for j in range(3):
             total += ca[i] * cb[j] * functional.values[i][j]
     return total + functional.c2_coeff * c2_pair(a, b)
 
 
-def modularity_coefficient(functional: Degree4Pairing) -> Fraction | None:
+def modularity_coefficient(functional: Degree4Pairing) -> int | Fraction | None:
     """The rational d with int F.alpha.alpha = d * q(alpha) for every alpha,
     tested on the three basis classes and all pairwise sums; None when no
     single coefficient works."""
@@ -243,10 +224,10 @@ def modularity_coefficient(functional: Degree4Pairing) -> Fraction | None:
         for j in range(i + 1, 3):
             probes.append(es[i] + es[j])
     pairs = [(integrate_degree4(functional, t, t), bbf(t, t)) for t in probes]
-    coeff: Fraction | None = None
+    coeff: int | Fraction | None = None
     for val, qv in pairs:
         if qv != 0:
-            coeff = val / qv
+            coeff = _quotient(val, qv)
             break
     if coeff is None:
         return None

@@ -1,29 +1,26 @@
 """Exact lattice primitives for the rank-2 surface models.
 
-Everything is integer or Fraction arithmetic: class coefficients stay ints
-where they are integral (`_coef`), and every pairing returns a Fraction. The
-basic object is a Gram matrix; on top of that sits the two-generator
-Neron-Severi model {omegabar, gamma} with gamma isotropic, which is the
-ambient lattice for all divisibility and moduli-case bookkeeping.
+The package's one number contract lives here: coefficients go through
+`_coef` (an int where integral, a Fraction otherwise, never a float), every
+division through `_quotient`, and every public form returns what that exact
+arithmetic gives, an int on integral inputs and otherwise an int or a
+Fraction. The basic object is a Gram matrix; on top of that sits the
+two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
+ambient lattice for all divisibility and moduli-case bookkeeping; its
+pairing is `kummer.NsClass.pair`, with `gram().pair` as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import product
 from math import gcd
+from numbers import Number, Rational
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {value!r}")
-
-
-def _quotient(x, k: int):
+def _quotient(x, k: int | Fraction):
     """x / k exactly: Fraction(x, k) on an int x, since int / int is a
     float; x / k on a Fraction or a chern.Poly, which divide exactly."""
     return Fraction(x, k) if isinstance(x, int) else x / k
@@ -38,6 +35,17 @@ def _coef(value) -> int | Fraction:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
+
+
+def _exact_arg(fn):
+    """fn of one value, raising TypeError on an inexact number (a float, a
+    complex, a Decimal); ints, Fractions, chern.Poly and symbols pass."""
+    @wraps(fn)
+    def checked(a):
+        if not isinstance(a, (int, Fraction, Rational)) and isinstance(a, Number):
+            raise TypeError(f"expected an exact value, got {a!r}")
+        return fn(a)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -64,16 +72,16 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def pair(self, u, v) -> Fraction:
+    def pair(self, u, v) -> int | Fraction:
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("coefficient vector length does not match rank")
-        total = Fraction(0)
+        total = 0
         for i, ui in enumerate(u):
             for j, vj in enumerate(v):
-                total += _frac(ui) * self.gram[i][j] * _frac(vj)
+                total += _coef(ui) * self.gram[i][j] * _coef(vj)
         return total
 
-    def square(self, u) -> Fraction:
+    def square(self, u) -> int | Fraction:
         return self.pair(u, u)
 
     def discriminant(self) -> int:
@@ -97,7 +105,7 @@ class GramLattice:
         return sign * m[-1][-1]
 
 
-def max_negative_square(lattice: GramLattice, box: int) -> Fraction | None:
+def max_negative_square(lattice: GramLattice, box: int) -> int | None:
     """Largest self-pairing strictly below zero over the coefficient box
     [-box, box]^rank, or None when no vector in the box has negative square.
 
@@ -105,7 +113,7 @@ def max_negative_square(lattice: GramLattice, box: int) -> Fraction | None:
     """
     if box < 1:
         raise ValueError("box must be at least 1")
-    best: Fraction | None = None
+    best: int | None = None
     for coords in product(range(-box, box + 1), repeat=lattice.rank):
         q = lattice.square(coords)
         if q < 0 and (best is None or q > best):
@@ -121,7 +129,7 @@ def nocamere_bound(d0: int, q_beta: int) -> Fraction:
         raise ValueError("d0 must be a positive integer")
     if q_beta < 0:
         raise ValueError("q_beta must be nonnegative")
-    return Fraction(-2 * d0, 1 + q_beta)
+    return _quotient(-2 * d0, 1 + q_beta)
 
 
 @dataclass(frozen=True)
@@ -148,20 +156,6 @@ class AbelianSurfaceModel:
         return GramLattice(
             ((self.self_omega, self.mixed_d), (self.mixed_d, 0)), even=True
         )
-
-    def pair(self, u, v) -> Fraction:
-        """self_omega*p*p' + mixed_d*(p*q' + q*p') for u = (p, q) and
-        v = (p', q'), computed directly; gram().pair is its oracle."""
-        if len(u) != 2 or len(v) != 2:
-            raise ValueError("coefficient vector length does not match rank")
-        p, q = _coef(u[0]), _coef(u[1])
-        p2, q2 = _coef(v[0]), _coef(v[1])
-        return _frac(self._pair_raw(p, q, p2, q2))
-
-    def _pair_raw(self, p, q, p2, q2):
-        """The pairing kernel on normalized coefficients (`_coef`): an int when
-        they are all ints, else a Fraction. `pair` and kummer's `bbf` share it."""
-        return self.self_omega * p * p2 + self.mixed_d * (p * q2 + q * p2)
 
     def discriminant(self) -> int:
         return self.gram().discriminant()

@@ -153,6 +153,8 @@ class ReportConfig:
             raise ValueError("abar_max, a_max and samples must be positive")
         if self.d_max is not None and self.d_max < 1:
             raise ValueError("d_max must be positive when given")
+        if self.md_max < 1:
+            raise ValueError("md_max must be positive")
 
 
 @dataclass(frozen=True)

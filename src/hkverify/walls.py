@@ -113,10 +113,10 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
     """
     if abar < 1 or d < 1 or m < 1:
         raise ValueError("abar, d, m must be positive integers")
-    if not isinstance(abar, int) or not isinstance(d, int):
-        # the same check AbelianSurfaceModel(4 abar, d) makes, which is built
-        # only for a witness
-        raise TypeError("omegabar^2 and d must be integers")
+    if not (isinstance(abar, int) and isinstance(d, int) and isinstance(m, int)):
+        # h is a class only for an integral m, and AbelianSurfaceModel(4 abar, d)
+        # makes the same check for abar and d, but is built only for a witness
+        raise TypeError("abar, d, m must be integers")
     _, separating_thr = ample_thresholds(abar)
     found: tuple[int, int, int] | None = None
 

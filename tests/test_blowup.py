@@ -166,7 +166,7 @@ def test_ch2_delta_closed_form():
         expected = (
             Fraction(81, 2)
             * (5 * x * x + 6 * x * y + 5 * y * y - 3 * x - 5 * y + 2)
-            - 18 * omega.square()
+            - 18 * omega.pair(omega)
         )
         assert ch2_pairing(omega, x, y, delta, delta) == expected
 

@@ -1,7 +1,8 @@
-"""Exactness of the int fast path: class coefficients stay ints where they
-are integral, the forms on them compute in ints, and every public result is
-still an exact Fraction equal to the plain-Fraction formula. The Chern
-numbers of an int are an int or a Fraction equal to their closed form. No
+"""The package's one number contract: class coefficients stay ints where
+they are integral, and every public form returns what its exact arithmetic
+gives, an int on integral inputs and otherwise an int or a Fraction, equal
+to the plain-Fraction formula. The Chern numbers of an int are an int or a
+Fraction equal to their closed form, and a float a raises TypeError. No
 claim value is a float."""
 
 import dataclasses
@@ -23,7 +24,15 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.chern import Poly
-from hkverify.kummer import KummerTwoClass, NsClass, bbf, fujiki_integral, two_class
+from hkverify.kummer import (
+    KummerTwoClass,
+    NsClass,
+    bbf,
+    c2_pair,
+    fujiki_integral,
+    fujiki_symmetrized,
+    two_class,
+)
 from hkverify.lattice import AbelianSurfaceModel, _coef
 from hkverify.report import CLAIMS, ReportConfig, Skipped, Sweep
 
@@ -142,7 +151,7 @@ def _ch2_pairing(omega, x, y, alpha, beta) -> Fraction:
 
 
 def _exactly(value, expected):
-    assert type(value) is Fraction
+    assert type(value) in (int, Fraction)
     assert value == expected
 
 
@@ -167,13 +176,18 @@ def test_ch2_pairing_matches_the_fraction_formula(p, q, x, y, alpha, beta):
     _exactly(ch2_pairing(omega, x, y, alpha, beta), _ch2_pairing(omega, x, y, alpha, beta))
 
 
-def test_integral_inputs_still_give_fractions():
+def test_integral_inputs_give_ints():
     e = two_class(BIG, 0, 0, 1)
-    assert type(bbf(e, e)) is Fraction
-    assert type(fujiki_integral(e, e, e, e)) is Fraction
+    assert type(bbf(e, e)) is int
+    assert type(fujiki_integral(e, e, e, e)) is int
+    assert type(c2_pair(e, e)) is int
     d = XTwoClass(two_class(SMALL, 0, 0, 0), 1)
-    assert type(x_quartic(d, d, d, d)) is Fraction
-    assert type(ch2_pairing(NsClass(SMALL, 1, 0), 0, 0, e, e)) is Fraction
+    assert type(x_quartic(d, d, d, d)) is int
+    omega = NsClass(SMALL, 1, 0)
+    assert type(omega.pair(omega)) is int
+    # these two divide, by 12 and by 8
+    assert type(ch2_pairing(omega, 0, 0, e, e)) in (int, Fraction)
+    assert type(fujiki_symmetrized(e, e, e, e)) in (int, Fraction)
 
 
 # The fact the blowup-ch1-paths certificate relies on: both ch1 paths are
@@ -241,3 +255,10 @@ def test_chern_functions_stay_exact_on_ints(name, v):
     value = fn(v)
     assert all(type(x) in (int, Fraction) for x in _exact_scalars(value))
     assert value == fn(Fraction(v)) == CHERN_CLOSED_FORMS[name](Fraction(v))
+
+
+@pytest.mark.parametrize("name", sorted(CHERN_CLOSED_FORMS))
+def test_chern_functions_reject_floats(name):
+    # unchecked, chi_end(1.5) returns 3.0 and ch1_fourth(0.5) returns 36.0
+    with pytest.raises(TypeError):
+        getattr(hkverify.chern, name)(1.5)

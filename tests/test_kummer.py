@@ -33,6 +33,7 @@ from hkverify.lattice import AbelianSurfaceModel
 MODEL = AbelianSurfaceModel(4, 5)
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 def classes(model=MODEL):
@@ -60,6 +61,28 @@ def test_class_arithmetic():
     assert (a + b).coeffs() == (0, 2, 7)
     assert (a - b).coeffs() == (2, 2, -1)
     assert a.scale(Fraction(1, 2)).coeffs() == (Fraction(1, 2), 1, Fraction(3, 2))
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=9),
+    st.tuples(rationals, rationals),
+    st.tuples(rationals, rationals),
+)
+def test_ns_pair_matches_gram_oracle(half_w, d, u, v):
+    model = AbelianSurfaceModel(2 * half_w, d)
+    value = NsClass(model, *u).pair(NsClass(model, *v))
+    assert type(value) in (int, Fraction)
+    assert value == model.gram().pair(u, v)
+
+
+def test_ns_pair_input_errors():
+    omega, gamma = NsClass(MODEL, 1, 0), NsClass(MODEL, 0, 1)
+    assert omega.pair(gamma) == 5 and type(omega.pair(gamma)) is int
+    with pytest.raises(TypeError):
+        NsClass(MODEL, 1.0, 0)
+    with pytest.raises(TypeError):
+        NsClass(MODEL, 0, 0.5)
 
 
 def test_mixed_models_rejected():
@@ -125,6 +148,12 @@ def test_riemann_roch_from_square_table():
     table = {0: 3, 2: 9, 4: 18, 10: 63, -2: 0, -6: 3}
     for q, chi in table.items():
         assert riemann_roch_from_square(q) == chi
+
+
+def test_riemann_roch_from_square_rejects_floats():
+    # unchecked, a float q gave a float chi: 3 * 5.5 * 3.5 / 8
+    with pytest.raises(TypeError):
+        riemann_roch_from_square(1.5)
 
 
 def test_riemann_roch_on_classes():

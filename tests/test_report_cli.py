@@ -274,6 +274,15 @@ def test_report_config_validation():
         ReportConfig(samples=0)
 
 
+@pytest.mark.parametrize("md_max", [0, -3])
+def test_report_config_rejects_non_positive_md_max(capsys, md_max):
+    with pytest.raises(ValueError, match="md_max must be positive"):
+        ReportConfig(md_max=md_max)
+    assert main(["report", "--md-max", str(md_max)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: md_max must be positive\n"
+
+
 def test_report_config_stores_no_samples_or_seed():
     # samples and seed are init-only: accepted, checked, not stored
     config = ReportConfig(samples=150, seed=3)
@@ -475,6 +484,26 @@ def test_cli_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["rr", "--q", "zzz"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "value", ["1e10000000", "1e30000000", "1E5", "nan", "0x10", "1_000", "1/2/3"]
+)
+def test_cli_rejects_non_rational_literals_at_once(capsys, value):
+    # unchecked, Fraction reads the exponent: rr --q 1e10000000 ran 48 s and
+    # exited 1, and 1e30000000 ran past 120 s
+    with pytest.raises(SystemExit) as err:
+        main(["rr", "--q", value])
+    assert err.value.code == 2
+    assert f"not a rational number: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, chi", [("10", "63"), ("-6/2", "-3/8"), ("-.5", "63/32"), ("2.", "9"), (" +4 ", "18")]
+)
+def test_cli_accepts_integer_quotient_and_decimal_literals(capsys, value, chi):
+    assert main(["rr", "--q", value]) == 0
+    assert capsys.readouterr().out.strip() == chi
 
 
 def test_cli_partial_fiber_profile_is_rejected(capsys):

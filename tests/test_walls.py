@@ -99,6 +99,14 @@ def test_ampleness_rejects_non_integers(abar, d, m):
         is_ample_h(abar, d, m)
 
 
+@pytest.mark.parametrize("m", [2.5, 1.0, Fraction(3, 2)])
+def test_ampleness_rejects_non_integer_m(m):
+    # h = 2m mu(omegabar) - delta is no class for m = 2.5; unchecked, that m
+    # answered "Ample (below certified threshold d <= 30)"
+    with pytest.raises(TypeError):
+        is_ample_h(1, 3, m)
+
+
 def _is_ample_h_reference(abar, d, m):
     # the search as it was written with the model built up front and a
     # helper solving the pairing equation for q
