@@ -44,6 +44,12 @@ def kernel_order(params: IsogenyParams, modulus: int | None = None) -> int:
     return (params.n + 1) ** 2 % modulus * pow(params.d0, 2 * params.n, modulus) % modulus
 
 
+def digit_limit() -> int:
+    """The interpreter's int-to-string digit limit, or its default 4300 where
+    the limit is off (0) or the interpreter predates it."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def power_or_text(coeff: int, base: int, n: int) -> int | str:
     """coeff * base^n when its decimal form fits the interpreter's
     int-to-string limit, else the text "coeff*base^n" ("base^n" for coeff 1).
@@ -52,7 +58,7 @@ def power_or_text(coeff: int, base: int, n: int) -> int | str:
     built; within a digit of the limit, where float rounding could mislead,
     the power is built and compared with 10^limit exactly. An unlimited
     interpreter (limit 0) gets the default limit, so the time stays bounded."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = digit_limit()
     digits = log10(coeff) + n * log10(base)
     text = f"{base}^{n}" if coeff == 1 else f"{coeff}*{base}^{n}"
     if digits > limit + 1:

@@ -19,6 +19,12 @@ int_X D^4 = (c2 of the normal bundle) - (c1 of the normal bundle)^2
 = 81 + 81 = 162, with c1 of the normal bundle the delta restriction. Every
 one of these numbers is read from `VF`.
 
+The discriminant Delta = ch1^2 - 8 ch2 of the transferred bundle pairs with
+two doubled-model classes by the closed forms `delta_pairing_*`, which
+`delta_pairing_via_chern` recomputes on X. `is_modular_bundle` hands the
+closed form, a plain bilinear function, to `kummer.modularity_coefficient`
+for every twist, so the modular twists are computed, not assumed.
+
 The coefficients t of X classes are ints where they are integral
 (`lattice._coef`), and every division is `lattice._quotient`: as in `kummer`,
 each public form returns what its exact arithmetic gives, an int on integral
@@ -33,13 +39,12 @@ from itertools import product
 
 from .kummer import (
     C2_PAIR_COEFF,
-    Degree4Pairing,
     KummerTwoClass,
     NsClass,
     basis,
     bbf,
+    c2_pair,
     fujiki_integral,
-    integrate_degree4,
     modularity_coefficient,
     two_class,
 )
@@ -84,9 +89,6 @@ class XTwoClass:
     @property
     def model(self) -> AbelianSurfaceModel:
         return self.base.model
-
-    def __add__(self, other: "XTwoClass") -> "XTwoClass":
-        return XTwoClass(self.base + other.base, self.t + other.t)
 
     def scale(self, k) -> "XTwoClass":
         return XTwoClass(self.base.scale(k), _coef(k) * self.t)
@@ -244,11 +246,6 @@ def delta_pairing_mu_mu(x, y, gamma1: NsClass, gamma2: NsClass):
     return 18 * (4 * t * t + 4 * t + 3) * gamma1.pair(gamma2)
 
 
-def delta_pairing_mu_delta(x, y, gamma: NsClass) -> int:
-    """Closed form int Delta(bundle) . mu(gamma) . delta = 0."""
-    return 0
-
-
 def delta_pairing_delta_delta(x, y) -> int | Fraction:
     """Closed form int Delta(bundle) . delta^2 = -324 * (t^2 + t + 1)."""
     t = _coef(x) - _coef(y)
@@ -274,38 +271,25 @@ def delta_pairing_via_chern(
     )
 
 
-def delta_class_of_bundle(
-    model_big: AbelianSurfaceModel, x, y
-) -> Degree4Pairing:
-    """Delta(bundle) as a degree-4 functional on the doubled model."""
-    es = basis(model_big)
-    vals = tuple(
-        tuple(delta_pairing_closed(x, y, es[i], es[j]) for j in range(3))
-        for i in range(3)
-    )
-    return Degree4Pairing(model_big, vals)
-
-
 def is_modular_bundle(
     x, y, model_big: AbelianSurfaceModel
 ) -> tuple[bool, int | Fraction | None]:
     """Whether Delta(bundle) on `model_big` is a rational multiple of the
-    quadratic form, which happens exactly for t = x - y in {0, -1}; the
-    coefficient is then C2_PAIR_COEFF and Delta agrees with c2 on the whole
-    pairing basis. Returns the coefficient `modularity_coefficient` found."""
-    t = _coef(x) - _coef(y)
-    if t * (t + 1) != 0:
+    quadratic form, decided by `modularity_coefficient` on the closed forms
+    for every twist t = x - y (it comes out true exactly for t in {0, -1}).
+    A multiple must be C2_PAIR_COEFF, and Delta must then agree with c2 on
+    the whole pairing basis, or ArithmeticError is raised. Returns the
+    coefficient found, or None when there is none."""
+
+    def delta(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
+        return delta_pairing_closed(x, y, a, b)
+
+    coeff = modularity_coefficient(delta, model_big)
+    if coeff is None:
         return (False, None)
-    functional = delta_class_of_bundle(model_big, x, y)
-    coeff = modularity_coefficient(functional)
     if coeff != C2_PAIR_COEFF:
         raise ArithmeticError(f"modular coefficient came out as {coeff}")
     es = basis(model_big)
-    c2f = Degree4Pairing.c2_class(model_big)
-    for i in range(3):
-        for j in range(3):
-            lhs = integrate_degree4(functional, es[i], es[j])
-            rhs = integrate_degree4(c2f, es[i], es[j])
-            if lhs != rhs:
-                raise ArithmeticError("Delta and c2 disagree on the basis")
+    if any(delta(a, b) != c2_pair(a, b) for a in es for b in es):
+        raise ArithmeticError("Delta and c2 disagree on the basis")
     return (True, coeff)

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .abelian import IsogenyParams, is_simple_semihom, power_or_text
+from .abelian import IsogenyParams, digit_limit, is_simple_semihom, power_or_text
 from .blowup import is_modular_bundle
 from .chern import (
     a_invariant,
@@ -67,12 +67,17 @@ _RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
 
 
 def _fraction(text: str) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
     try:
-        if not _RATIONAL.fullmatch(text):
-            raise ValueError
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    except ValueError as exc:
+        # the grammar matched, so only the int-to-string digit limit is left
+        raise argparse.ArgumentTypeError(
+            f"a literal of more than {digit_limit()} digits exceeds the interpreter's limit"
+        ) from exc
 
 
 def _class_coeffs(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -114,9 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--d-max", type=int, default=None)
     rep.add_argument("--a-max", type=int, default=50)
     rep.add_argument("--md-max", type=int, default=41)
-    # no claim samples: both are still accepted and checked, then dropped
-    rep.add_argument("--samples", type=int, default=None, help=argparse.SUPPRESS)
-    rep.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
     fuj = sub.add_parser("fujiki", help="integrate a product of four classes")
     fuj.add_argument("--abar", type=int, required=True)
@@ -171,12 +173,8 @@ def _cmd_report(args) -> int:
         d_max=args.d_max,
         a_max=args.a_max,
         md_max=args.md_max,
-        samples=args.samples,
-        seed=args.seed,
         only=args.only,
     )
-    if args.samples is not None or args.seed is not None:
-        print("note: --samples and --seed change no record and will be removed", file=sys.stderr)
     report = run_report(config)
     text = to_json(report) if args.format == "json" else to_markdown(report)
     sys.stdout.write(text)

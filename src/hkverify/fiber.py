@@ -11,9 +11,9 @@ Sigma^2 = Gamma^2 = 0 and Sigma.Gamma = 4; the component Delta carries
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
-from .lattice import GramLattice
+from .lattice import GramLattice, _quotient
 
 GRAM_V = GramLattice(((0, 4), (4, 0)), even=True)
 GRAM_DELTA = GramLattice(((0, 1), (1, 0)), even=True)
@@ -28,17 +28,17 @@ def _check_md(m: int, d: int) -> int:
     return md
 
 
-def restriction_c1_fiber_v(m: int, d: int) -> tuple[Fraction, Fraction]:
+def restriction_c1_fiber_v(m: int, d: int) -> tuple[Rational, int]:
     """Coefficients of the polarization restricted to the V component in the
     (Sigma, Gamma) basis: ((md - 1)/2, 3 m d)."""
     md = _check_md(m, d)
-    return (Fraction(md - 1, 2), Fraction(3 * md))
+    return (_quotient(md - 1, 2), 3 * md)
 
 
-def restriction_c1_fiber_delta(m: int, d: int) -> tuple[Fraction, Fraction]:
+def restriction_c1_fiber_delta(m: int, d: int) -> tuple[int, int]:
     """Coefficients on the Delta component in the (Sigma, Lambda) basis."""
     md = _check_md(m, d)
-    return (Fraction(1), Fraction(12 * md))
+    return (1, 12 * md)
 
 
 def fiber_degrees(m: int, d: int) -> tuple[int, int]:
@@ -47,12 +47,13 @@ def fiber_degrees(m: int, d: int) -> tuple[int, int]:
     return (12 * md * (md - 1), 24 * md)
 
 
-def fiber_degrees_gram(m: int, d: int) -> tuple[int, int]:
+def fiber_degrees_gram(m: int, d: int) -> tuple[Rational, int]:
     """Same degrees recomputed as lattice squares of the restricted
     polarization classes."""
-    deg_v = GRAM_V.square(restriction_c1_fiber_v(m, d))
-    deg_delta = GRAM_DELTA.square(restriction_c1_fiber_delta(m, d))
-    return (int(deg_v), int(deg_delta))
+    return (
+        GRAM_V.square(restriction_c1_fiber_v(m, d)),
+        GRAM_DELTA.square(restriction_c1_fiber_delta(m, d)),
+    )
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ class SubsheafProfile:
                 raise ValueError("restriction ranks must lie in 0..4")
 
 
-def subsheaf_rank(profile: SubsheafProfile, m: int, d: int) -> Fraction:
+def subsheaf_rank(profile: SubsheafProfile, m: int, d: int) -> Rational:
     """Generic rank forced by the degree bookkeeping:
     (r1' + r1'')/2 - (r1' + r1'' - 2 r2)/(2 m d)."""
-    return Fraction(*_subsheaf_rank_raw(profile, _check_md(m, d)))
+    return _quotient(*_subsheaf_rank_raw(profile, _check_md(m, d)))
 
 
 def _subsheaf_rank_raw(profile: SubsheafProfile, md: int) -> tuple[int, int]:
@@ -92,6 +93,18 @@ def _subsheaf_rank_weighted_raw(profile: SubsheafProfile, m: int, d: int) -> tup
     return (s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta)
 
 
+def rank_failures(profile: SubsheafProfile, md: int) -> int:
+    """Failed checks for one profile at m = 1, d = md > 8: whether
+    integer_rank_criterion matches the integrality of the rank, and whether
+    the two rank kernels agree. Both are (numerator, positive denominator)
+    pairs, so the rank is integral iff the denominator divides the
+    numerator, and the kernels agree iff the cross products are equal."""
+    num, den = _subsheaf_rank_raw(profile, md)
+    criterion_wrong = integer_rank_criterion(profile, 1, md) != (num % den == 0)
+    w_num, w_den = _subsheaf_rank_weighted_raw(profile, 1, md)
+    return criterion_wrong + (w_num * den != num * w_den)
+
+
 def integer_rank_criterion(profile: SubsheafProfile, m: int, d: int) -> bool:
     """For m d > 8, the rank is an integer exactly when r1' + r1'' = 2 r2,
     and then it equals r2."""
@@ -101,12 +114,12 @@ def integer_rank_criterion(profile: SubsheafProfile, m: int, d: int) -> bool:
     return profile.r1p + profile.r1pp == 2 * profile.r2
 
 
-def destabilizer_margin(r2: int, r1pp: int) -> Fraction:
+def destabilizer_margin(r2: int, r1pp: int) -> Rational:
     """Slack of the destabilizing inequality for an integer-rank profile:
     33 - 6 r2 - (12 + 6 r1pp)/r2; positive slack rules the profile out."""
     if r2 not in (1, 2, 3):
         raise ValueError("a proper destabilizer has rank r2 in {1, 2, 3}")
-    return 33 - 6 * r2 - Fraction(12 + 6 * r1pp, r2)
+    return 33 - 6 * r2 - _quotient(12 + 6 * r1pp, r2)
 
 
 def destabilizer_profiles() -> tuple[SubsheafProfile, ...]:
@@ -120,7 +133,7 @@ def destabilizer_profiles() -> tuple[SubsheafProfile, ...]:
     return tuple(out)
 
 
-def minimum_destabilizer_margin() -> Fraction:
+def minimum_destabilizer_margin() -> Rational:
     return min(destabilizer_margin(p.r2, p.r1pp) for p in destabilizer_profiles())
 
 

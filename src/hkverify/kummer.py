@@ -3,7 +3,10 @@ fourfold attached to a rank-2 surface model.
 
 The quadratic form on degree-2 classes is q(mu(ns) + x*delta) = ns.ns - 6x^2,
 and quadruple products integrate through the quartic form
-3 * (q12*q34 + q13*q24 + q14*q23).
+3 * (q12*q34 + q13*q24 + q14*q23). A degree-4 class paired with two degree-2
+classes is a plain symmetric bilinear function of KummerTwoClass pairs, such
+as `c2_pair`; `modularity_coefficient` finds the rational multiple of q that
+such a function is, if any.
 
 Class coefficients are ints where they are integral and Fractions
 otherwise (`lattice._coef`), and every division is `lattice._quotient`: each
@@ -57,9 +60,6 @@ class NsClass:
 
     def __neg__(self) -> "NsClass":
         return NsClass(self.model, -self.p, -self.q)
-
-    def __sub__(self, other: "NsClass") -> "NsClass":
-        return self + (-other)
 
     def scale(self, k) -> "NsClass":
         k = _coef(k)
@@ -169,61 +169,18 @@ def riemann_roch(c1: KummerTwoClass) -> int | Fraction:
     return riemann_roch_from_square(q)
 
 
-_ZERO3 = ((0,) * 3,) * 3
-
-
-@dataclass(frozen=True)
-class Degree4Pairing:
-    """A degree-4 functional on pairs of degree-2 classes, stored as its
-    value matrix over the basis (mu(omegabar), mu(gamma), delta) plus a
-    rational multiple of c2."""
-
-    model: AbelianSurfaceModel
-    values: tuple[tuple[int | Fraction, ...], ...] = _ZERO3
-    c2_coeff: int | Fraction = 0
-
-    def __post_init__(self) -> None:
-        vals = tuple(tuple(_coef(v) for v in row) for row in self.values)
-        if len(vals) != 3 or any(len(row) != 3 for row in vals):
-            raise ValueError("value matrix must be 3x3")
-        for i in range(3):
-            for j in range(3):
-                if vals[i][j] != vals[j][i]:
-                    raise ValueError("value matrix must be symmetric")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "c2_coeff", _coef(self.c2_coeff))
-
-    @classmethod
-    def c2_class(cls, model: AbelianSurfaceModel) -> "Degree4Pairing":
-        return cls(model, _ZERO3, 1)
-
-
-def integrate_degree4(
-    functional: Degree4Pairing, a: KummerTwoClass, b: KummerTwoClass
-) -> int | Fraction:
-    """Evaluate the degree-4 functional against the product a.b by bilinear
-    extension of its basis values, plus the c2 contribution c2_pair(a, b)."""
-    if a.model != functional.model or b.model != functional.model:
-        raise ValueError("classes live in a different surface model")
-    ca = a.coeffs()
-    cb = b.coeffs()
-    total = 0
-    for i in range(3):
-        for j in range(3):
-            total += ca[i] * cb[j] * functional.values[i][j]
-    return total + functional.c2_coeff * c2_pair(a, b)
-
-
-def modularity_coefficient(functional: Degree4Pairing) -> int | Fraction | None:
-    """The rational d with int F.alpha.alpha = d * q(alpha) for every alpha,
-    tested on the three basis classes and all pairwise sums; None when no
+def modularity_coefficient(form, model: AbelianSurfaceModel) -> int | Fraction | None:
+    """The rational d with form(alpha, alpha) = d * q(alpha) for every degree-2
+    class alpha of `model`, where `form` is a symmetric bilinear function of
+    two KummerTwoClasses (such as c2_pair); tested on the three basis classes
+    and all pairwise sums, which fix a symmetric bilinear form. None when no
     single coefficient works."""
-    es = basis(functional.model)
+    es = basis(model)
     probes = list(es)
     for i in range(3):
         for j in range(i + 1, 3):
             probes.append(es[i] + es[j])
-    pairs = [(integrate_degree4(functional, t, t), bbf(t, t)) for t in probes]
+    pairs = [(form(t, t), bbf(t, t)) for t in probes]
     coeff: int | Fraction | None = None
     for val, qv in pairs:
         if qv != 0:

@@ -11,7 +11,6 @@ ray) and also reports the blanket sufficiency thresholds in d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .kummer import KummerTwoClass, two_class
@@ -62,13 +61,13 @@ def generate_wall_cases() -> tuple[WallNumerics, ...]:
     for ss in (0, 2, 4):
         for sv in range(ss + 1, 3 + ss // 2 + 1):
             n = gcd(sv, 6)
-            q = Fraction(-6, n * n) * (sv * sv - 6 * ss)
-            if q.denominator != 1:
+            q, rem = divmod(-6 * (sv * sv - 6 * ss), n * n)
+            if rem:
                 raise ArithmeticError("wall square must be an integer")
             step = 6 // n
             divs = frozenset(k for k in (1, 2, 3, 6) if k % step == 0)
             cases.append(
-                WallNumerics(ss, sv, n, int(q), divs, retained=q < 0)
+                WallNumerics(ss, sv, n, q, divs, retained=q < 0)
             )
     return tuple(cases)
 

@@ -21,7 +21,7 @@ from hkverify.abelian import (
     zeppola_oracle,
 )
 from hkverify.blowup import (
-    delta_class_of_bundle,
+    delta_pairing_closed,
     exceptional_class,
     is_modular_bundle,
     pullback_correspondence,
@@ -58,12 +58,11 @@ from hkverify.fiber import (
     trivial_torsion_coset,
 )
 from hkverify.kummer import (
-    Degree4Pairing,
     basis,
+    c2_pair,
     c2_square,
     fujiki_integral,
     fujiki_symmetrized,
-    integrate_degree4,
     modularity_coefficient,
     two_class,
 )
@@ -106,16 +105,15 @@ def test_criterion_modularity_window_and_coefficient():
     for abar in (1, 2, 3):
         for d in range(3, 22, 2):
             model = AbelianSurfaceModel(4 * abar, d)
+            es = basis(model)
             for x, y in ((0, 0), (1, 2), (5, 5), (0, 1), (3, 4)):
-                functional = delta_class_of_bundle(model, x, y)
-                assert modularity_coefficient(functional) == 54
-                c2f = Degree4Pairing.c2_class(model)
-                es = basis(model)
-                for i in range(3):
-                    for j in range(3):
-                        assert integrate_degree4(
-                            functional, es[i], es[j]
-                        ) == integrate_degree4(c2f, es[i], es[j])
+
+                def delta(a, b):
+                    return delta_pairing_closed(x, y, a, b)
+
+                assert modularity_coefficient(delta, model) == 54
+                for a, b in product(es, es):
+                    assert delta(a, b) == c2_pair(a, b)
 
 
 def test_criterion_quartic_form_against_symmetrized_oracle():

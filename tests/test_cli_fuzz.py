@@ -35,8 +35,6 @@ FLAGS = {
         "--d-max": SMALL,
         "--a-max": SMALL,
         "--md-max": SMALL,
-        "--samples": INT_VALUES,
-        "--seed": INT_VALUES,
     },
     "fujiki": {"--abar": INT_VALUES, "--d": INT_VALUES, "--side": SIDE},
     "rr": {

@@ -13,7 +13,6 @@ from hkverify.kummer import (
     C2_PAIR_COEFF,
     C2_SQUARE_VALUE,
     DELTA_SQUARE,
-    Degree4Pairing,
     KummerTwoClass,
     NsClass,
     basis,
@@ -22,7 +21,6 @@ from hkverify.kummer import (
     c2_square,
     fujiki_integral,
     fujiki_symmetrized,
-    integrate_degree4,
     modularity_coefficient,
     riemann_roch,
     riemann_roch_from_square,
@@ -175,31 +173,15 @@ def test_riemann_roch_is_cubic_binomial(k):
     assert riemann_roch_from_square(2 * k) == 3 * (k + 2) * (k + 1) // 2
 
 
-def test_degree4_pairing_validation():
-    bad = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError):
-        Degree4Pairing(MODEL, bad)
-
-
-def test_c2_class_integrates_to_c2_pair():
-    functional = Degree4Pairing.c2_class(MODEL)
-    a = two_class(MODEL, 1, 2, -1)
-    b = two_class(MODEL, 0, 1, 1)
-    assert integrate_degree4(functional, a, b) == c2_pair(a, b)
-
-
 def test_modularity_coefficient_of_c2():
-    assert modularity_coefficient(Degree4Pairing.c2_class(MODEL)) == 54
+    assert modularity_coefficient(c2_pair, MODEL) == 54
 
 
 def test_modularity_coefficient_rejects_generic_square():
-    # alpha, beta -> int mu(omegabar)^2 . alpha . beta, built by hand
+    # alpha, beta -> int mu(omegabar)^2 . alpha . beta
     mu_o = two_class(MODEL, 1, 0, 0)
-    es = basis(MODEL)
-    values = tuple(tuple(fujiki_integral(mu_o, mu_o, a, b) for b in es) for a in es)
-    assert modularity_coefficient(Degree4Pairing(MODEL, values)) is None
+    assert modularity_coefficient(lambda a, b: fujiki_integral(mu_o, mu_o, a, b), MODEL) is None
 
 
 def test_modularity_coefficient_accepts_scaled_c2():
-    functional = Degree4Pairing(MODEL, c2_coeff=Fraction(1, 3))
-    assert modularity_coefficient(functional) == 18
+    assert modularity_coefficient(lambda a, b: Fraction(c2_pair(a, b), 3), MODEL) == 18

@@ -15,16 +15,16 @@ import pytest
 
 import hkverify
 import hkverify.blowup
+import hkverify.fiber
 import hkverify.report
 from hkverify.cli import main
-from hkverify.fiber import SubsheafProfile, fiber_degrees, integer_rank_criterion
-from hkverify.kummer import bbf, two_class
+from hkverify.fiber import SubsheafProfile, fiber_degrees, integer_rank_criterion, rank_failures
+from hkverify.kummer import C2_PAIR_COEFF, bbf, two_class
 from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
     ClaimRecord,
     ReportConfig,
-    _rank_failures,
     exit_code,
     run_report,
     to_json,
@@ -143,6 +143,20 @@ def _ch1_with_wrong_gamma_coefficient(omega, x, y):
     return true - two_class(true.model, 0, omega.q, 0)
 
 
+def _delta_closed_as_c2(x, y, alpha, beta):
+    # Delta proportional to q for every twist, not just t in {0, -1}
+    return C2_PAIR_COEFF * bbf(alpha, beta)
+
+
+_ch2_pairing = hkverify.blowup.ch2_pairing
+
+
+def _ch2_with_mu_delta_cross_term(omega, x, y, alpha, beta):
+    # ch2 gains the symmetric mu(omegabar).delta cross term, so Delta does too
+    true = _ch2_pairing(omega, x, y, alpha, beta)
+    return true + alpha.ns.p * beta.x + alpha.x * beta.ns.p
+
+
 @pytest.mark.parametrize(
     ("module", "name", "wrong", "claim_id", "computed"),
     [
@@ -181,8 +195,30 @@ def _ch1_with_wrong_gamma_coefficient(omega, x, y):
             "blowup-ch1-paths",
             "1 failures / 5 cases",
         ),
+        (
+            hkverify.blowup,
+            "delta_pairing_closed",
+            _delta_closed_as_c2,
+            "modularity-window",
+            "(" + ", ".join(str(t) for t in range(-10, 11)) + ")",
+        ),
+        (
+            hkverify.blowup,
+            "ch2_pairing",
+            _ch2_with_mu_delta_cross_term,
+            "delta-pairing-cross-zero",
+            "(-8, -8)",
+        ),
     ],
-    ids=["symmetrized-oracle", "delta-closed-form", "x-quartic", "ch1-constant", "ch1-gamma"],
+    ids=[
+        "symmetrized-oracle",
+        "delta-closed-form",
+        "x-quartic",
+        "ch1-constant",
+        "ch1-gamma",
+        "modularity-window",
+        "cross-zero",
+    ],
 )
 def test_basis_certificates_catch_wrong_formulas(
     monkeypatch, module, name, wrong, claim_id, computed
@@ -208,7 +244,7 @@ def test_rank_failures_match_the_fraction_checks():
     # every profile at every md of the sweep-grid range, odd and even
     for ranks, md in product(product(range(5), repeat=3), range(9, 122)):
         profile = SubsheafProfile(*ranks)
-        assert _rank_failures(profile, md) == _rank_failures_in_fractions(profile, md), (ranks, md)
+        assert rank_failures(profile, md) == _rank_failures_in_fractions(profile, md), (ranks, md)
 
 
 def _weighted_rank_with_wrong_denominator(profile, m, d):
@@ -221,7 +257,7 @@ def _weighted_rank_with_wrong_denominator(profile, m, d):
 def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
     # only the zero profile (rank 0 either way) survives, once per md
     monkeypatch.setattr(
-        hkverify.report, "_subsheaf_rank_weighted_raw", _weighted_rank_with_wrong_denominator
+        hkverify.fiber, "_subsheaf_rank_weighted_raw", _weighted_rank_with_wrong_denominator
     )
     report = run_report(ReportConfig(only="fiber-rank-integrality"))
     (record,) = report.records
@@ -316,43 +352,14 @@ def test_cli_report_markdown(capsys):
     assert "| fujiki-delta-fourth | 324 | 324 | pass | stated |" in lines
 
 
-def test_cli_report_seed_changes_nothing_but_stays_green(capsys):
-    assert main(["report", "--only", "fujiki-"]) == 0
-    plain = capsys.readouterr()
-    assert plain.err == ""
-    assert main(["report", "--seed", "7", "--samples", "5", "--only", "fujiki-"]) == 0
-    flagged = capsys.readouterr()
-    assert flagged.out == plain.out
-    assert flagged.err == "note: --samples and --seed change no record and will be removed\n"
-
-
-def test_cli_report_full_stdout_ignores_samples_and_seed(capsys):
-    assert main(["report"]) == 0
-    plain = capsys.readouterr().out
-    assert main(["report", "--samples", "5", "--seed", "7"]) == 0
-    flagged = capsys.readouterr()
-    assert flagged.out == plain
-    assert len(flagged.err.splitlines()) == 1
-
-
-def test_cli_report_help_hides_samples_and_seed(capsys):
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_cli_report_rejects_retired_sampling_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["report", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "--only" in out
-    assert "--samples" not in out and "--seed" not in out
-
-
-def test_cli_report_still_rejects_bad_samples(capsys):
-    assert main(["report", "--samples", "0", "--only", "fujiki-"]) == 1
+        main(["report", flag, "7", "--only", "fujiki-"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: abar_max, a_max and samples must be positive\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--samples", "x"])
-    assert exc.value.code == 2
-    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 7" in captured.err
 
 
 def test_samples_and_seed_change_no_record():
@@ -504,6 +511,28 @@ def test_cli_rejects_non_rational_literals_at_once(capsys, value):
 def test_cli_accepts_integer_quotient_and_decimal_literals(capsys, value, chi):
     assert main(["rr", "--q", value]) == 0
     assert capsys.readouterr().out.strip() == chi
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="the interpreter has no int-to-string digit limit")
+@pytest.mark.parametrize(
+    "literal",
+    [lambda n: "7" * n, lambda n: "0." + "1" * n, lambda n: "-1/" + "3" * n],
+    ids=["integer", "decimal", "quotient"],
+)
+def test_cli_long_literal_at_the_digit_limit(capsys, literal):
+    # a run of digits as long as the limit is a value; one more digit is a
+    # usage error that says so, not "not a rational number"
+    assert main(["modularity", "--x", literal(DIGIT_LIMIT), "--y", "0"]) == 0
+    assert capsys.readouterr().out == "NotModular\n"
+    with pytest.raises(SystemExit) as err:
+        main(["modularity", "--x", literal(DIGIT_LIMIT + 1), "--y", "0"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"a literal of more than {DIGIT_LIMIT} digits exceeds the interpreter's limit" in message
+    assert "not a rational number" not in message
 
 
 def test_cli_partial_fiber_profile_is_rejected(capsys):
