@@ -165,7 +165,8 @@ def a_invariant() -> int | Fraction:
     """The invariant rank^2 * d / (4 * chi(O)) controlling deformation
     counts, with d = C2_PAIR_COEFF the modularity coefficient; 16 * 54 / 12
     = 72 for the rank-4 bundle."""
-    return _quotient(4 * 4 * C2_PAIR_COEFF, 4 * 3)
+    rank_sq, d, denom = a_invariant_components()
+    return _quotient(rank_sq * d, denom)
 
 
 def a_invariant_components() -> tuple[int, int, int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .abelian import IsogenyParams, digit_limit, is_simple_semihom, power_or_text
@@ -34,13 +35,13 @@ from .fiber import (
     fiber_degrees,
     invariant_torsion_cosets,
     monodromy_fixed_points,
-    monodromy_group_order,
+    monodromy_group,
     only_trivial_coset,
     only_zero_fixed,
     subsheaf_rank,
 )
 from .kummer import fujiki_integral, riemann_roch, riemann_roch_from_square, two_class
-from .lattice import AbelianSurfaceModel
+from .lattice import AbelianSurfaceModel, _number_text
 from .report import ReportConfig, exit_code, run_report, to_json, to_markdown
 from .walls import enumerate_wall_numerics, generate_wall_cases, is_ample_h
 
@@ -112,13 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rep = sub.add_parser("report", help="recompute every recorded claim")
+    # an option left out keeps ReportConfig's default
+    rep = sub.add_parser(
+        "report", help="recompute every recorded claim", argument_default=argparse.SUPPRESS
+    )
     rep.add_argument("--format", choices=("json", "md"), default="json")
-    rep.add_argument("--only", default=None, help="keep claims with this id prefix")
-    rep.add_argument("--abar-max", type=int, default=3)
-    rep.add_argument("--d-max", type=int, default=None)
-    rep.add_argument("--a-max", type=int, default=50)
-    rep.add_argument("--md-max", type=int, default=41)
+    rep.add_argument("--only", help="keep claims with this id prefix")
+    for option in ("--abar-max", "--d-max", "--a-max", "--md-max"):
+        rep.add_argument(option, type=int)
 
     fuj = sub.add_parser("fujiki", help="integrate a product of four classes")
     fuj.add_argument("--abar", type=int, required=True)
@@ -168,13 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args) -> int:
-    config = ReportConfig(
-        abar_max=args.abar_max,
-        d_max=args.d_max,
-        a_max=args.a_max,
-        md_max=args.md_max,
-        only=args.only,
-    )
+    names = {f.name for f in fields(ReportConfig)}
+    config = ReportConfig(**{k: v for k, v in vars(args).items() if k in names})
     report = run_report(config)
     text = to_json(report) if args.format == "json" else to_markdown(report)
     sys.stdout.write(text)
@@ -184,18 +181,18 @@ def _cmd_report(args) -> int:
 def _cmd_fujiki(args) -> int:
     model = _side_model(args.abar, args.d, args.side)
     cs = [two_class(model, *coeffs) for coeffs in args.classes]
-    print(fujiki_integral(*cs))
+    print(_number_text(fujiki_integral(*cs)))
     return 0
 
 
 def _cmd_rr(args) -> int:
     if args.q is not None:
-        print(riemann_roch_from_square(args.q))
+        print(_number_text(riemann_roch_from_square(args.q)))
         return 0
     if args.cls is None or args.abar is None or args.d is None:
         raise ValueError("rr needs either --q or --abar/--d/--cls")
     model = _side_model(args.abar, args.d, args.side)
-    print(riemann_roch(two_class(model, *args.cls)))
+    print(_number_text(riemann_roch(two_class(model, *args.cls))))
     return 0
 
 
@@ -228,9 +225,9 @@ def _cmd_chern(args) -> int:
         print(f"a = {args.a}")
     for entry, label, fn in _CHERN_TABLE:
         if entry == args.entry:
-            print(fn(args.a))
+            print(_number_text(fn(args.a)))
         elif args.entry is None and label is not None:
-            print(f"{label} = {fn(args.a)}")
+            print(f"{label} = {_number_text(fn(args.a))}")
     return 0
 
 
@@ -240,16 +237,16 @@ def _cmd_fiber(args) -> int:
         if any(v is None for v in ranks):
             raise ValueError("a profile needs all of --r1p, --r1pp, --r2")
         profile = SubsheafProfile(*ranks)
-        print(subsheaf_rank(profile, args.m, args.d))
+        print(_number_text(subsheaf_rank(profile, args.m, args.d)))
         return 0
     deg_v, deg_delta = fiber_degrees(args.m, args.d)
-    print(f"deg V component = {deg_v}")
-    print(f"deg Delta component = {deg_delta}")
+    print(f"deg V component = {_number_text(deg_v)}")
+    print(f"deg Delta component = {_number_text(deg_delta)}")
     return 0
 
 
 def _cmd_monodromy(args) -> int:
-    print(f"group order on 2-torsion: {monodromy_group_order(2)}")
+    print(f"group order on 2-torsion: {len(monodromy_group(2))}")
     fixed = monodromy_fixed_points()
     zero_only = only_zero_fixed(fixed)
     print(f"fixed 2-torsion points: {len(fixed)}" + (" (zero only)" if zero_only else ""))

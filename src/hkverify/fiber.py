@@ -5,18 +5,21 @@ monodromy action on torsion points.
 The component V carries the rank-2 lattice (Sigma, Gamma) with
 Sigma^2 = Gamma^2 = 0 and Sigma.Gamma = 4; the component Delta carries
 (Sigma, Lambda) with Sigma.Lambda = 1, calibrated so that
-(Sigma + 12 m d Lambda)^2 = 24 m d equals the second degree.
+(Sigma + 12 m d Lambda)^2 = 24 m d equals the second degree. A torsion
+point ((a1, a2), (b1, b2)) is the 2x2 matrix with rows a and b, on which the
+monodromy acts by left multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from numbers import Rational
 
 from .lattice import GramLattice, _quotient
 
-GRAM_V = GramLattice(((0, 4), (4, 0)), even=True)
-GRAM_DELTA = GramLattice(((0, 1), (1, 0)), even=True)
+GRAM_V = GramLattice(((0, 4), (4, 0)))
+GRAM_DELTA = GramLattice(((0, 1), (1, 0)))
 
 
 def _check_md(m: int, d: int) -> int:
@@ -143,26 +146,29 @@ _SWAP = ((0, 1), (1, 0))
 _SHEAR = ((1, 0), (-1, -1))
 
 
-def _mat_mul(m1, m2, n: int):
-    return tuple(
-        tuple(sum(m1[i][k] * m2[k][j] for k in range(2)) % n for j in range(2))
-        for i in range(2)
+def _mat_mul(g, x, n: int):
+    """The 2x2 product g x mod n: composition in GL2(Z/n), and the action of
+    g on the torsion point x."""
+    (a, b), (c, d) = g
+    (e, f), (h, k) = x
+    return (
+        ((a * e + b * h) % n, (a * f + b * k) % n),
+        ((c * e + d * h) % n, (c * f + d * k) % n),
     )
 
 
-def _normalize(mat, n: int):
-    return tuple(tuple(v % n for v in row) for row in mat)
+#: The 2-torsion points (Z/2)^2 x (Z/2)^2, as 2x2 matrices.
+_TWO_TORSION = tuple(product(product(range(2), repeat=2), repeat=2))
 
 
 def monodromy_group(n: int) -> frozenset:
     """Closure of the swap and shear generators in GL2(Z/n)."""
-    gens = [_normalize(_SWAP, n), _normalize(_SHEAR, n)]
     identity = ((1, 0), (0, 1))
     seen = {identity}
     frontier = [identity]
     while frontier:
         cur = frontier.pop()
-        for g in gens:
+        for g in (_SWAP, _SHEAR):
             nxt = _mat_mul(g, cur, n)
             if nxt not in seen:
                 seen.add(nxt)
@@ -170,63 +176,36 @@ def monodromy_group(n: int) -> frozenset:
     return frozenset(seen)
 
 
-def monodromy_group_order(n: int) -> int:
-    return len(monodromy_group(n))
-
-
-def _apply(mat, element, n: int):
-    a, b = element
-    new_a = tuple((mat[0][0] * a[i] + mat[0][1] * b[i]) % n for i in range(2))
-    new_b = tuple((mat[1][0] * a[i] + mat[1][1] * b[i]) % n for i in range(2))
-    return (new_a, new_b)
-
-
-def _all_elements(n: int):
-    rng = range(n)
-    return [
-        ((a1, a2), (b1, b2))
-        for a1 in rng
-        for a2 in rng
-        for b1 in rng
-        for b2 in rng
-    ]
-
-
 def monodromy_fixed_points() -> frozenset:
     """Common fixed points of the monodromy group on the 2-torsion model
     (Z/2)^2 x (Z/2)^2; this is exactly the zero element."""
     group = monodromy_group(2)
     return frozenset(
-        el
-        for el in _all_elements(2)
-        if all(_apply(g, el, 2) == el for g in group)
+        x for x in _TWO_TORSION if all(_mat_mul(g, x, 2) == x for g in group)
     )
 
 
 def invariant_torsion_cosets() -> tuple[frozenset, ...]:
     """Cosets of the 2-torsion subgroup inside the 4-torsion model that the
-    monodromy group preserves setwise; only the trivial coset survives."""
+    monodromy group preserves setwise; only the trivial coset survives. The
+    2-torsion points represent the cosets."""
     group = monodromy_group(4)
     torsion = trivial_torsion_coset()
-    reps = [el for el in _all_elements(4) if all(v <= 1 for pair in el for v in pair)]
     invariant = []
-    for rep in reps:
+    for (a1, a2), (b1, b2) in _TWO_TORSION:
         coset = frozenset(
-            (
-                tuple((rep[0][i] + t[0][i]) % 4 for i in range(2)),
-                tuple((rep[1][i] + t[1][i]) % 4 for i in range(2)),
-            )
-            for t in torsion
+            (((a1 + c1) % 4, (a2 + c2) % 4), ((b1 + d1) % 4, (b2 + d2) % 4))
+            for (c1, c2), (d1, d2) in torsion
         )
-        if all(frozenset(_apply(g, el, 4) for el in coset) == coset for g in group):
+        if all(frozenset(_mat_mul(g, x, 4) for x in coset) == coset for g in group):
             invariant.append(coset)
     return tuple(invariant)
 
 
 def trivial_torsion_coset() -> frozenset:
-    return frozenset(
-        el for el in _all_elements(4) if all(v % 2 == 0 for pair in el for v in pair)
-    )
+    """The 2-torsion subgroup of the 4-torsion model: twice each 2-torsion
+    point."""
+    return frozenset(_mat_mul(((2, 0), (0, 2)), x, 4) for x in _TWO_TORSION)
 
 
 def only_trivial_coset(cosets: tuple[frozenset, ...]) -> bool:

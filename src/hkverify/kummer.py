@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .lattice import AbelianSurfaceModel, _coef, _exact_arg, _quotient
+from .lattice import AbelianSurfaceModel, _coef, _exact_arg, _number_text, _quotient
 
 #: q(delta) on every generalized Kummer fourfold in this family.
 DELTA_SQUARE = -6
@@ -165,7 +165,7 @@ def riemann_roch(c1: KummerTwoClass) -> int | Fraction:
     even integer or the input is rejected."""
     q = bbf(c1, c1)
     if q.denominator != 1 or q.numerator % 2:
-        raise ValueError(f"q(c1) = {q} is not an even integer")
+        raise ValueError(f"q(c1) = {_number_text(q)} is not an even integer")
     return riemann_roch_from_square(q)
 
 

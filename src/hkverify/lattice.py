@@ -2,7 +2,8 @@
 
 The package's one number contract lives here: coefficients go through
 `_coef` (an int where integral, a Fraction otherwise, never a float), every
-division through `_quotient`, and every public form returns what that exact
+division through `_quotient`, every printed number through `_number_text`
+(in full, however long), and every public form returns what that exact
 arithmetic gives, an int on integral inputs and otherwise an int or a
 Fraction. The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
@@ -13,6 +14,7 @@ pairing is `kummer.NsClass.pair`, with `gram().pair` as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import wraps
 from itertools import product
@@ -24,6 +26,15 @@ def _quotient(x, k: int | Fraction):
     """x / k exactly: Fraction(x, k) on an int x, since int / int is a
     float; x / k on a Fraction or a chern.Poly, which divide exactly."""
     return Fraction(x, k) if isinstance(x, int) else x / k
+
+
+def _number_text(value: int | Fraction) -> str:
+    """str(value) at any length, for printing. The int-to-string digit limit
+    bounds the inputs, but an answer can have more digits than its input (a
+    square has twice as many); Decimal writes an int without that limit."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{_number_text(value.numerator)}/{_number_text(value.denominator)}"
+    return str(Decimal(int(value)))
 
 
 def _coef(value) -> int | Fraction:
@@ -50,31 +61,24 @@ def _exact_arg(fn):
 
 @dataclass(frozen=True)
 class GramLattice:
-    """Free finite-rank lattice described by its integer Gram matrix."""
+    """Rank-2 even lattice described by its integer Gram matrix."""
 
-    gram: tuple[tuple[int, ...], ...]
-    even: bool = False
+    gram: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self) -> None:
-        n = len(self.gram)
-        if n == 0 or any(len(row) != n for row in self.gram):
-            raise ValueError("Gram matrix must be square and nonempty")
+        if len(self.gram) != 2 or any(len(row) != 2 for row in self.gram):
+            raise ValueError("Gram matrix must be 2x2")
         if not all(isinstance(entry, int) for row in self.gram for entry in row):
             raise TypeError("Gram matrix entries must be integers")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        if self.even and any(self.gram[i][i] % 2 for i in range(n)):
+        (a, b), (c, d) = self.gram
+        if b != c:
+            raise ValueError("Gram matrix must be symmetric")
+        if a % 2 or d % 2:
             raise ValueError("an even lattice needs an even diagonal")
 
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
     def pair(self, u, v) -> int | Fraction:
-        if len(u) != self.rank or len(v) != self.rank:
-            raise ValueError("coefficient vector length does not match rank")
+        if len(u) != 2 or len(v) != 2:
+            raise ValueError("coefficient vectors must have length 2")
         total = 0
         for i, ui in enumerate(u):
             for j, vj in enumerate(v):
@@ -85,36 +89,21 @@ class GramLattice:
         return self.pair(u, u)
 
     def discriminant(self) -> int:
-        """Determinant of the Gram matrix by fraction-free elimination
-        (Bareiss, Math. Comp. 22, 1968): every division is exact over the
-        integers. A zero pivot is swapped with a lower row, flipping the sign."""
-        m = [list(row) for row in self.gram]
-        n = len(m)
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[-1][-1]
+        """Determinant a d - b c of the Gram matrix."""
+        (a, b), (c, d) = self.gram
+        return a * d - b * c
 
 
 def max_negative_square(lattice: GramLattice, box: int) -> int | None:
     """Largest self-pairing strictly below zero over the coefficient box
-    [-box, box]^rank, or None when no vector in the box has negative square.
+    [-box, box]^2, or None when no vector in the box has negative square.
 
     Brute-force companion to nocamere_bound.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
     best: int | None = None
-    for coords in product(range(-box, box + 1), repeat=lattice.rank):
+    for coords in product(range(-box, box + 1), repeat=2):
         q = lattice.square(coords)
         if q < 0 and (best is None or q > best):
             best = q
@@ -153,9 +142,7 @@ class AbelianSurfaceModel:
             raise ValueError("mixed pairing d must be a positive integer")
 
     def gram(self) -> GramLattice:
-        return GramLattice(
-            ((self.self_omega, self.mixed_d), (self.mixed_d, 0)), even=True
-        )
+        return GramLattice(((self.self_omega, self.mixed_d), (self.mixed_d, 0)))
 
     def discriminant(self) -> int:
         return self.gram().discriminant()

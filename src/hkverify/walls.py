@@ -11,10 +11,11 @@ ray) and also reports the blanket sufficiency thresholds in d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .kummer import KummerTwoClass, two_class
-from .lattice import AbelianSurfaceModel
+from .lattice import AbelianSurfaceModel, _number_text
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,19 @@ class AmplenessResult:
 
     def render(self) -> str:
         if self.verdict == "not-ample":
-            p, q, x = self.witness.coeffs()
-            return f"NotAmple (witness {p},{q},{x})"
+            return f"NotAmple (witness {','.join(map(_number_text, self.witness.coeffs()))})"
         if self.below_threshold:
-            return (
-                "Ample (below certified threshold "
-                f"d <= {self.separating_threshold})"
-            )
+            return f"Ample (below certified threshold d <= {_number_text(self.separating_threshold)})"
         return "Ample"
 
 
 def ample_thresholds(abar: int) -> tuple[int, int]:
     return (12 * abar + 3, 24 * abar * abar + 6 * abar)
+
+
+#: (c, coefficient of delta, allowed beta^2): the wall through h, then the
+#: separating walls by c; those need m c <= 3, so they end at c = 3 // m
+_WALL_SEARCHES = ((0, 0, (-6,)), (1, -1, (0, 2)), (2, -1, (0, 2)), (3, -1, (0, 2)))
 
 
 def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
@@ -117,42 +119,14 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
         # makes the same check for abar and d, but is built only for a witness
         raise TypeError("abar, d, m must be integers")
     _, separating_thr = ample_thresholds(abar)
-    found: tuple[int, int, int] | None = None
-
-    # wall through h: x = 0, beta orthogonal to omegabar, beta^2 = -6;
-    # beta = p omegabar + q gamma needs 4 abar p + q d = 0
-    for p in range(-2, 3):
-        num = -4 * abar * p
-        if p == 0 or num % d:
-            continue
-        q = num // d
-        if 4 * abar * p * p + 2 * p * q * d == -6:
+    witness = None
+    for (c, x, squares), p in product(_WALL_SEARCHES[: 1 + 3 // m], range(-2, 3)):
+        num = c - 4 * abar * p
+        if num % d == 0 and 4 * abar * p * p + 2 * p * (num // d) * d in squares:
             if abs(p) == 2:
                 raise ArithmeticError("ampleness search hit the box boundary")
-            found = (p, q, 0)
+            witness = two_class(AbelianSurfaceModel(4 * abar, d), p, num // d, x)
             break
-
-    # separating wall: x = 1, beta.omegabar = c with m c <= 3, beta^2 in {0, 2}
-    if found is None:
-        for c in (1, 2, 3):
-            if m * c > 3:
-                continue
-            for p in range(-2, 3):
-                num = c - 4 * abar * p
-                if num % d:
-                    continue
-                q = num // d
-                if 4 * abar * p * p + 2 * p * q * d in (0, 2):
-                    if abs(p) == 2:
-                        raise ArithmeticError(
-                            "ampleness search hit the box boundary"
-                        )
-                    found = (p, q, -1)
-                    break
-            if found is not None:
-                break
-
-    witness = None if found is None else two_class(AbelianSurfaceModel(4 * abar, d), *found)
     return AmplenessResult(
         verdict="ample" if witness is None else "not-ample",
         witness=witness,

@@ -22,7 +22,6 @@ from hkverify.fiber import (
     minimum_destabilizer_margin,
     monodromy_fixed_points,
     monodromy_group,
-    monodromy_group_order,
     restriction_c1_fiber_delta,
     restriction_c1_fiber_v,
     subsheaf_rank,
@@ -140,10 +139,19 @@ def test_minimum_margin():
 
 
 def test_monodromy_group_order():
-    assert monodromy_group_order(2) == 6
     group = monodromy_group(2)
+    assert len(group) == 6
     assert ((1, 0), (0, 1)) in group
     assert ((0, 1), (1, 0)) in group
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_monodromy_group_is_s3_mod_n(n):
+    # swap and shear are involutions whose product has order 3, so they
+    # generate S3; S3 stays faithful mod n (its entries lie in {-1, 0, 1},
+    # and mod 2 it is all of GL2(Z/2)), so the order is 6 at every level,
+    # the 4-torsion of the coset claim included
+    assert len(monodromy_group(n)) == 6
 
 
 def test_monodromy_fixed_points_trivial():

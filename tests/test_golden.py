@@ -2,13 +2,15 @@
 
 `tests/golden/report.json` and `tests/golden/report.md` are the outputs of
 `hkverify report --format json` and `--format md` with the default
-configuration. A change that alters a single byte of either report fails
-here; regenerating the fixtures is a deliberate act that CHANGES.md records.
+configuration; `tests/golden/report-sweep-grid.json` is the JSON report at
+the benchmark's wide grid, where `ample-sweep` decides ampleness for every
+abar up to 8. A change that alters a single byte of any of them fails here;
+regenerating the fixtures is a deliberate act that CHANGES.md records.
 """
 
 from pathlib import Path
 
-from hkverify.report import to_json, to_markdown
+from hkverify.report import ReportConfig, run_report, to_json, to_markdown
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -19,3 +21,8 @@ def test_default_report_json_matches_golden(default_report):
 
 def test_default_report_markdown_matches_golden(default_report):
     assert to_markdown(default_report).encode() == (GOLDEN / "report.md").read_bytes()
+
+
+def test_sweep_grid_report_json_matches_golden():
+    report = run_report(ReportConfig(abar_max=8, a_max=200, md_max=121))
+    assert to_json(report).encode() == (GOLDEN / "report-sweep-grid.json").read_bytes()

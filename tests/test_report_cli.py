@@ -17,9 +17,25 @@ import hkverify
 import hkverify.blowup
 import hkverify.fiber
 import hkverify.report
-from hkverify.cli import main
-from hkverify.fiber import SubsheafProfile, fiber_degrees, integer_rank_criterion, rank_failures
-from hkverify.kummer import C2_PAIR_COEFF, bbf, two_class
+from hkverify.abelian import digit_limit
+from hkverify.cli import _CHERN_TABLE, main
+from hkverify.fiber import (
+    SubsheafProfile,
+    fiber_degrees,
+    integer_rank_criterion,
+    rank_failures,
+    subsheaf_rank,
+)
+from hkverify.kummer import (
+    C2_PAIR_COEFF,
+    bbf,
+    fujiki_integral,
+    riemann_roch,
+    riemann_roch_from_square,
+    two_class,
+)
+from hkverify.lattice import AbelianSurfaceModel
+from hkverify.walls import ample_thresholds
 from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
@@ -274,6 +290,22 @@ def test_every_vf_field_is_checked_by_the_report(monkeypatch, field):
     report = run_report()
     assert report.summary["fail"] > 0
     assert exit_code(report) == 1
+
+
+def test_exceptional_fourth_is_checked_against_the_literal():
+    # c2(N) bumped before the catalogue is built: a recorded value read from
+    # VF would follow the bump and compare x_quartic's k = 4 term with itself
+    script = (
+        "import dataclasses, sys\n"
+        "import hkverify.blowup as blowup\n"
+        "blowup.VF = dataclasses.replace(blowup.VF, c2_normal=blowup.VF.c2_normal + 1)\n"
+        "from hkverify.cli import main\n"
+        "sys.exit(main(['report', '--only', 'blowup-exceptional-fourth', '--format', 'md']))\n"
+    )
+    run = _run_python("-c", script)
+    assert run.returncode == 1, run.stderr
+    row = "| blowup-exceptional-fourth | 163 | 162 | fail | stated |"
+    assert row in run.stdout.splitlines()
 
 
 def test_small_d_max_skips_the_ample_sweep():
@@ -533,6 +565,88 @@ def test_cli_long_literal_at_the_digit_limit(capsys, literal):
     message = capsys.readouterr().err
     assert f"a literal of more than {DIGIT_LIMIT} digits exceeds the interpreter's limit" in message
     assert "not a rational number" not in message
+
+
+LIMIT = digit_limit()
+
+
+def _long_str(value) -> str:
+    """The test's own spelling of a long int or Fraction: str() with the
+    int-to-string limit lifted for the call."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return str(value)
+    set_limit(0)
+    try:
+        return str(value)
+    finally:
+        set_limit(DIGIT_LIMIT)
+
+
+def _long_cases(k: int) -> dict:
+    """Per command: the argv with the k-digit input 88...8, and a thunk for
+    its expected stdout lines. Each answer has more digits than its input."""
+    digits, n = "8" * k, 8 * (10**k - 1) // 9
+    classes = [f"{digits},0,0", f"0,{digits},0", f"0,0,{digits}", f"{digits},{digits},{digits}"]
+    profile = ["--r1p", "1", "--r1pp", "2", "--r2", "1"]
+
+    def fujiki():
+        model = AbelianSurfaceModel(4, 3)
+        return [fujiki_integral(*(two_class(model, *map(int, c.split(","))) for c in classes))]
+
+    def fiber():
+        deg_v, deg_delta = fiber_degrees(1, n)
+        return [f"deg V component = {_long_str(deg_v)}", f"deg Delta component = {_long_str(deg_delta)}"]
+
+    def chern():
+        rows = [(label, fn(n)) for _, label, fn in _CHERN_TABLE if label]
+        return [f"a = {digits}"] + [f"{label} = {_long_str(value)}" for label, value in rows]
+
+    return {
+        "rr-q": (["rr", "--q", digits], lambda: [riemann_roch_from_square(n)]),
+        "rr-cls": (
+            ["rr", "--abar", digits, "--d", "3", "--cls", "1,0,0"],
+            lambda: [riemann_roch(two_class(AbelianSurfaceModel(4 * n, 3), 1, 0, 0))],
+        ),
+        "fiber-degrees": (["fiber", "--m", "1", "--d", digits], fiber),
+        "fiber-profile": (
+            ["fiber", "--m", digits, "--d", digits, *profile],
+            lambda: [subsheaf_rank(SubsheafProfile(1, 2, 1), n, n)],
+        ),
+        "fujiki": (["fujiki", "--abar", "1", "--d", "3", *classes], fujiki),
+        "ample": (
+            ["ample", "--abar", digits, "--d", digits, "--m", "2"],
+            lambda: [f"Ample (below certified threshold d <= {_long_str(ample_thresholds(n)[1])})"],
+        ),
+        "chern": (["chern", "--a", digits], chern),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_long_cases(1)))
+def test_cli_prints_answers_longer_than_the_digit_limit(capsys, command):
+    # an input as long as the limit is valid, and its answer prints in full
+    # although str() would refuse it; one digit more is a usage error where
+    # the interpreter has a limit
+    argv, expected = _long_cases(LIMIT)[command]
+    assert main(argv) == 0
+    lines = [v if isinstance(v, str) else _long_str(v) for v in expected()]
+    assert capsys.readouterr().out.splitlines() == lines
+    assert max(map(len, lines)) > LIMIT
+    if not DIGIT_LIMIT:
+        return
+    argv, _ = _long_cases(LIMIT + 1)[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_cli_names_a_long_square_that_is_not_even(capsys):
+    # the domain error spells q(c1) in full, not the int-to-string error
+    assert main(["rr", "--abar", "8" * LIMIT, "--d", "3", "--cls", "1/3,0,0"]) == 1
+    c1 = two_class(AbelianSurfaceModel(4 * int("8" * LIMIT), 3), Fraction(1, 3), 0, 0)
+    expected = f"error: q(c1) = {_long_str(bbf(c1, c1))} is not an even integer\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_cli_partial_fiber_profile_is_rejected(capsys):
