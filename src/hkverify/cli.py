@@ -66,6 +66,24 @@ _CHERN_TABLE = (
 #: exponents, and 1e10000000 would build a ten-million-digit integer.
 _RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
 
+#: An integer as int() reads it: sign, blanks and single underscores
+#: between digits.
+_INTEGER = re.compile(r"\s*[+-]?\d(_?\d)*\s*")
+
+#: The usage error for a well-formed literal that only the int-to-string
+#: digit limit refuses; it names the limit instead of echoing the digits.
+_TOO_LONG = "a literal of more than {} digits exceeds the interpreter's limit"
+
+
+def _integer(text: str) -> int:
+    """int(text), with the digit limit reported like `_fraction` does."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        if _INTEGER.fullmatch(text):
+            raise argparse.ArgumentTypeError(_TOO_LONG.format(digit_limit())) from exc
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+
 
 def _fraction(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
@@ -76,9 +94,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
     except ValueError as exc:
         # the grammar matched, so only the int-to-string digit limit is left
-        raise argparse.ArgumentTypeError(
-            f"a literal of more than {digit_limit()} digits exceeds the interpreter's limit"
-        ) from exc
+        raise argparse.ArgumentTypeError(_TOO_LONG.format(digit_limit())) from exc
 
 
 def _class_coeffs(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -120,51 +136,51 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--format", choices=("json", "md"), default="json")
     rep.add_argument("--only", help="keep claims with this id prefix")
     for option in ("--abar-max", "--d-max", "--a-max", "--md-max"):
-        rep.add_argument(option, type=int)
+        rep.add_argument(option, type=_integer)
 
     fuj = sub.add_parser("fujiki", help="integrate a product of four classes")
-    fuj.add_argument("--abar", type=int, required=True)
-    fuj.add_argument("--d", type=int, required=True)
+    fuj.add_argument("--abar", type=_integer, required=True)
+    fuj.add_argument("--d", type=_integer, required=True)
     fuj.add_argument("--side", choices=("A", "B"), default="A")
     fuj.add_argument("classes", type=_class_coeffs, nargs=4, metavar="p,q,x")
 
     rr = sub.add_parser("rr", help="Euler characteristic of a line bundle")
     rr.add_argument("--q", type=_fraction, default=None, help="square of c1")
-    rr.add_argument("--abar", type=int, default=None)
-    rr.add_argument("--d", type=int, default=None)
+    rr.add_argument("--abar", type=_integer, default=None)
+    rr.add_argument("--d", type=_integer, default=None)
     rr.add_argument("--side", choices=("A", "B"), default="A")
     rr.add_argument("--cls", type=_class_coeffs, default=None, metavar="p,q,x")
 
     sub.add_parser("walls", help="wall numerics for the moduli vector")
 
     amp = sub.add_parser("ample", help="decide ampleness of 2m*mu(omegabar) - delta")
-    amp.add_argument("--abar", type=int, required=True)
-    amp.add_argument("--d", type=int, required=True)
-    amp.add_argument("--m", type=int, default=1)
+    amp.add_argument("--abar", type=_integer, required=True)
+    amp.add_argument("--d", type=_integer, required=True)
+    amp.add_argument("--m", type=_integer, default=1)
 
     mod = sub.add_parser("modularity", help="test the discriminant proportionality")
     mod.add_argument("--x", type=_fraction, required=True)
     mod.add_argument("--y", type=_fraction, required=True)
-    mod.add_argument("--abar", type=int, default=1)
-    mod.add_argument("--d", type=int, default=3)
+    mod.add_argument("--abar", type=_integer, default=1)
+    mod.add_argument("--d", type=_integer, default=3)
 
     che = sub.add_parser("chern", help="Chern numbers of the rank-4 bundle")
-    che.add_argument("--a", type=int, required=True)
+    che.add_argument("--a", type=_integer, required=True)
     che.add_argument("--entry", choices=sorted(e for e, _, _ in _CHERN_TABLE), default=None)
 
     fib = sub.add_parser("fiber", help="fiber degrees and subsheaf ranks")
-    fib.add_argument("--m", type=int, required=True)
-    fib.add_argument("--d", type=int, required=True)
-    fib.add_argument("--r1p", type=int, default=None)
-    fib.add_argument("--r1pp", type=int, default=None)
-    fib.add_argument("--r2", type=int, default=None)
+    fib.add_argument("--m", type=_integer, required=True)
+    fib.add_argument("--d", type=_integer, required=True)
+    fib.add_argument("--r1p", type=_integer, default=None)
+    fib.add_argument("--r1pp", type=_integer, default=None)
+    fib.add_argument("--r2", type=_integer, default=None)
 
     sub.add_parser("monodromy", help="monodromy counts on torsion points")
 
     sem = sub.add_parser("semihom", help="simplicity of a semi-homogeneous bundle")
-    sem.add_argument("--deg-f", type=int, required=True)
-    sem.add_argument("--n", type=int, required=True)
-    sem.add_argument("--d0", type=int, required=True)
+    sem.add_argument("--deg-f", type=_integer, required=True)
+    sem.add_argument("--n", type=_integer, required=True)
+    sem.add_argument("--d0", type=_integer, required=True)
 
     return parser
 

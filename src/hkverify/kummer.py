@@ -11,7 +11,9 @@ such a function is, if any.
 Class coefficients are ints where they are integral and Fractions
 otherwise (`lattice._coef`), and every division is `lattice._quotient`: each
 public form returns what its exact arithmetic gives, an int on integral
-classes and otherwise an int or a Fraction, never a float.
+classes and otherwise an int or a Fraction, never a float. The line-bundle
+count `riemann_roch_from_square` is a `lattice.Poly` in q(c1), evaluated by
+calling it, so `Poly.__call__` is its input check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .lattice import AbelianSurfaceModel, _coef, _exact_arg, _number_text, _quotient
+from .lattice import SYMBOL_A, AbelianSurfaceModel, _coef, _number_text, _quotient
 
 #: q(delta) on every generalized Kummer fourfold in this family.
 DELTA_SQUARE = -6
@@ -152,12 +154,9 @@ def c2_square() -> int:
     return C2_SQUARE_VALUE
 
 
-@_exact_arg
-def riemann_roch_from_square(qval):
-    """Euler characteristic of a line bundle with q(c1) = qval:
-    3 * binom(qval/2 + 2, 2) = 3 (qval + 4)(qval + 2) / 8. Accepts an int, a
-    Fraction or a chern.Poly and computes exactly; a float raises TypeError."""
-    return _quotient(3 * (qval + 4) * (qval + 2), 8)
+#: Euler characteristic of a line bundle with q(c1) = q, a Poly in q:
+#: 3 * binom(q/2 + 2, 2) = 3 (q + 4)(q + 2) / 8.
+riemann_roch_from_square = 3 * (SYMBOL_A + 4) * (SYMBOL_A + 2) / 8
 
 
 def riemann_roch(c1: KummerTwoClass) -> int | Fraction:

@@ -5,7 +5,10 @@ The package's one number contract lives here: coefficients go through
 division through `_quotient`, every printed number through `_number_text`
 (in full, however long), and every public form returns what that exact
 arithmetic gives, an int on integral inputs and otherwise an int or a
-Fraction. The basic object is a Gram matrix; on top of that sits the
+Fraction. Poly, the exact polynomial type, follows the same contract, and
+its evaluation `Poly.__call__` is the one input check of every polynomial
+value in the package (the Chern numbers, `kummer.riemann_roch_from_square`).
+The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
 ambient lattice for all divisibility and moduli-case bookkeeping; its
 pairing is `kummer.NsClass.pair`, with `gram().pair` as the oracle.
@@ -16,15 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import wraps
-from itertools import product
+from itertools import product, zip_longest
 from math import gcd
-from numbers import Number, Rational
 
 
 def _quotient(x, k: int | Fraction):
     """x / k exactly: Fraction(x, k) on an int x, since int / int is a
-    float; x / k on a Fraction or a chern.Poly, which divide exactly."""
+    float; x / k on a Fraction or a Poly, which divide exactly."""
     return Fraction(x, k) if isinstance(x, int) else x / k
 
 
@@ -48,15 +49,119 @@ def _coef(value) -> int | Fraction:
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
-def _exact_arg(fn):
-    """fn of one value, raising TypeError on an inexact number (a float, a
-    complex, a Decimal); ints, Fractions, chern.Poly and symbols pass."""
-    @wraps(fn)
-    def checked(a):
-        if not isinstance(a, (int, Fraction, Rational)) and isinstance(a, Number):
-            raise TypeError(f"expected an exact value, got {a!r}")
-        return fn(a)
-    return checked
+@dataclass(frozen=True, eq=False)
+class Poly:
+    """Polynomial in one variable (printed as a) with exact coefficients,
+    ints where integral (`_coef`), lowest degree first and trailing zeros
+    trimmed, so the zero polynomial has no coefficients. A coefficient that is not an int or a
+    Fraction, a float included, raises TypeError.
+
+    Mixes with ints and Fractions on either side of +, - and *, divides by
+    a scalar, compares by coefficients (Poly((3,)) == 3), and evaluates by
+    calling: p(x).
+    """
+
+    coeffs: tuple[int | Fraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        coeffs = [_coef(c) for c in self.coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __call__(self, x):
+        """The value at x by Horner's rule: an int or a Fraction at an int or
+        a Fraction, and the composition at a Poly. Any other x goes through
+        `_coef`, so a float raises TypeError."""
+        if not isinstance(x, Poly):
+            x = _coef(x)
+        value = 0 * x  # the zero of x's kind, so a composition is a Poly
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return Poly(tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return Poly(tuple(out))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Poly(tuple(_quotient(c, other) for c in self.coeffs))
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __str__(self) -> str:
+        """The string sympy prints for the expanded polynomial: terms by
+        descending degree, except that a positive constant plus one negative
+        monomial prints the constant first (27 - 72*a)."""
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if c][::-1]
+        if not terms:
+            return "0"
+        if len(terms) == 2 and terms[1][0] == 0 and terms[1][1] > 0 > terms[0][1]:
+            terms.reverse()
+        text = "".join((" - " if c < 0 else " + ") + self._term(k, abs(c)) for k, c in terms)
+        return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+    @staticmethod
+    def _term(degree: int, coeff: int | Fraction) -> str:
+        """sympy's string for coeff * a**degree with coeff > 0."""
+        if degree == 0:
+            return str(coeff)
+        text = "a" if degree == 1 else f"a**{degree}"
+        if coeff.numerator != 1:
+            text = f"{coeff.numerator}*{text}"
+        if coeff.denominator != 1:
+            text = f"{text}/{coeff.denominator}"
+        return text
+
+    @staticmethod
+    def _lift(value) -> "Poly | None":
+        if isinstance(value, Poly):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Poly((value,))
+        return None
+
+
+#: The polynomial variable: the parameter a of the Chern numbers, or q(c1)
+#: in `kummer.riemann_roch_from_square`.
+SYMBOL_A = Poly((0, 1))
 
 
 @dataclass(frozen=True)

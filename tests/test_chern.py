@@ -2,6 +2,7 @@
 polarization parameter a, the Euler-characteristic identities among them,
 and the one stated value that disagrees with the recomputation."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from hkverify.chern import (
     chi_end_traceless,
     gianni_decomposition,
     polynomial_identities,
-    _ch2_c2_num,
+    _ch2_c2,
 )
 from hkverify.cli import main
 
@@ -45,11 +46,18 @@ small_q = st.one_of(
 small_poly = st.lists(small_q, max_size=3).map(Poly)
 
 
+def _rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
 def _to_sympy(poly):
     a = sympy.symbols("a")
-    return sympy.expand(
-        sum(sympy.Rational(c.numerator, c.denominator) * a**k for k, c in enumerate(poly.coeffs))
-    )
+    return sympy.expand(sum(_rational(c) * a**k for k, c in enumerate(poly.coeffs)))
+
+
+def _at(parts, a):
+    """A tuple of Poly entries evaluated at a."""
+    return tuple(p(a) for p in parts)
 
 
 def test_values_at_a_equals_one():
@@ -67,14 +75,14 @@ def test_values_at_a_equals_one():
 
 
 def test_gianni_decomposition_at_one():
-    parts = gianni_decomposition(1)
+    parts = _at(gianni_decomposition, 1)
     assert parts == (-45, Fraction(-27, 2), 36, -9, 24)
     assert sum(parts) == ch1_ch3(1)
 
 
 @given(small_a)
 def test_gianni_decomposition_sums_to_ch1_ch3(a):
-    assert sum(gianni_decomposition(a)) == ch1_ch3(a)
+    assert sum(_at(gianni_decomposition, a)) == ch1_ch3(a)
 
 
 def test_chi_values():
@@ -119,15 +127,16 @@ def test_chi_end_is_constant_three(a):
 
 @given(small_a)
 def test_chi_end_decomposition(a):
-    parts = chi_end_decomposition(a)
+    parts = _at(chi_end_decomposition, a)
     assert parts == (48, -63, 18)
     assert sum(parts) == chi_end(a)
 
 
 def test_ch2_td2_and_c2_values():
     assert ch2_td2(1) == Fraction(-9, 4)
-    # int ch2 . c2 = 108 a - 135, kept as its numerator over 8
-    assert _ch2_c2_num(1) == 8 * -27
+    # int ch2 . c2 = 108 a - 135, the middle chi(End) summand's input
+    assert _ch2_c2 == 108 * SYMBOL_A - 135
+    assert _ch2_c2(1) == -27
 
 
 def test_a_invariant():
@@ -170,12 +179,29 @@ def test_polynomial_identities_all_hold():
 
 
 def test_polynomials_in_a_symbol():
-    # the generic formulas accept a sympy symbol and stay exact
+    # the entries are the polynomials sympy expands their derivations to
     a = sympy.symbols("a")
-    expr = chi_end(a)
-    assert sympy.simplify(expr - 3) == 0
-    quartic = ch1_fourth(a)
-    assert sympy.expand(quartic - (2304 * a**2 - 1728 * a + 324)) == 0
+    assert _to_sympy(chi_end) == 3
+    assert _to_sympy(ch1_fourth) == sympy.expand(9 * (16 * a - 6) ** 2)
+    assert str(ch1_fourth) == str(sympy.expand(2304 * a**2 - 1728 * a + 324))
+
+
+@given(small_poly, st.integers(min_value=-20, max_value=20), small_q, small_poly)
+def test_poly_call_matches_sympy(p, n, x, q):
+    a = sympy.symbols("a")
+    expr = _to_sympy(p)
+    assert type(p(n)) in (int, Fraction)
+    assert _rational(p(n)) == expr.subs(a, n)
+    assert _rational(p(x)) == expr.subs(a, _rational(x))
+    # a Poly argument composes
+    assert str(p(q)) == str(sympy.expand(expr.subs(a, _to_sympy(q))))
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, Decimal("1.5"), 1j, "1"])
+@given(small_poly)
+def test_poly_call_rejects_inexact_arguments(x, p):
+    with pytest.raises(TypeError):
+        p(x)
 
 
 @given(small_poly)

@@ -1,10 +1,11 @@
 """The package's one number contract: class coefficients stay ints where
 they are integral, and every public form returns what its exact arithmetic
 gives, an int on integral inputs and otherwise an int or a Fraction, equal
-to the plain-Fraction formula. The Chern numbers of an int are an int or a
-Fraction equal to their closed form, and a float a raises TypeError. No
-claim value is a float."""
+to the plain-Fraction formula. The Chern numbers, Polys in a, are at an
+int an int or a Fraction equal to their closed form, and at a float a they
+raise TypeError. No claim value is a float."""
 
+import ast
 import dataclasses
 import inspect
 from fractions import Fraction
@@ -209,8 +210,8 @@ def test_ch1_paths_are_affine(path, a, b, lam):
     assert coeffs(mixed) == expected
 
 
-# Every public function of chern that takes the parameter a, with its
-# docstring closed form in plain Fractions.
+# Every public Poly entry of chern (or tuple of them), with its documented
+# closed form in plain Fractions.
 CHERN_CLOSED_FORMS = {
     "ch1_square_q": lambda a: 16 * a - 6,
     "ch1_fourth": lambda a: 2304 * a * a - 1728 * a + 324,
@@ -233,32 +234,53 @@ CHERN_CLOSED_FORMS = {
 }
 
 
+def _parts(entry):
+    """The Polys of a chern entry: the entry itself, or its summands."""
+    return entry if isinstance(entry, tuple) else (entry,)
+
+
+def _at(entry, v):
+    values = tuple(p(v) for p in _parts(entry))
+    return values if isinstance(entry, tuple) else values[0]
+
+
 def test_every_chern_function_of_a_has_a_closed_form():
-    public = {
+    # the public names chern assigns at module level (re-exports such as
+    # SYMBOL_A are assigned elsewhere) whose value is a Poly or Polys
+    tree = ast.parse(inspect.getsource(hkverify.chern))
+    assigned = {
+        t.id
+        for s in tree.body
+        if isinstance(s, ast.Assign)
+        for t in s.targets
+        if isinstance(t, ast.Name) and not t.id.startswith("_")
+    }
+    entries = {
+        name
+        for name in assigned
+        if all(isinstance(p, Poly) for p in _parts(getattr(hkverify.chern, name)))
+    }
+    assert entries == set(CHERN_CLOSED_FORMS)
+    # and no function of a is left beside them
+    assert not [
         name
         for name, fn in inspect.getmembers(hkverify.chern, inspect.isfunction)
-        if fn.__module__ == "hkverify.chern"
-        and not name.startswith("_")
-        and list(inspect.signature(fn).parameters) == ["a"]
-    }
-    assert public == set(CHERN_CLOSED_FORMS)
-
-
-def _exact_scalars(value):
-    return value if isinstance(value, tuple) else (value,)
+        if "a" in inspect.signature(fn).parameters
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CHERN_CLOSED_FORMS))
 @given(v=st.integers(-10**6, 10**6) | st.sampled_from([-1, 0, 1]))
 def test_chern_functions_stay_exact_on_ints(name, v):
-    fn = getattr(hkverify.chern, name)
-    value = fn(v)
-    assert all(type(x) in (int, Fraction) for x in _exact_scalars(value))
-    assert value == fn(Fraction(v)) == CHERN_CLOSED_FORMS[name](Fraction(v))
+    entry = getattr(hkverify.chern, name)
+    value = _at(entry, v)
+    assert all(type(x) in (int, Fraction) for x in _parts(value))
+    assert value == _at(entry, Fraction(v)) == CHERN_CLOSED_FORMS[name](Fraction(v))
 
 
 @pytest.mark.parametrize("name", sorted(CHERN_CLOSED_FORMS))
 def test_chern_functions_reject_floats(name):
-    # unchecked, chi_end(1.5) returns 3.0 and ch1_fourth(0.5) returns 36.0
-    with pytest.raises(TypeError):
-        getattr(hkverify.chern, name)(1.5)
+    # unchecked, chi_end(1.5) would be 3.0 and ch1_fourth(0.5) 36.0
+    for part in _parts(getattr(hkverify.chern, name)):
+        with pytest.raises(TypeError):
+            part(1.5)

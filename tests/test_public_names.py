@@ -1,7 +1,7 @@
 """Every public name of the package is used by the package itself: it feeds
 a claim, the command line, or an oracle that a claim uses. A top-level
-function or class, or a public method, property or dataclass field, that
-only tests reach fails here; delete it together with its tests.
+function, class or constant, or a public method, property or dataclass
+field, that only tests reach fails here; delete it together with its tests.
 
 The name checks read the source, so a member counts as read whenever any
 member of the same name is; the execution check below has no such blind
@@ -89,15 +89,27 @@ def _members(cls: ast.ClassDef):
             yield node.target.id, node
 
 
+def _defined(statement) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or a
+    constant assigned to a plain name (`X = ...`, `X: int = ...`)."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
+
+
 def test_every_public_definition_is_used_in_the_package():
     statements = [s for tree in TREES for s in tree.body]
     used_by = [(s, _names(s)) for s in statements]
     unused = {
-        s.name
+        name
         for s in statements
-        if isinstance(s, (ast.FunctionDef, ast.ClassDef))
-        and not s.name.startswith("_")
-        and not any(s.name in names for other, names in used_by if other is not s)
+        for name in _defined(s)
+        if not name.startswith("_")
+        and not any(name in names for other, names in used_by if other is not s)
     }
     assert unused - ALLOWED == set()
 

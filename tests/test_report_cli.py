@@ -638,7 +638,11 @@ def test_cli_prints_answers_longer_than_the_digit_limit(capsys, command):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
+    message = capsys.readouterr().err
+    assert "error: argument" in message
+    assert f"a literal of more than {DIGIT_LIMIT} digits exceeds the interpreter's limit" in message
+    # the usage error names the limit; it does not echo the literal
+    assert len(message) < LIMIT
 
 
 def test_cli_names_a_long_square_that_is_not_even(capsys):
