@@ -11,11 +11,10 @@ normalization, which is also what squares to the kernel order).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import factorial, gcd, log10
 
-from .lattice import AbelianSurfaceModel
+from .lattice import AbelianSurfaceModel, digit_limit
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,6 @@ def kernel_order(params: IsogenyParams, modulus: int | None = None) -> int:
     if modulus is None:
         return (params.n + 1) ** 2 * params.d0 ** (2 * params.n)
     return (params.n + 1) ** 2 % modulus * pow(params.d0, 2 * params.n, modulus) % modulus
-
-
-def digit_limit() -> int:
-    """The interpreter's int-to-string digit limit, or its default 4300 where
-    the limit is off (0) or the interpreter predates it."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def power_or_text(coeff: int, base: int, n: int) -> int | str:

@@ -19,13 +19,18 @@ int_X D^4 = (c2 of the normal bundle) - (c1 of the normal bundle)^2
 = 81 + 81 = 162, with c1 of the normal bundle the delta restriction. Every
 one of these numbers is read from `VF`.
 
-The discriminant Delta = ch1^2 - 8 ch2 of the transferred bundle pairs with
-two doubled-model classes by the closed forms `delta_pairing_*`, which
-`delta_pairing_via_chern` recomputes on X. `is_modular_bundle` hands the
-closed form, a plain bilinear function, to `kummer.modularity_coefficient`
-for every twist, so the modular twists are computed, not assumed.
+The rank-4 bundle is transferred from the line bundle on X whose class
+`line` is the XTwoClass pullback(mu(omega) + x*delta) + y*D; `ch1_bundle`,
+`ch2_pairing` and `delta_pairing_via_chern` take that class. The
+discriminant Delta = ch1^2 - 8 ch2 of the bundle pairs with two
+doubled-model classes by the closed forms `delta_pairing_closed` and
+`delta_pairing_delta_delta`, which read only the twist t = x - y and which
+`delta_pairing_via_chern` recomputes on X. `is_modular_bundle(t, model)`
+hands the closed form, a plain bilinear function, to
+`kummer.modularity_coefficient` for every twist, so the modular twists are
+computed, not assumed.
 
-The coefficients t of X classes are ints where they are integral
+The exceptional coefficients t of X classes are ints where they are integral
 (`lattice._coef`), and every division is `lattice._quotient`: as in `kummer`,
 each public form returns what its exact arithmetic gives, an int on integral
 classes and otherwise an int or a Fraction, never a float.
@@ -40,13 +45,12 @@ from itertools import product
 from .kummer import (
     C2_PAIR_COEFF,
     KummerTwoClass,
-    NsClass,
     basis,
     bbf,
     c2_pair,
     fujiki_integral,
     modularity_coefficient,
-    two_class,
+    mu_pair,
 )
 from .lattice import AbelianSurfaceModel, _coef, _quotient
 
@@ -71,8 +75,8 @@ VF = VfData()
 
 def _vf_pair(a: KummerTwoClass, b: KummerTwoClass):
     """Pairing on V of the restrictions of two halved-model degree-2
-    classes: 18 * (ns part pairing) - 81 * (delta coefficients product)."""
-    return VF.pair_coeff * a.ns.pair(b.ns) + VF.delta_restriction_sq * a.x * b.x
+    classes: 18 * mu_pair(a, b) - 81 * (delta coefficients product)."""
+    return VF.pair_coeff * mu_pair(a, b) + VF.delta_restriction_sq * a.x * b.x
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,9 @@ class XTwoClass:
     def model(self) -> AbelianSurfaceModel:
         return self.base.model
 
-    def scale(self, k) -> "XTwoClass":
-        return XTwoClass(self.base.scale(k), _coef(k) * self.t)
-
 
 def exceptional_class(model: AbelianSurfaceModel) -> XTwoClass:
-    return XTwoClass(two_class(model, 0, 0, 0), 1)
+    return XTwoClass(KummerTwoClass(model, 0, 0, 0), 1)
 
 
 def x_quartic(
@@ -152,7 +153,7 @@ def pullback_correspondence(c: KummerTwoClass) -> XTwoClass:
     correspondence: mu(p, q) + x*delta  ->  pullback of mu(2p, q) + x*delta
     on the halved model, plus x times the exceptional class."""
     small = halved_model(c.model)
-    base = two_class(small, 2 * c.ns.p, c.ns.q, c.x)
+    base = KummerTwoClass(small, 2 * c.p, c.q, c.x)
     return XTwoClass(base, c.x)
 
 
@@ -161,9 +162,7 @@ def pushforward_correspondence(c: XTwoClass) -> KummerTwoClass:
     goes to 2*mu(p, 2q), and both the pulled-back delta and the exceptional
     class go to 2*delta."""
     big = doubled_model(c.model)
-    return two_class(
-        big, 2 * c.base.ns.p, 4 * c.base.ns.q, 2 * (c.base.x + c.t)
-    )
+    return KummerTwoClass(big, 2 * c.base.p, 4 * c.base.q, 2 * (c.base.x + c.t))
 
 
 def quartic_chain(model_small: AbelianSurfaceModel):
@@ -173,7 +172,7 @@ def quartic_chain(model_small: AbelianSurfaceModel):
     The first three are (81, (3/2)*81, 81); adding (1/4) * int D^4 gives 324,
     the delta^4 integral on the doubled model.
     """
-    q = XTwoClass(two_class(model_small, 0, 0, 1), 0)
+    q = XTwoClass(KummerTwoClass(model_small, 0, 0, 1), 0)
     d = exceptional_class(model_small)
     term0 = _quotient(x_quartic(q, q, q, q), 4)
     term2 = _quotient(6 * x_quartic(q, q, d, d), 4)
@@ -182,28 +181,24 @@ def quartic_chain(model_small: AbelianSurfaceModel):
     return (term0, term2, term3, term4)
 
 
-def ch1_bundle(omega: NsClass, x, y) -> KummerTwoClass:
+def ch1_bundle(line: XTwoClass) -> KummerTwoClass:
     """First Chern character of the transferred rank-4 bundle for the line
-    bundle with class pullback(mu(omega) + x*delta) + y*D:
+    bundle with class line = pullback(mu(omega) + x*delta) + y*D:
     2 * mu(pushed omega) + (2x + 2y - 1) * delta on the doubled model."""
-    big = doubled_model(omega.model)
-    x = _coef(x)
-    y = _coef(y)
+    big = doubled_model(line.model)
+    base = line.base
     # push of p*omegabar + q*gamma through the isogeny is p*omegabar + 2q*gamma
-    return two_class(big, 2 * omega.p, 4 * omega.q, 2 * x + 2 * y - 1)
+    return KummerTwoClass(big, 2 * base.p, 4 * base.q, 2 * base.x + 2 * line.t - 1)
 
 
-def ch1_bundle_via_pushforward(omega: NsClass, x, y) -> KummerTwoClass:
+def ch1_bundle_via_pushforward(line: XTwoClass) -> KummerTwoClass:
     """Same class computed as pushforward of the line-bundle class minus half
     the pushforward of the exceptional class."""
-    line = XTwoClass(KummerTwoClass(omega, x), y)
-    half_d = exceptional_class(omega.model).scale(Fraction(1, 2))
+    half_d = XTwoClass(KummerTwoClass(line.model, 0, 0, 0), Fraction(1, 2))
     return pushforward_correspondence(line) - pushforward_correspondence(half_d)
 
 
-def ch2_pairing(
-    omega: NsClass, x, y, alpha: KummerTwoClass, beta: KummerTwoClass
-) -> int | Fraction:
+def ch2_pairing(line: XTwoClass, alpha: KummerTwoClass, beta: KummerTwoClass) -> int | Fraction:
     """int ch2(bundle) . alpha . beta on the doubled model, computed entirely
     on X: expand ch2 through the pushforward of ch(line bundle) * td(X) and
     integrate against the pulled-back classes.
@@ -215,12 +210,11 @@ def ch2_pairing(
     is -4 * td2 = -(1/3) c2, i.e. -(C2_PAIR_COEFF/3) q(alpha, beta). All three
     terms are summed over the common denominator 12, in ints on integral classes.
     """
-    small = omega.model
+    small = line.model
     u = pullback_correspondence(alpha)
     v = pullback_correspondence(beta)
     if u.model != small or v.model != small:
-        raise ValueError("alpha, beta must live on the doubled model of omega")
-    line = XTwoClass(KummerTwoClass(omega, x), y)
+        raise ValueError("alpha, beta must live on the doubled model of the line class")
     d = exceptional_class(small)
     c2x = (
         C2_PAIR_COEFF * bbf(u.base, v.base)
@@ -239,50 +233,42 @@ def ch2_pairing(
     return _quotient(twelve_times, 12)
 
 
-def delta_pairing_mu_mu(x, y, gamma1: NsClass, gamma2: NsClass):
-    """Closed form int Delta(bundle) . mu(gamma1) . mu(gamma2)
-    = 18 * (4t^2 + 4t + 3) * gamma1.gamma2 with t = x - y."""
-    t = _coef(x) - _coef(y)
-    return 18 * (4 * t * t + 4 * t + 3) * gamma1.pair(gamma2)
-
-
-def delta_pairing_delta_delta(x, y) -> int | Fraction:
-    """Closed form int Delta(bundle) . delta^2 = -324 * (t^2 + t + 1)."""
-    t = _coef(x) - _coef(y)
+def delta_pairing_delta_delta(t) -> int | Fraction:
+    """Closed form int Delta(bundle) . delta^2 = -324 * (t^2 + t + 1) for
+    the twist t."""
+    t = _coef(t)
     return -324 * (t * t + t + 1)
 
 
-def delta_pairing_closed(x, y, alpha: KummerTwoClass, beta: KummerTwoClass) -> int | Fraction:
-    """Bilinear combination of the closed forms; the mu-delta cross terms
-    vanish."""
-    return delta_pairing_mu_mu(x, y, alpha.ns, beta.ns) + (
-        delta_pairing_delta_delta(x, y) * alpha.x * beta.x
+def delta_pairing_closed(t, alpha: KummerTwoClass, beta: KummerTwoClass) -> int | Fraction:
+    """Closed form int Delta(bundle) . alpha . beta for the twist t:
+    18 * (4t^2 + 4t + 3) * mu_pair(alpha, beta) plus the delta-delta closed
+    form times x_alpha * x_beta; the mu-delta cross terms vanish."""
+    t = _coef(t)
+    return 18 * (4 * t * t + 4 * t + 3) * mu_pair(alpha, beta) + (
+        delta_pairing_delta_delta(t) * alpha.x * beta.x
     )
 
 
 def delta_pairing_via_chern(
-    omega: NsClass, x, y, alpha: KummerTwoClass, beta: KummerTwoClass
+    line: XTwoClass, alpha: KummerTwoClass, beta: KummerTwoClass
 ) -> int | Fraction:
     """Independent recomputation of int Delta . alpha . beta through
     Delta = ch1^2 - 8 ch2 and the X calculus."""
-    c1 = ch1_bundle(omega, x, y)
-    return fujiki_integral(c1, c1, alpha, beta) - 8 * ch2_pairing(
-        omega, x, y, alpha, beta
-    )
+    c1 = ch1_bundle(line)
+    return fujiki_integral(c1, c1, alpha, beta) - 8 * ch2_pairing(line, alpha, beta)
 
 
-def is_modular_bundle(
-    x, y, model_big: AbelianSurfaceModel
-) -> tuple[bool, int | Fraction | None]:
+def is_modular_bundle(t, model_big: AbelianSurfaceModel) -> tuple[bool, int | Fraction | None]:
     """Whether Delta(bundle) on `model_big` is a rational multiple of the
     quadratic form, decided by `modularity_coefficient` on the closed forms
-    for every twist t = x - y (it comes out true exactly for t in {0, -1}).
+    for the twist t = x - y (it comes out true exactly for t in {0, -1}).
     A multiple must be C2_PAIR_COEFF, and Delta must then agree with c2 on
     the whole pairing basis, or ArithmeticError is raised. Returns the
     coefficient found, or None when there is none."""
 
     def delta(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
-        return delta_pairing_closed(x, y, a, b)
+        return delta_pairing_closed(t, a, b)
 
     coeff = modularity_coefficient(delta, model_big)
     if coeff is None:

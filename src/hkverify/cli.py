@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-from .abelian import IsogenyParams, digit_limit, is_simple_semihom, power_or_text
+from .abelian import IsogenyParams, is_simple_semihom, power_or_text
 from .blowup import is_modular_bundle
 from .chern import (
     a_invariant,
@@ -40,8 +40,8 @@ from .fiber import (
     only_zero_fixed,
     subsheaf_rank,
 )
-from .kummer import fujiki_integral, riemann_roch, riemann_roch_from_square, two_class
-from .lattice import AbelianSurfaceModel, _number_text
+from .kummer import KummerTwoClass, fujiki_integral, riemann_roch, riemann_roch_from_square
+from .lattice import AbelianSurfaceModel, _number_text, digit_limit
 from .report import ReportConfig, exit_code, run_report, to_json, to_markdown
 from .walls import enumerate_wall_numerics, generate_wall_cases, is_ample_h
 
@@ -196,7 +196,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_fujiki(args) -> int:
     model = _side_model(args.abar, args.d, args.side)
-    cs = [two_class(model, *coeffs) for coeffs in args.classes]
+    cs = [KummerTwoClass(model, *coeffs) for coeffs in args.classes]
     print(_number_text(fujiki_integral(*cs)))
     return 0
 
@@ -208,7 +208,7 @@ def _cmd_rr(args) -> int:
     if args.cls is None or args.abar is None or args.d is None:
         raise ValueError("rr needs either --q or --abar/--d/--cls")
     model = _side_model(args.abar, args.d, args.side)
-    print(_number_text(riemann_roch(two_class(model, *args.cls))))
+    print(_number_text(riemann_roch(KummerTwoClass(model, *args.cls))))
     return 0
 
 
@@ -229,7 +229,7 @@ def _cmd_ample(args) -> int:
 
 def _cmd_modularity(args) -> int:
     model = AbelianSurfaceModel(4 * args.abar, args.d)
-    modular, coeff = is_modular_bundle(args.x, args.y, model)
+    modular, coeff = is_modular_bundle(args.x - args.y, model)
     print(f"Modular (coefficient {coeff})" if modular else "NotModular")
     return 0
 

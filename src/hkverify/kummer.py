@@ -1,8 +1,10 @@
 """Degree-2 and degree-4 intersection theory on a generalized Kummer
 fourfold attached to a rank-2 surface model.
 
-The quadratic form on degree-2 classes is q(mu(ns) + x*delta) = ns.ns - 6x^2,
-and quadruple products integrate through the quartic form
+A degree-2 class is one KummerTwoClass(model, p, q, x), the class
+mu(z) + x*delta with z = p*omegabar + q*gamma. The quadratic form is
+q(mu(z) + x*delta) = z.z - 6x^2, with z.z the surface pairing `mu_pair`, and
+quadruple products integrate through the quartic form
 3 * (q12*q34 + q13*q24 + q14*q23). A degree-4 class paired with two degree-2
 classes is a plain symmetric bilinear function of KummerTwoClass pairs, such
 as `c2_pair`; `modularity_coefficient` finds the rational multiple of q that
@@ -35,86 +37,61 @@ C2_SQUARE_VALUE = 756
 
 
 @dataclass(frozen=True)
-class NsClass:
-    """Rational class p*omegabar + q*gamma in a surface model; p and q are
-    ints where integral (`_coef`)."""
+class KummerTwoClass:
+    """Degree-2 class mu(p*omegabar + q*gamma) + x*delta on the Kummer
+    fourfold of `model`; p, q and x are ints where integral (`_coef`)."""
 
     model: AbelianSurfaceModel
     p: int | Fraction
     q: int | Fraction
+    x: int | Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _coef(self.p))
         object.__setattr__(self, "q", _coef(self.q))
-
-    def pair(self, other: "NsClass") -> int | Fraction:
-        """self_omega*p*p' + mixed_d*(p*q' + q*p'), computed directly;
-        model.gram().pair is its oracle."""
-        m = self.model
-        if m is not other.model and m != other.model:
-            raise ValueError("classes live in different surface models")
-        return m.self_omega * self.p * other.p + m.mixed_d * (self.p * other.q + self.q * other.p)
-
-    def __add__(self, other: "NsClass") -> "NsClass":
-        if self.model != other.model:
-            raise ValueError("classes live in different surface models")
-        return NsClass(self.model, self.p + other.p, self.q + other.q)
-
-    def __neg__(self) -> "NsClass":
-        return NsClass(self.model, -self.p, -self.q)
-
-    def scale(self, k) -> "NsClass":
-        k = _coef(k)
-        return NsClass(self.model, k * self.p, k * self.q)
-
-
-@dataclass(frozen=True)
-class KummerTwoClass:
-    """Degree-2 class mu(ns) + x*delta on the Kummer fourfold of ns.model;
-    x is an int where integral (`_coef`)."""
-
-    ns: NsClass
-    x: int | Fraction
-
-    def __post_init__(self) -> None:
         object.__setattr__(self, "x", _coef(self.x))
 
-    @property
-    def model(self) -> AbelianSurfaceModel:
-        return self.ns.model
-
     def coeffs(self) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
-        return (self.ns.p, self.ns.q, self.x)
+        return (self.p, self.q, self.x)
 
     def __add__(self, other: "KummerTwoClass") -> "KummerTwoClass":
-        return KummerTwoClass(self.ns + other.ns, self.x + other.x)
+        if self.model != other.model:
+            raise ValueError("classes live in different surface models")
+        return KummerTwoClass(self.model, self.p + other.p, self.q + other.q, self.x + other.x)
 
     def __neg__(self) -> "KummerTwoClass":
-        return KummerTwoClass(-self.ns, -self.x)
+        return KummerTwoClass(self.model, -self.p, -self.q, -self.x)
 
     def __sub__(self, other: "KummerTwoClass") -> "KummerTwoClass":
         return self + (-other)
 
     def scale(self, k) -> "KummerTwoClass":
-        return KummerTwoClass(self.ns.scale(k), _coef(k) * self.x)
+        k = _coef(k)
+        return KummerTwoClass(self.model, k * self.p, k * self.q, k * self.x)
 
 
-def two_class(model: AbelianSurfaceModel, p, q, x) -> KummerTwoClass:
-    return KummerTwoClass(NsClass(model, p, q), x)
+def mu_pair(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
+    """The surface pairing of the mu-parts of a and b,
+    self_omega*p*p' + mixed_d*(p*q' + q*p'), computed directly;
+    model.gram().pair is its oracle."""
+    m = a.model
+    if m is not b.model and m != b.model:
+        raise ValueError("classes live in different surface models")
+    return m.self_omega * a.p * b.p + m.mixed_d * (a.p * b.q + a.q * b.p)
 
 
 def basis(model: AbelianSurfaceModel) -> tuple[KummerTwoClass, ...]:
     """The degree-2 model basis (mu(omegabar), mu(gamma), delta)."""
     return (
-        two_class(model, 1, 0, 0),
-        two_class(model, 0, 1, 0),
-        two_class(model, 0, 0, 1),
+        KummerTwoClass(model, 1, 0, 0),
+        KummerTwoClass(model, 0, 1, 0),
+        KummerTwoClass(model, 0, 0, 1),
     )
 
 
 def bbf(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
-    """The degree-2 quadratic form, polarized: ns.ns - 6 * x_a * x_b."""
-    return a.ns.pair(b.ns) + DELTA_SQUARE * a.x * b.x
+    """The degree-2 quadratic form, polarized: mu_pair(a, b) - 6 * x_a * x_b."""
+    return mu_pair(a, b) + DELTA_SQUARE * a.x * b.x
 
 
 def fujiki_integral(

@@ -3,7 +3,8 @@
 The package's one number contract lives here: coefficients go through
 `_coef` (an int where integral, a Fraction otherwise, never a float), every
 division through `_quotient`, every printed number through `_number_text`
-(in full, however long), and every public form returns what that exact
+(in full, however long), every literal is read within the interpreter's
+int-to-string limit `digit_limit`, and every public form returns what that exact
 arithmetic gives, an int on integral inputs and otherwise an int or a
 Fraction. Poly, the exact polynomial type, follows the same contract, and
 its evaluation `Poly.__call__` is the one input check of every polynomial
@@ -11,11 +12,12 @@ value in the package (the Chern numbers, `kummer.riemann_roch_from_square`).
 The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
 ambient lattice for all divisibility and moduli-case bookkeeping; its
-pairing is `kummer.NsClass.pair`, with `gram().pair` as the oracle.
+pairing is `kummer.mu_pair`, with `gram().pair` as the oracle.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -36,6 +38,12 @@ def _number_text(value: int | Fraction) -> str:
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{_number_text(value.numerator)}/{_number_text(value.denominator)}"
     return str(Decimal(int(value)))
+
+
+def digit_limit() -> int:
+    """The interpreter's int-to-string digit limit, or its default 4300 where
+    the limit is off (0) or the interpreter predates it."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _coef(value) -> int | Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .kummer import KummerTwoClass, two_class
+from .kummer import KummerTwoClass
 from .lattice import AbelianSurfaceModel, _number_text
 
 
@@ -125,7 +125,7 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
         if num % d == 0 and 4 * abar * p * p + 2 * p * (num // d) * d in squares:
             if abs(p) == 2:
                 raise ArithmeticError("ampleness search hit the box boundary")
-            witness = two_class(AbelianSurfaceModel(4 * abar, d), p, num // d, x)
+            witness = KummerTwoClass(AbelianSurfaceModel(4 * abar, d), p, num // d, x)
             break
     return AmplenessResult(
         verdict="ample" if witness is None else "not-ample",

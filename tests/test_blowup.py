@@ -19,7 +19,6 @@ from hkverify.blowup import (
     ch2_pairing,
     delta_pairing_closed,
     delta_pairing_delta_delta,
-    delta_pairing_mu_mu,
     delta_pairing_via_chern,
     doubled_model,
     exceptional_class,
@@ -31,11 +30,11 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.kummer import (
-    NsClass,
+    KummerTwoClass,
     basis,
     c2_pair,
     fujiki_integral,
-    two_class,
+    mu_pair,
 )
 from hkverify.lattice import AbelianSurfaceModel
 
@@ -46,13 +45,18 @@ ints = st.integers(min_value=-4, max_value=4)
 small_ints = st.integers(min_value=-3, max_value=3)
 
 
+def line(p, q, x, y):
+    """The line class pullback(mu(p*omegabar + q*gamma) + x*delta) + y*D."""
+    return XTwoClass(KummerTwoClass(SMALL, p, q, x), y)
+
+
 def big_classes():
-    return st.builds(lambda p, q, x: two_class(BIG, p, q, x), ints, ints, ints)
+    return st.builds(lambda p, q, x: KummerTwoClass(BIG, p, q, x), ints, ints, ints)
 
 
 def x_classes():
     return st.builds(
-        lambda p, q, x, t: XTwoClass(two_class(SMALL, p, q, x), t),
+        lambda p, q, x, t: XTwoClass(KummerTwoClass(SMALL, p, q, x), t),
         ints,
         ints,
         ints,
@@ -69,8 +73,8 @@ def test_vf_pair_values():
     # with two exceptional factors only the k = 2 rule is left:
     # int_X u.v.D.D = -vf(u, v)
     d = exceptional_class(SMALL)
-    delta_r = XTwoClass(two_class(SMALL, 0, 0, 1), 0)
-    omega_r = XTwoClass(two_class(SMALL, 1, 0, 0), 0)
+    delta_r = XTwoClass(KummerTwoClass(SMALL, 0, 0, 1), 0)
+    omega_r = XTwoClass(KummerTwoClass(SMALL, 1, 0, 0), 0)
     assert x_quartic(delta_r, delta_r, d, d) == 81
     assert x_quartic(omega_r, omega_r, d, d) == -36
     assert x_quartic(omega_r, delta_r, d, d) == 0
@@ -82,7 +86,7 @@ def test_exceptional_fourth_power():
 
 
 def test_mixed_exceptional_powers():
-    q = XTwoClass(two_class(SMALL, 0, 0, 1), 0)
+    q = XTwoClass(KummerTwoClass(SMALL, 0, 0, 1), 0)
     d = exceptional_class(SMALL)
     assert x_quartic(q, q, q, d) == 0
     assert x_quartic(q, q, d, d) == 81
@@ -116,7 +120,7 @@ def test_pullback_has_degree_four(c1, c2, c3, c4):
 
 
 def test_pullback_of_delta_fourth():
-    pb = pullback_correspondence(two_class(BIG, 0, 0, 1))
+    pb = pullback_correspondence(KummerTwoClass(BIG, 0, 0, 1))
     assert pb.base.coeffs() == (0, 0, 1)
     assert pb.t == 1
     assert x_quartic(pb, pb, pb, pb) == 1296
@@ -133,39 +137,37 @@ def test_pushforward_of_exceptional():
 
 
 def test_x_class_arithmetic():
-    u = XTwoClass(two_class(SMALL, 1, 2, 3), 4)
-    v = XTwoClass(two_class(SMALL, 0, -2, 1), -1)
+    u = XTwoClass(KummerTwoClass(SMALL, 1, 2, 3), 4)
+    v = XTwoClass(KummerTwoClass(SMALL, 0, -2, 1), -1)
     s = XTwoClass(u.base + v.base, u.t + v.t)
     assert s.base.coeffs() == (1, 0, 4)
     assert s.t == 3
-    assert u.scale(Fraction(1, 2)).t == 2
+    assert type(XTwoClass(u.base, Fraction(4, 2)).t) is int
 
 
 def test_ch1_values():
-    omega = NsClass(SMALL, 1, 0)
-    assert ch1_bundle(omega, 0, 0).coeffs() == (2, 0, -1)
-    assert ch1_bundle(NsClass(SMALL, 3, 0), 0, 0).coeffs() == (6, 0, -1)
-    assert ch1_bundle(omega, 1, 2).coeffs() == (2, 0, 5)
+    assert ch1_bundle(line(1, 0, 0, 0)).coeffs() == (2, 0, -1)
+    assert ch1_bundle(line(3, 0, 0, 0)).coeffs() == (6, 0, -1)
+    assert ch1_bundle(line(1, 0, 1, 2)).coeffs() == (2, 0, 5)
 
 
 @given(small_ints, small_ints, small_ints, small_ints)
 def test_ch1_two_paths_agree(p, q, x, y):
-    omega = NsClass(SMALL, p, q)
-    assert ch1_bundle(omega, x, y) == ch1_bundle_via_pushforward(omega, x, y)
+    assert ch1_bundle(line(p, q, x, y)) == ch1_bundle_via_pushforward(line(p, q, x, y))
 
 
 def test_ch2_delta_closed_form():
     # against two pulled-back delta classes the pairing is
     # (81/2)(5x^2 + 6xy + 5y^2 - 3x - 5y + 2) - 18 * omega^2
-    omega = NsClass(SMALL, 1, 0)
-    delta = two_class(BIG, 0, 0, 1)
+    delta = KummerTwoClass(BIG, 0, 0, 1)
     for x, y in [(0, 0), (1, 0), (0, 1), (2, -1), (-1, 3)]:
+        omega = line(1, 0, x, y).base
         expected = (
             Fraction(81, 2)
             * (5 * x * x + 6 * x * y + 5 * y * y - 3 * x - 5 * y + 2)
-            - 18 * omega.pair(omega)
+            - 18 * mu_pair(omega, omega)
         )
-        assert ch2_pairing(omega, x, y, delta, delta) == expected
+        assert ch2_pairing(line(1, 0, x, y), delta, delta) == expected
 
 
 @given(small_ints, small_ints, small_ints, small_ints)
@@ -173,48 +175,43 @@ def test_discriminant_delta_delta_independent_of_omega(p, x, y, d_idx):
     # the omega^2 contributions cancel in ch1^2 - 8 ch2
     if p == 0:
         p = 1
-    omega = NsClass(SMALL, p, d_idx)
-    delta = two_class(BIG, 0, 0, 1)
-    got = delta_pairing_via_chern(omega, x, y, delta, delta)
-    assert got == delta_pairing_delta_delta(x, y)
+    delta = KummerTwoClass(BIG, 0, 0, 1)
+    got = delta_pairing_via_chern(line(p, d_idx, x, y), delta, delta)
+    assert got == delta_pairing_delta_delta(x - y)
 
 
 @given(small_ints, small_ints, big_classes(), big_classes())
 def test_discriminant_pairing_two_paths_agree(x, y, alpha, beta):
-    omega = NsClass(SMALL, 1, 0)
-    got = delta_pairing_via_chern(omega, x, y, alpha, beta)
-    assert got == delta_pairing_closed(x, y, alpha, beta)
+    got = delta_pairing_via_chern(line(1, 0, x, y), alpha, beta)
+    assert got == delta_pairing_closed(x - y, alpha, beta)
 
 
 def test_discriminant_closed_form_values():
-    gamma = NsClass(BIG, 0, 1)  # isotropic
-    omega = NsClass(BIG, 1, 0)
+    omega, gamma, delta = basis(BIG)  # gamma is isotropic
     # t = 0: coefficient 18 * 3
-    assert delta_pairing_mu_mu(0, 0, omega, omega) == 54 * 4
+    assert delta_pairing_closed(0, omega, omega) == 54 * 4
     # gamma vs omega picks up the mixed pairing 5
-    assert delta_pairing_mu_mu(0, 0, gamma, omega) == 54 * 5
+    assert delta_pairing_closed(0, gamma, omega) == 54 * 5
     # t = -2: coefficient 18 * (16 - 8 + 3) = 198
-    assert delta_pairing_mu_mu(-2, 0, omega, omega) == 198 * 4
+    assert delta_pairing_closed(-2, omega, omega) == 198 * 4
     # the mu-delta cross term, recomputed through ch1^2 - 8 ch2, vanishes
-    mu_o, _, delta = basis(BIG)
-    assert delta_pairing_via_chern(NsClass(SMALL, 1, 0), 1, 5, mu_o, delta) == 0
-    assert delta_pairing_delta_delta(0, 0) == -324
-    assert delta_pairing_delta_delta(-1, 0) == -324
-    assert delta_pairing_delta_delta(1, 0) == -972
+    assert delta_pairing_via_chern(line(1, 0, 1, 5), omega, delta) == 0
+    assert delta_pairing_delta_delta(0) == -324
+    assert delta_pairing_delta_delta(-1) == -324
+    assert delta_pairing_delta_delta(1) == -972
 
 
 def test_modularity_window():
-    assert is_modular_bundle(0, 0, BIG) == (True, 54)
-    assert is_modular_bundle(0, 1, BIG) == (True, 54)
-    assert is_modular_bundle(3, 3, BIG) == (True, 54)
-    assert is_modular_bundle(0, 2, BIG) == (False, None)
-    assert is_modular_bundle(5, 1, BIG) == (False, None)
+    assert is_modular_bundle(0, BIG) == (True, 54)
+    assert is_modular_bundle(-1, BIG) == (True, 54)
+    assert is_modular_bundle(-2, BIG) == (False, None)
+    assert is_modular_bundle(4, BIG) == (False, None)
 
 
 @given(st.integers(min_value=-10, max_value=10), st.integers(min_value=-10, max_value=10))
 def test_modularity_iff_t_in_window(x, y):
     t = x - y
-    modular, coeff = is_modular_bundle(x, y, BIG)
+    modular, coeff = is_modular_bundle(t, BIG)
     assert modular == (t in (0, -1))
     assert coeff == (54 if modular else None)
 
@@ -222,8 +219,8 @@ def test_modularity_iff_t_in_window(x, y):
 def test_modular_discriminant_matches_c2_on_basis():
     for model in (BIG, AbelianSurfaceModel(4, 3), AbelianSurfaceModel(8, 7)):
         es = basis(model)
-        for a, b in product(es, es):
-            assert delta_pairing_closed(2, 2, a, b) == c2_pair(a, b)  # t = 0
+        for a, b, t in product(es, es, (0, -1)):
+            assert delta_pairing_closed(t, a, b) == c2_pair(a, b)
 
 
 # The facts the report's basis certificates rely on: x_quartic composed with
@@ -234,19 +231,19 @@ rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integ
 
 
 def rational_big_classes():
-    return st.builds(lambda p, q, x: two_class(BIG, p, q, x), rationals, rationals, rationals)
+    return st.builds(lambda p, q, x: KummerTwoClass(BIG, p, q, x), rationals, rationals, rationals)
 
 
 def x_classes_with_zero_bases():
     return st.one_of(
         st.builds(
-            lambda p, q, x, t: XTwoClass(two_class(SMALL, p, q, x), t),
+            lambda p, q, x, t: XTwoClass(KummerTwoClass(SMALL, p, q, x), t),
             rationals,
             rationals,
             rationals,
             rationals,
         ),
-        st.builds(lambda t: XTwoClass(two_class(SMALL, 0, 0, 0), t), rationals),
+        st.builds(lambda t: XTwoClass(KummerTwoClass(SMALL, 0, 0, 0), t), rationals),
     )
 
 
@@ -275,10 +272,8 @@ def test_pulled_back_quartic_is_linear_in_first_argument(a, b, c2, c3, c4, k):
     rationals,
 )
 def test_delta_pairing_via_chern_is_bilinear(x, y, a, b, c, k):
-    omega = NsClass(SMALL, 1, 0)
-
     def pairing(alpha, beta):
-        return delta_pairing_via_chern(omega, x, y, alpha, beta)
+        return delta_pairing_via_chern(line(1, 0, x, y), alpha, beta)
 
     assert pairing(a + b, c) == pairing(a, c) + pairing(b, c)
     assert pairing(c, a + b) == pairing(c, a) + pairing(c, b)
@@ -289,11 +284,10 @@ def test_delta_pairing_via_chern_is_bilinear(x, y, a, b, c, k):
 @given(rationals, rationals, rationals, rational_big_classes(), rational_big_classes())
 def test_delta_pairing_via_chern_has_degree_two_in_x_and_y(x, y, h, alpha, beta):
     # the third finite difference of a polynomial of degree <= 2 vanishes
-    omega = NsClass(SMALL, 1, 0)
     signs = enumerate((1, -3, 3, -1))
     steps = [(i * h, s) for i, s in signs]
-    in_x = sum(s * delta_pairing_via_chern(omega, x + u, y, alpha, beta) for u, s in steps)
-    in_y = sum(s * delta_pairing_via_chern(omega, x, y + u, alpha, beta) for u, s in steps)
+    in_x = sum(s * delta_pairing_via_chern(line(1, 0, x + u, y), alpha, beta) for u, s in steps)
+    in_y = sum(s * delta_pairing_via_chern(line(1, 0, x, y + u), alpha, beta) for u, s in steps)
     assert in_x == 0
     assert in_y == 0
 
@@ -307,8 +301,8 @@ def _x_quartic_unskipped(cs):
         rules = {
             0: lambda: fujiki_integral(*bases),
             1: lambda: 0,
-            # -vf, with vf = 18 * (ns pairing) - 81 * (delta coefficients product)
-            2: lambda: 81 * Fraction(bases[0].x) * bases[1].x - 18 * bases[0].ns.pair(bases[1].ns),
+            # -vf, with vf = 18 * (mu pairing) - 81 * (delta coefficients product)
+            2: lambda: 81 * Fraction(bases[0].x) * bases[1].x - 18 * mu_pair(bases[0], bases[1]),
             3: lambda: 81 * bases[0].x,
             4: lambda: 162,
         }

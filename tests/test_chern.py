@@ -168,8 +168,6 @@ def test_polynomial_identities_all_hold():
     results = polynomial_identities()
     assert results == {
         "chi-end-constant-3": True,
-        "chi-end-traceless-0": True,
-        "hirzebruch-combination-18": True,
         "ch2-squared-paths-agree": True,
         "chi-paths-agree": True,
         "ch4-paths-agree": True,

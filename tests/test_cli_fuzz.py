@@ -162,6 +162,9 @@ def test_negative_values_parse_as_values(command, classes, x, y):
         (["rr", "--q", "-1/2"], "63/32\n"),
         (["modularity", "--x", "-1/2", "--y", "0"], "NotModular\n"),
         (["modularity", "--x", "-1", "--y", "0"], "Modular (coefficient 54)\n"),
+        # the twist is x - y: -1 is modular, +1 is not
+        (["modularity", "--x", "1/2", "--y", "3/2"], "Modular (coefficient 54)\n"),
+        (["modularity", "--x", "3/2", "--y", "1/2"], "NotModular\n"),
     ],
 )
 def test_negative_values_from_the_command_line(argv, out):

@@ -27,12 +27,11 @@ from hkverify.blowup import (
 from hkverify.chern import Poly
 from hkverify.kummer import (
     KummerTwoClass,
-    NsClass,
     bbf,
     c2_pair,
     fujiki_integral,
     fujiki_symmetrized,
-    two_class,
+    mu_pair,
 )
 from hkverify.lattice import AbelianSurfaceModel, _coef
 from hkverify.report import CLAIMS, ReportConfig, Skipped, Sweep
@@ -46,12 +45,12 @@ rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
 def big_classes():
-    return st.builds(lambda p, q, x: two_class(BIG, p, q, x), rationals, rationals, rationals)
+    return st.builds(lambda p, q, x: KummerTwoClass(BIG, p, q, x), rationals, rationals, rationals)
 
 
 def x_classes():
     return st.builds(
-        lambda p, q, x, t: XTwoClass(two_class(SMALL, p, q, x), t),
+        lambda p, q, x, t: XTwoClass(KummerTwoClass(SMALL, p, q, x), t),
         rationals,
         rationals,
         rationals,
@@ -91,21 +90,21 @@ def test_coefficients_are_ints_where_integral():
     assert _coef(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         _coef(0.5)
-    c = XTwoClass(two_class(SMALL, Fraction(4, 2), 3, Fraction(-1, 3)), Fraction(5))
+    c = XTwoClass(KummerTwoClass(SMALL, Fraction(4, 2), 3, Fraction(-1, 3)), Fraction(5))
     assert [type(v) for v in (*c.base.coeffs(), c.t)] == [int, int, Fraction, int]
 
 
 # The plain-Fraction formulas, written out with no int path.
 
 
-def _ns_pair(a: NsClass, b: NsClass) -> Fraction:
+def _mu_pair(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
     w, d = Fraction(a.model.self_omega), Fraction(a.model.mixed_d)
     p, q, p2, q2 = map(Fraction, (a.p, a.q, b.p, b.q))
     return w * p * p2 + d * (p * q2 + q * p2)
 
 
 def _bbf(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
-    return _ns_pair(a.ns, b.ns) - 6 * Fraction(a.x) * Fraction(b.x)
+    return _mu_pair(a, b) - 6 * Fraction(a.x) * Fraction(b.x)
 
 
 def _fujiki(b1, b2, b3, b4) -> Fraction:
@@ -114,7 +113,7 @@ def _fujiki(b1, b2, b3, b4) -> Fraction:
 
 
 def _vf(a: KummerTwoClass, b: KummerTwoClass) -> Fraction:
-    return 18 * _ns_pair(a.ns, b.ns) - 81 * Fraction(a.x) * Fraction(b.x)
+    return 18 * _mu_pair(a, b) - 81 * Fraction(a.x) * Fraction(b.x)
 
 
 def _x_quartic(cs) -> Fraction:
@@ -135,13 +134,12 @@ def _x_quartic(cs) -> Fraction:
 
 def _pullback(c: KummerTwoClass) -> XTwoClass:
     x = Fraction(c.x)
-    return XTwoClass(two_class(SMALL, 2 * Fraction(c.ns.p), Fraction(c.ns.q), x), x)
+    return XTwoClass(KummerTwoClass(SMALL, 2 * Fraction(c.p), Fraction(c.q), x), x)
 
 
-def _ch2_pairing(omega, x, y, alpha, beta) -> Fraction:
+def _ch2_pairing(line, alpha, beta) -> Fraction:
     u, v = _pullback(alpha), _pullback(beta)
-    line = XTwoClass(KummerTwoClass(omega, x), y)
-    d = XTwoClass(two_class(SMALL, 0, 0, 0), Fraction(1))
+    d = XTwoClass(KummerTwoClass(SMALL, 0, 0, 0), Fraction(1))
     tt = Fraction(u.t) * Fraction(v.t)
     c2x = 54 * _bbf(u.base, v.base) - 243 * tt + _vf(u.base, v.base) - 81 * tt
     return (
@@ -173,21 +171,21 @@ def test_x_quartic_matches_the_fraction_formula(c1, c2, c3, c4):
 
 @given(rationals, rationals, rationals, rationals, big_classes(), big_classes())
 def test_ch2_pairing_matches_the_fraction_formula(p, q, x, y, alpha, beta):
-    omega = NsClass(SMALL, p, q)
-    _exactly(ch2_pairing(omega, x, y, alpha, beta), _ch2_pairing(omega, x, y, alpha, beta))
+    line = XTwoClass(KummerTwoClass(SMALL, p, q, x), y)
+    _exactly(ch2_pairing(line, alpha, beta), _ch2_pairing(line, alpha, beta))
 
 
 def test_integral_inputs_give_ints():
-    e = two_class(BIG, 0, 0, 1)
+    e = KummerTwoClass(BIG, 0, 0, 1)
     assert type(bbf(e, e)) is int
     assert type(fujiki_integral(e, e, e, e)) is int
     assert type(c2_pair(e, e)) is int
-    d = XTwoClass(two_class(SMALL, 0, 0, 0), 1)
+    d = XTwoClass(KummerTwoClass(SMALL, 0, 0, 0), 1)
     assert type(x_quartic(d, d, d, d)) is int
-    omega = NsClass(SMALL, 1, 0)
-    assert type(omega.pair(omega)) is int
+    line = XTwoClass(KummerTwoClass(SMALL, 1, 0, 0), 0)
+    assert type(mu_pair(line.base, line.base)) is int
     # these two divide, by 12 and by 8
-    assert type(ch2_pairing(omega, 0, 0, e, e)) in (int, Fraction)
+    assert type(ch2_pairing(line, e, e)) in (int, Fraction)
     assert type(fujiki_symmetrized(e, e, e, e)) in (int, Fraction)
 
 
@@ -203,7 +201,7 @@ points = st.tuples(rationals, rationals, rationals, rationals)
 def test_ch1_paths_are_affine(path, a, b, lam):
     def coeffs(point):
         p, q, x, y = point
-        return path(NsClass(SMALL, p, q), x, y).coeffs()
+        return path(XTwoClass(KummerTwoClass(SMALL, p, q, x), y)).coeffs()
 
     mixed = tuple(lam * u + (1 - lam) * v for u, v in zip(a, b))
     expected = tuple(lam * u + (1 - lam) * v for u, v in zip(coeffs(a), coeffs(b)))

@@ -14,7 +14,6 @@ from hkverify.kummer import (
     C2_SQUARE_VALUE,
     DELTA_SQUARE,
     KummerTwoClass,
-    NsClass,
     basis,
     bbf,
     c2_pair,
@@ -22,9 +21,9 @@ from hkverify.kummer import (
     fujiki_integral,
     fujiki_symmetrized,
     modularity_coefficient,
+    mu_pair,
     riemann_roch,
     riemann_roch_from_square,
-    two_class,
 )
 from hkverify.lattice import AbelianSurfaceModel
 
@@ -35,7 +34,7 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 def classes(model=MODEL):
-    return st.builds(lambda p, q, x: two_class(model, p, q, x), coeffs, coeffs, coeffs)
+    return st.builds(lambda p, q, x: KummerTwoClass(model, p, q, x), coeffs, coeffs, coeffs)
 
 
 def test_bbf_on_basis():
@@ -49,13 +48,13 @@ def test_bbf_on_basis():
 
 
 def test_bbf_polarization_square():
-    h = two_class(MODEL, 2, 0, -1)
+    h = KummerTwoClass(MODEL, 2, 0, -1)
     assert bbf(h, h) == 10
 
 
 def test_class_arithmetic():
-    a = two_class(MODEL, 1, 2, 3)
-    b = two_class(MODEL, -1, 0, 4)
+    a = KummerTwoClass(MODEL, 1, 2, 3)
+    b = KummerTwoClass(MODEL, -1, 0, 4)
     assert (a + b).coeffs() == (0, 2, 7)
     assert (a - b).coeffs() == (2, 2, -1)
     assert a.scale(Fraction(1, 2)).coeffs() == (Fraction(1, 2), 1, Fraction(3, 2))
@@ -66,39 +65,46 @@ def test_class_arithmetic():
     st.integers(min_value=1, max_value=9),
     st.tuples(rationals, rationals),
     st.tuples(rationals, rationals),
+    rationals,
+    rationals,
 )
-def test_ns_pair_matches_gram_oracle(half_w, d, u, v):
+def test_ns_pair_matches_gram_oracle(half_w, d, u, v, x, y):
+    # mu_pair pairs the surface parts (p, q) and ignores the delta parts
     model = AbelianSurfaceModel(2 * half_w, d)
-    value = NsClass(model, *u).pair(NsClass(model, *v))
+    value = mu_pair(KummerTwoClass(model, *u, x), KummerTwoClass(model, *v, y))
     assert type(value) in (int, Fraction)
     assert value == model.gram().pair(u, v)
 
 
 def test_ns_pair_input_errors():
-    omega, gamma = NsClass(MODEL, 1, 0), NsClass(MODEL, 0, 1)
-    assert omega.pair(gamma) == 5 and type(omega.pair(gamma)) is int
+    omega, gamma, _ = basis(MODEL)
+    assert mu_pair(omega, gamma) == 5 and type(mu_pair(omega, gamma)) is int
+    with pytest.raises(ValueError):
+        mu_pair(omega, KummerTwoClass(AbelianSurfaceModel(2, 5), 0, 1, 0))
     with pytest.raises(TypeError):
-        NsClass(MODEL, 1.0, 0)
+        KummerTwoClass(MODEL, 1.0, 0, 0)
     with pytest.raises(TypeError):
-        NsClass(MODEL, 0, 0.5)
+        KummerTwoClass(MODEL, 0, 0.5, 0)
+    with pytest.raises(TypeError):
+        KummerTwoClass(MODEL, 0, 0, 0.5)
 
 
 def test_mixed_models_rejected():
     other = AbelianSurfaceModel(2, 5)
     with pytest.raises(ValueError):
-        bbf(two_class(MODEL, 1, 0, 0), two_class(other, 1, 0, 0))
+        bbf(KummerTwoClass(MODEL, 1, 0, 0), KummerTwoClass(other, 1, 0, 0))
     with pytest.raises(ValueError):
-        two_class(MODEL, 1, 0, 0) + two_class(other, 1, 0, 0)
+        KummerTwoClass(MODEL, 1, 0, 0) + KummerTwoClass(other, 1, 0, 0)
 
 
 def test_delta_fourth_power():
-    delta = two_class(MODEL, 0, 0, 1)
+    delta = KummerTwoClass(MODEL, 0, 0, 1)
     assert fujiki_integral(delta, delta, delta, delta) == 324
 
 
 def test_fujiki_square_of_square():
     # for a single class all three matchings coincide: integral = 9*q(z)^2
-    z = two_class(MODEL, 2, -1, 3)
+    z = KummerTwoClass(MODEL, 2, -1, 3)
     q = bbf(z, z)
     assert fujiki_integral(z, z, z, z) == 9 * q * q
 
@@ -136,7 +142,7 @@ def test_fujiki_multilinear(b1, b2, b3, b4, b5):
 
 
 def test_c2_values():
-    delta = two_class(MODEL, 0, 0, 1)
+    delta = KummerTwoClass(MODEL, 0, 0, 1)
     assert c2_pair(delta, delta) == -324
     assert C2_PAIR_COEFF == 54
     assert c2_square() == C2_SQUARE_VALUE == 756
@@ -156,15 +162,15 @@ def test_riemann_roch_from_square_rejects_floats():
 
 def test_riemann_roch_on_classes():
     small = AbelianSurfaceModel(2, 5)
-    assert riemann_roch(two_class(small, 1, 0, 0)) == 9
-    assert riemann_roch(two_class(MODEL, 2, 0, -1)) == 63
-    assert riemann_roch(two_class(MODEL, 0, 0, 1)) == 3
+    assert riemann_roch(KummerTwoClass(small, 1, 0, 0)) == 9
+    assert riemann_roch(KummerTwoClass(MODEL, 2, 0, -1)) == 63
+    assert riemann_roch(KummerTwoClass(MODEL, 0, 0, 1)) == 3
 
 
 def test_riemann_roch_rejects_non_even_square():
     # q of this class is 4*(1/2)^2 = 1, odd
     with pytest.raises(ValueError):
-        riemann_roch(two_class(MODEL, Fraction(1, 2), 0, 0))
+        riemann_roch(KummerTwoClass(MODEL, Fraction(1, 2), 0, 0))
 
 
 @given(st.integers(min_value=-6, max_value=20))
@@ -179,8 +185,19 @@ def test_modularity_coefficient_of_c2():
 
 def test_modularity_coefficient_rejects_generic_square():
     # alpha, beta -> int mu(omegabar)^2 . alpha . beta
-    mu_o = two_class(MODEL, 1, 0, 0)
+    mu_o = KummerTwoClass(MODEL, 1, 0, 0)
     assert modularity_coefficient(lambda a, b: fujiki_integral(mu_o, mu_o, a, b), MODEL) is None
+
+
+def test_modularity_coefficient_probes_pairwise_sums():
+    # symmetric and bilinear, and 54 * q on every basis square; only the
+    # mu(omegabar) + delta probe sees the cross term, so a probe set of the
+    # basis alone would return 54
+    def form(a, b):
+        return c2_pair(a, b) + a.p * b.x + a.x * b.p
+
+    assert all(form(e, e) == 54 * bbf(e, e) for e in basis(MODEL))
+    assert modularity_coefficient(form, MODEL) is None
 
 
 def test_modularity_coefficient_accepts_scaled_c2():

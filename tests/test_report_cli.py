@@ -15,9 +15,9 @@ import pytest
 
 import hkverify
 import hkverify.blowup
+import hkverify.chern
 import hkverify.fiber
 import hkverify.report
-from hkverify.abelian import digit_limit
 from hkverify.cli import _CHERN_TABLE, main
 from hkverify.fiber import (
     SubsheafProfile,
@@ -28,13 +28,14 @@ from hkverify.fiber import (
 )
 from hkverify.kummer import (
     C2_PAIR_COEFF,
+    KummerTwoClass,
     bbf,
     fujiki_integral,
+    mu_pair,
     riemann_roch,
     riemann_roch_from_square,
-    two_class,
 )
-from hkverify.lattice import AbelianSurfaceModel
+from hkverify.lattice import AbelianSurfaceModel, digit_limit
 from hkverify.walls import ample_thresholds
 from hkverify.report import (
     CLAIMS,
@@ -137,9 +138,11 @@ def _symmetrized_missing_one_ordering(*bs):
     return Fraction(3, 8) * sum(bbf(bs[a], bs[b]) * bbf(bs[c], bs[d]) for a, b, c, d in orderings)
 
 
-def _mu_mu_with_wrong_linear_term(x, y, gamma1, gamma2):
-    t = Fraction(x) - Fraction(y)
-    return 18 * (4 * t * t + 5 * t + 3) * gamma1.pair(gamma2)
+def _closed_with_wrong_linear_term(t, alpha, beta):
+    # 4t -> 5t in the mu-mu coefficient 18 * (4t^2 + 4t + 3)
+    t = Fraction(t)
+    mu_mu = 18 * (4 * t * t + 5 * t + 3) * mu_pair(alpha, beta)
+    return mu_mu + hkverify.blowup.delta_pairing_delta_delta(t) * alpha.x * beta.x
 
 
 def _x_quartic_with_extra_term(c1, c2, c3, c4):
@@ -147,19 +150,19 @@ def _x_quartic_with_extra_term(c1, c2, c3, c4):
     return true + c1.t * c2.t * c3.t * c4.base.x
 
 
-def _ch1_with_constant_plus_one(omega, x, y):
+def _ch1_with_constant_plus_one(line):
     # the constant -1 of the delta coefficient 2x + 2y - 1 turned into +1
-    true = hkverify.blowup.ch1_bundle(omega, x, y)
-    return true + two_class(true.model, 0, 0, 2)
+    true = hkverify.blowup.ch1_bundle(line)
+    return true + KummerTwoClass(true.model, 0, 0, 2)
 
 
-def _ch1_with_wrong_gamma_coefficient(omega, x, y):
+def _ch1_with_wrong_gamma_coefficient(line):
     # 4q -> 3q in the gamma coefficient: wrong only where q != 0
-    true = hkverify.blowup.ch1_bundle(omega, x, y)
-    return true - two_class(true.model, 0, omega.q, 0)
+    true = hkverify.blowup.ch1_bundle(line)
+    return true - KummerTwoClass(true.model, 0, line.base.q, 0)
 
 
-def _delta_closed_as_c2(x, y, alpha, beta):
+def _delta_closed_as_c2(t, alpha, beta):
     # Delta proportional to q for every twist, not just t in {0, -1}
     return C2_PAIR_COEFF * bbf(alpha, beta)
 
@@ -167,10 +170,13 @@ def _delta_closed_as_c2(x, y, alpha, beta):
 _ch2_pairing = hkverify.blowup.ch2_pairing
 
 
-def _ch2_with_mu_delta_cross_term(omega, x, y, alpha, beta):
+def _ch2_with_mu_delta_cross_term(line, alpha, beta):
     # ch2 gains the symmetric mu(omegabar).delta cross term, so Delta does too
-    true = _ch2_pairing(omega, x, y, alpha, beta)
-    return true + alpha.ns.p * beta.x + alpha.x * beta.ns.p
+    true = _ch2_pairing(line, alpha, beta)
+    return true + alpha.p * beta.x + alpha.x * beta.p
+
+
+_CHI_END_PARTS = hkverify.chern.chi_end_decomposition
 
 
 @pytest.mark.parametrize(
@@ -184,9 +190,9 @@ def _ch2_with_mu_delta_cross_term(omega, x, y, alpha, beta):
             "16 failures / 81 cases",
         ),
         (
-            hkverify.blowup,
-            "delta_pairing_mu_mu",
-            _mu_mu_with_wrong_linear_term,
+            hkverify.report,
+            "delta_pairing_closed",
+            _closed_with_wrong_linear_term,
             "delta-pairing-two-paths",
             "18 failures / 81 cases",
         ),
@@ -225,6 +231,20 @@ def _ch2_with_mu_delta_cross_term(omega, x, y, alpha, beta):
             "delta-pairing-cross-zero",
             "(-8, -8)",
         ),
+        (
+            hkverify.report,
+            "chi_end_traceless",
+            hkverify.chern.chi_end_traceless + 1,
+            "chern-chi-end-sweep",
+            "50 failures / 50 cases",
+        ),
+        (
+            hkverify.report,
+            "chi_end_decomposition",
+            (*_CHI_END_PARTS[:2], _CHI_END_PARTS[2] + 1),
+            "chern-chi-end-decomposition",
+            "(48, -63, 19)",
+        ),
     ],
     ids=[
         "symmetrized-oracle",
@@ -234,6 +254,8 @@ def _ch2_with_mu_delta_cross_term(omega, x, y, alpha, beta):
         "ch1-gamma",
         "modularity-window",
         "cross-zero",
+        "chi-end-traceless",
+        "chi-end-third-summand",
     ],
 )
 def test_basis_certificates_catch_wrong_formulas(
@@ -592,7 +614,7 @@ def _long_cases(k: int) -> dict:
 
     def fujiki():
         model = AbelianSurfaceModel(4, 3)
-        return [fujiki_integral(*(two_class(model, *map(int, c.split(","))) for c in classes))]
+        return [fujiki_integral(*(KummerTwoClass(model, *map(int, c.split(","))) for c in classes))]
 
     def fiber():
         deg_v, deg_delta = fiber_degrees(1, n)
@@ -606,7 +628,7 @@ def _long_cases(k: int) -> dict:
         "rr-q": (["rr", "--q", digits], lambda: [riemann_roch_from_square(n)]),
         "rr-cls": (
             ["rr", "--abar", digits, "--d", "3", "--cls", "1,0,0"],
-            lambda: [riemann_roch(two_class(AbelianSurfaceModel(4 * n, 3), 1, 0, 0))],
+            lambda: [riemann_roch(KummerTwoClass(AbelianSurfaceModel(4 * n, 3), 1, 0, 0))],
         ),
         "fiber-degrees": (["fiber", "--m", "1", "--d", digits], fiber),
         "fiber-profile": (
@@ -648,7 +670,7 @@ def test_cli_prints_answers_longer_than_the_digit_limit(capsys, command):
 def test_cli_names_a_long_square_that_is_not_even(capsys):
     # the domain error spells q(c1) in full, not the int-to-string error
     assert main(["rr", "--abar", "8" * LIMIT, "--d", "3", "--cls", "1/3,0,0"]) == 1
-    c1 = two_class(AbelianSurfaceModel(4 * int("8" * LIMIT), 3), Fraction(1, 3), 0, 0)
+    c1 = KummerTwoClass(AbelianSurfaceModel(4 * int("8" * LIMIT), 3), Fraction(1, 3), 0, 0)
     expected = f"error: q(c1) = {_long_str(bbf(c1, c1))} is not an even integer\n"
     assert capsys.readouterr().err == expected
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hkverify.kummer import two_class
+from hkverify.kummer import KummerTwoClass
 from hkverify.lattice import AbelianSurfaceModel
 from hkverify.walls import (
     MODULI_VECTOR,
@@ -127,7 +127,7 @@ def _is_ample_h_reference(abar, d, m):
         p0, q0 = got
         if 4 * abar * p0 * p0 + 2 * p0 * q0 * d == -6:
             assert abs(p0) < 2
-            witness = two_class(model, p0, q0, 0)
+            witness = KummerTwoClass(model, p0, q0, 0)
             break
     if witness is None:
         for c in (1, 2, 3):
@@ -140,7 +140,7 @@ def _is_ample_h_reference(abar, d, m):
                 p0, q0 = got
                 if 4 * abar * p0 * p0 + 2 * p0 * q0 * d in (0, 2):
                     assert abs(p0) < 2
-                    witness = two_class(model, p0, q0, -1)
+                    witness = KummerTwoClass(model, p0, q0, -1)
                     break
             if witness is not None:
                 break
