@@ -11,28 +11,27 @@ normalization, which is also what squares to the kernel order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, gcd, log10
 
 from .lattice import AbelianSurfaceModel, digit_limit
 
 
-@dataclass(frozen=True)
 class IsogenyParams:
     """deg_f: degree of the base isogeny factor; n: dimension parameter;
     d0: principal part of the polarization type."""
 
-    deg_f: int
-    n: int
-    d0: int
+    __slots__ = ("deg_f", "n", "d0")
 
-    def __post_init__(self) -> None:
-        if self.deg_f < 1:
+    def __init__(self, deg_f: int, n: int, d0: int) -> None:
+        if deg_f < 1:
             raise ValueError("deg_f must be a positive integer")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        if self.d0 < 1:
+        if d0 < 1:
             raise ValueError("d0 must be a positive integer")
+        self.deg_f = deg_f
+        self.n = n
+        self.d0 = d0
 
 
 def kernel_order(params: IsogenyParams, modulus: int | None = None) -> int:
@@ -132,20 +131,20 @@ def zeppola_oracle(n: int, d0: int) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
 class JHShape:
     """Numeric shape (r0, b0, m) of a Jordan-Holder factor stack: the factor
     has rank r0 and slope data b0 coprime to r0, repeated m times."""
 
-    r0: int
-    b0: int
-    m: int
+    __slots__ = ("r0", "b0", "m")
 
-    def __post_init__(self) -> None:
-        if gcd(self.r0, self.b0) != 1:
+    def __init__(self, r0: int, b0: int, m: int) -> None:
+        if gcd(r0, b0) != 1:
             raise ValueError("r0 and b0 must be coprime")
-        if self.m < 1 or self.r0 < 1:
+        if m < 1 or r0 < 1:
             raise ValueError("r0 and m must be positive")
+        self.r0 = r0
+        self.b0 = b0
+        self.m = m
 
 
 def jh_decompositions(r: int, a: int, e: int) -> tuple[JHShape, ...]:
@@ -189,10 +188,12 @@ def forced_stable_via_jh(s0: int, c0: int, e: int) -> bool:
     return all(shape.m == 1 for shape in jh_decompositions(s0 * s0, s0 * c0, e))
 
 
-@dataclass(frozen=True)
 class SaturatedModel:
-    model: AbelianSurfaceModel
-    elementary_divisors: tuple[int, int]
+    __slots__ = ("model", "elementary_divisors")
+
+    def __init__(self, model: AbelianSurfaceModel, elementary_divisors: tuple[int, int]) -> None:
+        self.model = model
+        self.elementary_divisors = elementary_divisors
 
 
 def satollo_transfer(abar: int, d: int) -> SaturatedModel:

@@ -38,7 +38,6 @@ classes and otherwise an int or a Fraction, never a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -55,14 +54,16 @@ from .kummer import (
 from .lattice import AbelianSurfaceModel, _coef, _quotient
 
 
-@dataclass(frozen=True)
 class VfData:
-    """Frozen intersection data of the blown-up surface V."""
+    """Intersection data of the blown-up surface V."""
 
-    pair_coeff: int = 18            # int_V (mu z1)|.(mu z2)| = 18 * z1.z2
-    delta_restriction_sq: int = -81  # int_V (delta|)^2
-    c2_normal: int = 81             # int_V c2 of the normal bundle
-    c2_ambient: int = 243           # int_V c2 of the ambient fourfold, restricted
+    __slots__ = ("pair_coeff", "delta_restriction_sq", "c2_normal", "c2_ambient")
+
+    def __init__(self, pair_coeff=18, delta_restriction_sq=-81, c2_normal=81, c2_ambient=243):
+        self.pair_coeff = pair_coeff  # int_V (mu z1)|.(mu z2)| = 18 * z1.z2
+        self.delta_restriction_sq = delta_restriction_sq  # int_V (delta|)^2
+        self.c2_normal = c2_normal  # int_V c2 of the normal bundle
+        self.c2_ambient = c2_ambient  # int_V c2 of the ambient fourfold, restricted
 
     @property
     def exceptional_fourth(self) -> int:
@@ -79,16 +80,15 @@ def _vf_pair(a: KummerTwoClass, b: KummerTwoClass):
     return VF.pair_coeff * mu_pair(a, b) + VF.delta_restriction_sq * a.x * b.x
 
 
-@dataclass(frozen=True)
 class XTwoClass:
     """Degree-2 class on X: pullback of `base` plus t times the exceptional
     divisor class; t is an int where integral (`_coef`)."""
 
-    base: KummerTwoClass
-    t: int | Fraction
+    __slots__ = ("base", "t")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _coef(self.t))
+    def __init__(self, base: KummerTwoClass, t) -> None:
+        self.base = base
+        self.t = _coef(t)
 
     @property
     def model(self) -> AbelianSurfaceModel:

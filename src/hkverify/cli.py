@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from .abelian import IsogenyParams, is_simple_semihom, power_or_text
@@ -186,8 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args) -> int:
-    names = {f.name for f in fields(ReportConfig)}
-    config = ReportConfig(**{k: v for k, v in vars(args).items() if k in names})
+    config = ReportConfig(**{k: v for k, v in vars(args).items() if k in ReportConfig.__slots__})
     report = run_report(config)
     text = to_json(report) if args.format == "json" else to_markdown(report)
     sys.stdout.write(text)

@@ -12,7 +12,6 @@ monodromy acts by left multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from numbers import Rational
 
@@ -59,19 +58,19 @@ def fiber_degrees_gram(m: int, d: int) -> tuple[Rational, int]:
     )
 
 
-@dataclass(frozen=True)
 class SubsheafProfile:
     """Restriction ranks (r1', r1'', r2) of a subsheaf on the two rulings
     of V and on Delta; each lies in 0..4 for a rank-4 ambient sheaf."""
 
-    r1p: int
-    r1pp: int
-    r2: int
+    __slots__ = ("r1p", "r1pp", "r2")
 
-    def __post_init__(self) -> None:
-        for v in (self.r1p, self.r1pp, self.r2):
+    def __init__(self, r1p: int, r1pp: int, r2: int) -> None:
+        for v in (r1p, r1pp, r2):
             if not 0 <= v <= 4:
                 raise ValueError("restriction ranks must lie in 0..4")
+        self.r1p = r1p
+        self.r1pp = r1pp
+        self.r2 = r2
 
 
 def subsheaf_rank(profile: SubsheafProfile, m: int, d: int) -> Rational:

@@ -20,7 +20,6 @@ calling it, so `Poly.__call__` is its input check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -36,20 +35,22 @@ C2_PAIR_COEFF = 54
 C2_SQUARE_VALUE = 756
 
 
-@dataclass(frozen=True)
 class KummerTwoClass:
     """Degree-2 class mu(p*omegabar + q*gamma) + x*delta on the Kummer
     fourfold of `model`; p, q and x are ints where integral (`_coef`)."""
 
-    model: AbelianSurfaceModel
-    p: int | Fraction
-    q: int | Fraction
-    x: int | Fraction
+    __slots__ = ("model", "p", "q", "x")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _coef(self.p))
-        object.__setattr__(self, "q", _coef(self.q))
-        object.__setattr__(self, "x", _coef(self.x))
+    def __init__(self, model: AbelianSurfaceModel, p, q, x) -> None:
+        self.model = model
+        self.p = _coef(p)
+        self.q = _coef(q)
+        self.x = _coef(x)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.model, self.p, self.q, self.x) == (other.model, other.p, other.q, other.x)
 
     def coeffs(self) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
         return (self.p, self.q, self.x)

@@ -13,12 +13,15 @@ The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
 ambient lattice for all divisibility and moduli-case bookkeeping; its
 pairing is `kummer.mu_pair`, with `gram().pair` as the oracle.
+
+The package's value classes are plain `__slots__` classes with one
+hand-written `__init__`, not dataclasses: importing `dataclasses` and
+decorating its classes cost about 30 ms of every cold process.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product, zip_longest
@@ -57,7 +60,6 @@ def _coef(value) -> int | Fraction:
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class Poly:
     """Polynomial in one variable (printed as a) with exact coefficients,
     ints where integral (`_coef`), lowest degree first and trailing zeros
@@ -69,13 +71,13 @@ class Poly:
     calling: p(x).
     """
 
-    coeffs: tuple[int | Fraction, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = [_coef(c) for c in self.coeffs]
+    def __init__(self, coeffs=()) -> None:
+        coeffs = [_coef(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.coeffs = tuple(coeffs)
 
     def __call__(self, x):
         """The value at x by Horner's rule: an int or a Fraction at an int or
@@ -172,22 +174,22 @@ class Poly:
 SYMBOL_A = Poly((0, 1))
 
 
-@dataclass(frozen=True)
 class GramLattice:
     """Rank-2 even lattice described by its integer Gram matrix."""
 
-    gram: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ("gram",)
 
-    def __post_init__(self) -> None:
-        if len(self.gram) != 2 or any(len(row) != 2 for row in self.gram):
+    def __init__(self, gram: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        if len(gram) != 2 or any(len(row) != 2 for row in gram):
             raise ValueError("Gram matrix must be 2x2")
-        if not all(isinstance(entry, int) for row in self.gram for entry in row):
+        if not all(isinstance(entry, int) for row in gram for entry in row):
             raise TypeError("Gram matrix entries must be integers")
-        (a, b), (c, d) = self.gram
+        (a, b), (c, d) = gram
         if b != c:
             raise ValueError("Gram matrix must be symmetric")
         if a % 2 or d % 2:
             raise ValueError("an even lattice needs an even diagonal")
+        self.gram = gram
 
     def pair(self, u, v) -> int | Fraction:
         if len(u) != 2 or len(v) != 2:
@@ -234,7 +236,6 @@ def nocamere_bound(d0: int, q_beta: int) -> Fraction:
     return _quotient(-2 * d0, 1 + q_beta)
 
 
-@dataclass(frozen=True)
 class AbelianSurfaceModel:
     """Rank-2 model {omegabar, gamma} with omegabar^2 = self_omega,
     omegabar.gamma = mixed_d and gamma isotropic (discriminant -mixed_d^2).
@@ -243,16 +244,25 @@ class AbelianSurfaceModel:
     2*abar on the small side and 4*abar on the big one.
     """
 
-    self_omega: int
-    mixed_d: int
+    __slots__ = ("self_omega", "mixed_d")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.self_omega, int) or not isinstance(self.mixed_d, int):
+    def __init__(self, self_omega: int, mixed_d: int) -> None:
+        if not isinstance(self_omega, int) or not isinstance(mixed_d, int):
             raise TypeError("omegabar^2 and d must be integers")
-        if self.self_omega <= 0 or self.self_omega % 2:
+        if self_omega <= 0 or self_omega % 2:
             raise ValueError("omegabar^2 must be a positive even integer")
-        if self.mixed_d <= 0:
+        if mixed_d <= 0:
             raise ValueError("mixed pairing d must be a positive integer")
+        self.self_omega = self_omega
+        self.mixed_d = mixed_d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.self_omega == other.self_omega and self.mixed_d == other.mixed_d
+
+    def __hash__(self) -> int:
+        return hash((self.self_omega, self.mixed_d))
 
     def gram(self) -> GramLattice:
         return GramLattice(((self.self_omega, self.mixed_d), (self.mixed_d, 0)))

@@ -7,8 +7,8 @@ the recorded value. `run_report` keeps only the claims whose id starts with
 `ReportConfig.only` and computes just those. Nothing is sampled: every
 sweep runs over a fixed grid or is an exact certificate on a basis, so a
 claim computes the same way alone as in the full catalogue. The config has
-no sample count or seed; `ReportConfig` still accepts `samples` and `seed`
-as init-only arguments, checks `samples`, and drops both.
+no sample count or seed: `samples` and `seed` are keyword arguments
+accepted and dropped by `ReportConfig`, which checks `samples` first.
 
 Each record carries the claim id, the recomputed value, the recorded value,
 a verdict, and the provenance tag:
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import InitVar, asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -115,50 +114,52 @@ PROVENANCES = ("stated", "derived")
 EXPECTED_DISCREPANCIES = ("chern-ch1sq-ch2",)
 
 
-@dataclass(frozen=True)
 class ClaimRecord:
-    claim_id: str
-    computed: str
-    stated: str
-    verdict: str
-    provenance: str
+    __slots__ = ("claim_id", "computed", "stated", "verdict", "provenance")
 
-    def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+    def __init__(self, claim_id: str, computed: str, stated: str, verdict: str, provenance: str):
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        self.claim_id = claim_id
+        self.computed = computed
+        self.stated = stated
+        self.verdict = verdict
+        self.provenance = provenance
 
 
-@dataclass(frozen=True)
 class ReportConfig:
     """Knobs for the sweeps; defaults reproduce the full report. No claim
-    samples, but `samples` and `seed` are still accepted, checked and dropped,
-    because the benchmark's worker (`perfbench/child.py`) passes both for its
-    sweep-grid workload."""
+    samples, but `samples` and `seed` are keyword arguments accepted and
+    dropped (`samples` is checked first), because the benchmark's worker
+    (`perfbench/child.py`) passes both for its sweep-grid workload."""
 
-    abar_max: int = 3
-    d_max: int | None = None
-    a_max: int = 50
-    md_max: int = 41
-    samples: InitVar[int | None] = None
-    seed: InitVar[int | None] = None
-    only: str | None = None
+    __slots__ = ("abar_max", "d_max", "a_max", "md_max", "only")
 
-    def __post_init__(self, samples: int | None, seed: int | None) -> None:
-        if self.abar_max < 1 or self.a_max < 1 or (samples is not None and samples < 1):
+    def __init__(
+        self, abar_max=3, d_max=None, a_max=50, md_max=41, samples=None, seed=None, only=None
+    ) -> None:
+        if abar_max < 1 or a_max < 1 or (samples is not None and samples < 1):
             raise ValueError("abar_max, a_max and samples must be positive")
-        if self.d_max is not None and self.d_max < 1:
+        if d_max is not None and d_max < 1:
             raise ValueError("d_max must be positive when given")
-        if self.md_max < 1:
+        if md_max < 1:
             raise ValueError("md_max must be positive")
+        self.abar_max = abar_max
+        self.d_max = d_max
+        self.a_max = a_max
+        self.md_max = md_max
+        self.only = only
 
 
-@dataclass(frozen=True)
 class Report:
-    config: ReportConfig
-    records: tuple[ClaimRecord, ...]
-    summary: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("config", "records", "summary")
+
+    def __init__(self, config: ReportConfig, records: tuple[ClaimRecord, ...], summary=None):
+        self.config = config
+        self.records = records
+        self.summary = {} if summary is None else summary
 
 
 def _s(value) -> str:
@@ -168,35 +169,43 @@ def _s(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
 class Sweep:
     """Outcome of a sweep: failures summed over the cases, and the cases."""
 
-    failures: int
-    cases: int
+    __slots__ = ("failures", "cases")
+
+    def __init__(self, failures: int, cases: int) -> None:
+        self.failures = failures
+        self.cases = cases
 
     def __str__(self) -> str:
         return f"{self.failures} failures / {self.cases} cases"
 
 
-@dataclass(frozen=True)
 class Skipped:
     """A sweep the configuration leaves out: why, and what it would check."""
 
-    computed: str
-    stated: str
+    __slots__ = ("computed", "stated")
+
+    def __init__(self, computed: str, stated: str) -> None:
+        self.computed = computed
+        self.stated = stated
 
 
-@dataclass(frozen=True)
 class Claim:
     """One catalogue entry. `compute(cfg)` returns the recomputed value, a
     `Sweep` or `Skipped`. For a sweep, `stated` is the expected number of
     failures."""
 
-    claim_id: str
-    provenance: str
-    compute: Callable[[ReportConfig], object]
-    stated: object
+    __slots__ = ("claim_id", "provenance", "compute", "stated")
+
+    def __init__(
+        self, claim_id: str, provenance: str, compute: Callable[[ReportConfig], object], stated
+    ) -> None:
+        self.claim_id = claim_id
+        self.provenance = provenance
+        self.compute = compute
+        self.stated = stated
 
 
 def _sweep(case_failures: Iterable[int]) -> Sweep:
@@ -251,11 +260,15 @@ def _delta_pairing_cases():
         yield via_chern != delta_pairing_closed(x - y, alpha, beta)
 
 
+_AMPLE_SKIPPED = Skipped(
+    "not computed (d_max below the certified threshold)", "ample beyond the threshold"
+)
+_RANK_SKIPPED = Skipped("not computed (md_max below 9)", "integral rank iff r1' + r1'' = 2 r2")
+
+
 def _ample_sweep(cfg: ReportConfig):
     if cfg.d_max is not None and cfg.d_max < ample_thresholds(1)[1] + 2:
-        return Skipped(
-            "not computed (d_max below the certified threshold)", "ample beyond the threshold"
-        )
+        return _AMPLE_SKIPPED
     return _sweep(_ample_cases(cfg))
 
 
@@ -270,7 +283,7 @@ def _ample_cases(cfg: ReportConfig):
 
 def _rank_integrality_sweep(cfg: ReportConfig):
     if cfg.md_max < 9:
-        return Skipped("not computed (md_max below 9)", "integral rank iff r1' + r1'' = 2 r2")
+        return _RANK_SKIPPED
     profiles = [SubsheafProfile(*ranks) for ranks in product(range(5), repeat=3)]
     return _sweep(
         rank_failures(profile, md)
@@ -637,11 +650,16 @@ def _warnings(report: Report) -> list[str]:
     ]
 
 
+def _fields(value) -> dict:
+    """The fields of a ReportConfig or a ClaimRecord, by name."""
+    return {name: getattr(value, name) for name in value.__slots__}
+
+
 def to_json(report: Report) -> str:
     payload = {
         "version": __version__,
-        "config": asdict(report.config),
-        "records": [asdict(r) for r in report.records],
+        "config": _fields(report.config),
+        "records": [_fields(r) for r in report.records],
         "summary": report.summary,
         "warnings": _warnings(report),
     }

@@ -10,7 +10,6 @@ ray) and also reports the blanket sufficiency thresholds in d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
@@ -18,18 +17,18 @@ from .kummer import KummerTwoClass
 from .lattice import AbelianSurfaceModel, _number_text
 
 
-@dataclass(frozen=True)
 class MukaiVector:
     """Triple (r, ell, s) with its ell-square; the full ell is not needed,
     only its square and selected dot products."""
 
-    r: int
-    ell_sq: int
-    s: int
+    __slots__ = ("r", "ell_sq", "s")
 
-    def __post_init__(self) -> None:
-        if self.ell_sq % 2:
+    def __init__(self, r: int, ell_sq: int, s: int) -> None:
+        if ell_sq % 2:
             raise ValueError("ell^2 must be even")
+        self.r = r
+        self.ell_sq = ell_sq
+        self.s = s
 
 
 def mukai_square(v: MukaiVector) -> int:
@@ -41,18 +40,22 @@ def mukai_square(v: MukaiVector) -> int:
 MODULI_VECTOR = MukaiVector(1, 0, -3)
 
 
-@dataclass(frozen=True)
 class WallNumerics:
     """Numeric shadow of a candidate sub-vector: its square ss, the pairing
     sv with the moduli vector, n = gcd(sv, 6), the induced wall square q and
     the admissible divisibilities."""
 
-    ss: int
-    sv: int
-    n: int
-    q: int
-    div_candidates: frozenset[int]
-    retained: bool
+    __slots__ = ("ss", "sv", "n", "q", "div_candidates", "retained")
+
+    def __init__(
+        self, ss: int, sv: int, n: int, q: int, div_candidates: frozenset[int], retained: bool
+    ) -> None:
+        self.ss = ss
+        self.sv = sv
+        self.n = n
+        self.q = q
+        self.div_candidates = div_candidates
+        self.retained = retained
 
 
 def generate_wall_cases() -> tuple[WallNumerics, ...]:
@@ -78,12 +81,15 @@ def enumerate_wall_numerics() -> tuple[WallNumerics, ...]:
     return tuple(w for w in generate_wall_cases() if w.retained)
 
 
-@dataclass(frozen=True)
 class AmplenessResult:
-    verdict: str                       # "ample" | "not-ample"
-    witness: KummerTwoClass | None
-    separating_threshold: int          # no separating wall once d > 24 abar^2 + 6 abar
-    below_threshold: bool              # d does not exceed the blanket threshold
+    __slots__ = ("verdict", "witness", "separating_threshold", "below_threshold")
+
+    def __init__(self, verdict, witness, separating_threshold, below_threshold) -> None:
+        self.verdict = verdict  # "ample" | "not-ample"
+        self.witness = witness  # a KummerTwoClass, or None
+        # no separating wall once d > 24 abar^2 + 6 abar
+        self.separating_threshold = separating_threshold
+        self.below_threshold = below_threshold  # d does not exceed the blanket threshold
 
     def render(self) -> str:
         if self.verdict == "not-ample":

@@ -20,7 +20,6 @@ from hkverify.abelian import (
     zeppola_integral,
     zeppola_oracle,
 )
-from hkverify.lattice import AbelianSurfaceModel
 
 
 def test_kernel_order():
@@ -93,7 +92,7 @@ def test_jh_shape_validation():
 
 def test_jh_decompositions_example():
     shapes = jh_decompositions(4, 2, 3)
-    assert shapes == (JHShape(2, 1, 1),)
+    assert [(s.r0, s.b0, s.m) for s in shapes] == [(2, 1, 1)]
 
 
 def test_jh_decompositions_with_common_factor():
@@ -140,7 +139,7 @@ def test_forced_stable_two_paths_agree(s0, c0, e):
 
 def test_satollo_transfer_examples():
     sat = satollo_transfer(1, 5)
-    assert sat.model == AbelianSurfaceModel(4, 5)
+    assert (sat.model.self_omega, sat.model.mixed_d) == (4, 5)
     assert sat.elementary_divisors == (1, 2)
     sat2 = satollo_transfer(2, 7)
     assert sat2.model.self_omega == 8

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hkverify.blowup import (
     VF,
-    VfData,
     XTwoClass,
     ch1_bundle,
     ch1_bundle_via_pushforward,
@@ -65,7 +64,8 @@ def x_classes():
 
 
 def test_vf_constants():
-    assert VF == VfData(18, -81, 81, 243)
+    fields = (VF.pair_coeff, VF.delta_restriction_sq, VF.c2_normal, VF.c2_ambient)
+    assert fields == (18, -81, 81, 243)
     assert VF.exceptional_fourth == 162
 
 

@@ -6,7 +6,6 @@ int an int or a Fraction equal to their closed form, and at a float a they
 raise TypeError. No claim value is a float."""
 
 import ast
-import dataclasses
 import inspect
 from fractions import Fraction
 from itertools import product
@@ -67,8 +66,8 @@ def _floats(value, path="value"):
     if isinstance(value, (Sweep, Skipped)):
         return [
             f
-            for field in dataclasses.fields(value)
-            for f in _floats(getattr(value, field.name), f"{path}.{field.name}")
+            for field in value.__slots__
+            for f in _floats(getattr(value, field), f"{path}.{field}")
         ]
     if isinstance(value, Poly):
         return _floats(value.coeffs, f"{path}.coeffs")

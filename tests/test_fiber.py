@@ -112,8 +112,9 @@ def test_destabilizer_profiles():
     assert len(profiles) == 7
     assert all(p.r1p + p.r1pp == 2 * p.r2 for p in profiles)
     assert all(p.r1p <= p.r1pp for p in profiles)
-    assert SubsheafProfile(0, 2, 1) in profiles
-    assert SubsheafProfile(3, 3, 3) in profiles
+    ranks = [(p.r1p, p.r1pp, p.r2) for p in profiles]
+    assert (0, 2, 1) in ranks
+    assert (3, 3, 3) in ranks
 
 
 def test_margin_values():

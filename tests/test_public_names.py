@@ -1,7 +1,8 @@
 """Every public name of the package is used by the package itself: it feeds
 a claim, the command line, or an oracle that a claim uses. A top-level
-function, class or constant, or a public method, property or dataclass
-field, that only tests reach fails here; delete it together with its tests.
+function, class or constant, or a public method, property or field (a name
+in a class's `__slots__`), that only tests reach fails here; delete it
+together with its tests.
 
 The name checks read the source, so a member counts as read whenever any
 member of the same name is; the execution check below has no such blind
@@ -76,17 +77,18 @@ def _attribute_reads(node) -> Counter:
 
 
 def _members(cls: ast.ClassDef):
-    """(name, defining node) of each public method, property and dataclass
-    field of a class; an InitVar is an argument, not a member."""
+    """(name, defining node) of each method, property and field of a class:
+    a field is a name in `__slots__` or a class-body annotation."""
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
-        elif (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and "InitVar" not in ast.unparse(node.annotation)
-        ):
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             yield node.target.id, node
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            for slot in ast.literal_eval(node.value):
+                yield slot, node
 
 
 def _defined(statement) -> list[str]:
@@ -114,17 +116,35 @@ def test_every_public_definition_is_used_in_the_package():
     assert unused - ALLOWED == set()
 
 
-def test_every_public_member_is_read_in_the_package():
-    reads = sum((_attribute_reads(tree) for tree in TREES), Counter())
-    unread = {
+def _unread_members(trees) -> set[str]:
+    """Class.member for each public member that no code outside its own
+    definition reads as an attribute; assigning it is not a read."""
+    reads = sum((_attribute_reads(tree) for tree in trees), Counter())
+    return {
         f"{cls.name}.{name}"
-        for tree in TREES
+        for tree in trees
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
         for name, node in _members(cls)
         if not name.startswith("_") and reads[name] == _attribute_reads(node)[name]
     }
-    assert unread == set()
+
+
+def test_every_public_member_is_read_in_the_package():
+    assert _unread_members(TREES) == set()
+
+
+def test_an_unread_slot_field_is_flagged():
+    tree = ast.parse(
+        "class Point:\n"
+        "    __slots__ = ('x', 'y')\n"
+        "    def __init__(self, x, y):\n"
+        "        self.x = x\n"
+        "        self.y = y\n"
+        "def first(point):\n"
+        "    return point.x\n"
+    )
+    assert _unread_members([tree]) == {"Point.y"}
 
 
 def _defined_functions() -> dict[tuple[str, int], str]:

@@ -1,7 +1,6 @@
 """The report builder and the command line front end: record schema,
 determinism, filtering, verdict bookkeeping, and the subcommand outputs."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -47,6 +46,11 @@ from hkverify.report import (
     to_json,
     to_markdown,
 )
+
+
+def _rows(records) -> list[tuple[str, ...]]:
+    """The field values of each record, in ClaimRecord.__slots__ order."""
+    return [tuple(getattr(r, f) for f in ClaimRecord.__slots__) for r in records]
 
 
 def test_report_is_deterministic(default_report):
@@ -121,7 +125,7 @@ def test_only_prefix_matches_the_full_report(default_report, prefix):
     alone = run_report(ReportConfig(only=prefix))
     expected = [r for r in default_report.records if r.claim_id.startswith(prefix)]
     assert expected
-    assert list(alone.records) == expected
+    assert _rows(alone.records) == _rows(expected)
 
 
 def test_only_prefix_matching_nothing_is_an_error(capsys):
@@ -303,11 +307,11 @@ def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
     assert exit_code(report) == 1
 
 
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(hkverify.blowup.VfData)])
+@pytest.mark.parametrize("field", hkverify.blowup.VfData.__slots__)
 def test_every_vf_field_is_checked_by_the_report(monkeypatch, field):
     # the V data is read from VF alone: bumping any one field fails the report
     vf = hkverify.blowup.VF
-    bumped = dataclasses.replace(vf, **{field: getattr(vf, field) + 1})
+    bumped = hkverify.blowup.VfData(**{field: getattr(vf, field) + 1})
     monkeypatch.setattr(hkverify.blowup, "VF", bumped)
     report = run_report()
     assert report.summary["fail"] > 0
@@ -318,9 +322,9 @@ def test_exceptional_fourth_is_checked_against_the_literal():
     # c2(N) bumped before the catalogue is built: a recorded value read from
     # VF would follow the bump and compare x_quartic's k = 4 term with itself
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import hkverify.blowup as blowup\n"
-        "blowup.VF = dataclasses.replace(blowup.VF, c2_normal=blowup.VF.c2_normal + 1)\n"
+        "blowup.VF = blowup.VfData(c2_normal=blowup.VF.c2_normal + 1)\n"
         "from hkverify.cli import main\n"
         "sys.exit(main(['report', '--only', 'blowup-exceptional-fourth', '--format', 'md']))\n"
     )
@@ -374,16 +378,14 @@ def test_report_config_rejects_non_positive_md_max(capsys, md_max):
 
 
 def test_report_config_stores_no_samples_or_seed():
-    # samples and seed are init-only: accepted, checked, not stored
+    # samples and seed are keyword arguments accepted, checked and dropped
     config = ReportConfig(samples=150, seed=3)
-    assert [f.name for f in dataclasses.fields(config)] == [
-        "abar_max",
-        "d_max",
-        "a_max",
-        "md_max",
-        "only",
+    assert ReportConfig.__slots__ == ("abar_max", "d_max", "a_max", "md_max", "only")
+    assert not hasattr(config, "samples") and not hasattr(config, "seed")
+    default = ReportConfig()
+    assert [getattr(config, f) for f in ReportConfig.__slots__] == [
+        getattr(default, f) for f in ReportConfig.__slots__
     ]
-    assert config == ReportConfig()
 
 
 def test_cli_report_json(capsys):
@@ -419,7 +421,7 @@ def test_cli_report_rejects_retired_sampling_flags(capsys, flag):
 def test_samples_and_seed_change_no_record():
     base = run_report(ReportConfig(only="fujiki-"))
     other = run_report(ReportConfig(only="fujiki-", samples=3, seed=7))
-    assert other.records == base.records
+    assert _rows(other.records) == _rows(base.records)
 
 
 def test_cli_ample(capsys):
@@ -694,6 +696,16 @@ def test_cli_import_loads_no_sympy():
     run = _run_python("-c", "import hkverify.cli, sys; print('sympy' in sys.modules)")
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
+
+
+@pytest.mark.parametrize("module", ["hkverify.cli", "hkverify.report"])
+def test_import_loads_no_dataclasses_or_inspect(module):
+    # the value classes are __slots__ classes; importing dataclasses (which
+    # pulls in inspect) cost about 30 ms of every cold process
+    code = f"import {module}, sys; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    run = _run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_python_dash_m_runs_the_cli():
