@@ -75,6 +75,8 @@ def is_simple_semihom(params: IsogenyParams) -> tuple[bool, int | str | None]:
 
 def zeppola_integral(n: int, d0: int) -> int:
     """Top self-intersection count: (n+1) * d0^n."""
+    if not (isinstance(n, int) and isinstance(d0, int)):
+        raise TypeError("n and d0 must be integers")
     if n < 1 or d0 < 1:
         raise ValueError("n and d0 must be positive integers")
     return (n + 1) * d0 ** n
@@ -99,6 +101,8 @@ def zeppola_oracle(n: int, d0: int) -> int:
     + y_n). Its n-th power is n! times the Gram determinant times the
     volume form, so the volume coefficient is divided by n!.
     """
+    if not (isinstance(n, int) and isinstance(d0, int)):
+        raise TypeError("n and d0 must be integers")
     if not 1 <= n <= 4:
         raise ValueError("the oracle is sized for 1 <= n <= 4")
     if d0 < 1:
@@ -131,25 +135,10 @@ def zeppola_oracle(n: int, d0: int) -> int:
     return quotient
 
 
-class JHShape:
-    """Numeric shape (r0, b0, m) of a Jordan-Holder factor stack: the factor
-    has rank r0 and slope data b0 coprime to r0, repeated m times."""
-
-    __slots__ = ("r0", "b0", "m")
-
-    def __init__(self, r0: int, b0: int, m: int) -> None:
-        if gcd(r0, b0) != 1:
-            raise ValueError("r0 and b0 must be coprime")
-        if m < 1 or r0 < 1:
-            raise ValueError("r0 and m must be positive")
-        self.r0 = r0
-        self.b0 = b0
-        self.m = m
-
-
-def jh_decompositions(r: int, a: int, e: int) -> tuple[JHShape, ...]:
-    """All shapes (r0, b0, m) with m r0^2 = r g, m r0 b0 = a g for
-    g = gcd(r0, e) and gcd(r0, b0) = 1."""
+def jh_decompositions(r: int, a: int, e: int) -> tuple[tuple[int, int, int], ...]:
+    """All numeric shapes (r0, b0, m) of a Jordan-Holder factor stack, a
+    factor of rank r0 and slope data b0 coprime to r0 repeated m times, with
+    m r0^2 = r g, m r0 b0 = a g for g = gcd(r0, e)."""
     if r < 1 or e < 1:
         raise ValueError("r and e must be positive integers")
     shapes = []
@@ -159,14 +148,12 @@ def jh_decompositions(r: int, a: int, e: int) -> tuple[JHShape, ...]:
         if num % (r0 * r0):
             continue
         m = num // (r0 * r0)
-        if m < 1:
-            continue
         if (a * g) % (m * r0):
             continue
         b0 = (a * g) // (m * r0)
         if gcd(r0, b0) != 1:
             continue
-        shapes.append(JHShape(r0, b0, m))
+        shapes.append((r0, b0, m))
     return tuple(shapes)
 
 
@@ -185,24 +172,16 @@ def forced_stable_via_jh(s0: int, c0: int, e: int) -> bool:
     jh_decompositions(s0^2, s0 c0, e) has multiplicity 1."""
     if gcd(s0, c0) != 1:
         raise ValueError("s0 and c0 must be coprime")
-    return all(shape.m == 1 for shape in jh_decompositions(s0 * s0, s0 * c0, e))
+    return all(m == 1 for _, _, m in jh_decompositions(s0 * s0, s0 * c0, e))
 
 
-class SaturatedModel:
-    __slots__ = ("model", "elementary_divisors")
-
-    def __init__(self, model: AbelianSurfaceModel, elementary_divisors: tuple[int, int]) -> None:
-        self.model = model
-        self.elementary_divisors = elementary_divisors
-
-
-def satollo_transfer(abar: int, d: int) -> SaturatedModel:
+def satollo_transfer(abar: int, d: int) -> tuple[AbelianSurfaceModel, tuple[int, int]]:
     """Transfer of the halved model (2 abar, d) to the saturated doubled
-    model (4 abar, d); needs d odd, and the transferred polarization has
-    elementary divisors (1, 2 abar)."""
+    model (4 abar, d); needs d odd. Returns the doubled model and the
+    elementary divisors (1, 2 abar) of the transferred polarization."""
     if abar < 1:
         raise ValueError("abar must be a positive integer")
     if d < 1 or d % 2 == 0:
         raise ValueError("the transfer needs odd d")
     model = AbelianSurfaceModel(4 * abar, d)
-    return SaturatedModel(model, (1, 2 * abar))
+    return (model, (1, 2 * abar))

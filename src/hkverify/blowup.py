@@ -17,7 +17,8 @@ The V-restriction pairing of mu(z1) + t1*delta and mu(z2) + t2*delta is
 18 * z1.z2 - 81 * t1 * t2, and the constants are tied together by
 int_X D^4 = (c2 of the normal bundle) - (c1 of the normal bundle)^2
 = 81 + 81 = 162, with c1 of the normal bundle the delta restriction. Every
-one of these numbers is read from `VF`.
+one of these numbers is read from the four constants `V_PAIR_COEFF`,
+`V_DELTA_SQUARE`, `C2_NORMAL` and `C2_AMBIENT`.
 
 The rank-4 bundle is transferred from the line bundle on X whose class
 `line` is the XTwoClass pullback(mu(omega) + x*delta) + y*D; `ch1_bundle`,
@@ -54,30 +55,17 @@ from .kummer import (
 from .lattice import AbelianSurfaceModel, _coef, _quotient
 
 
-class VfData:
-    """Intersection data of the blown-up surface V."""
-
-    __slots__ = ("pair_coeff", "delta_restriction_sq", "c2_normal", "c2_ambient")
-
-    def __init__(self, pair_coeff=18, delta_restriction_sq=-81, c2_normal=81, c2_ambient=243):
-        self.pair_coeff = pair_coeff  # int_V (mu z1)|.(mu z2)| = 18 * z1.z2
-        self.delta_restriction_sq = delta_restriction_sq  # int_V (delta|)^2
-        self.c2_normal = c2_normal  # int_V c2 of the normal bundle
-        self.c2_ambient = c2_ambient  # int_V c2 of the ambient fourfold, restricted
-
-    @property
-    def exceptional_fourth(self) -> int:
-        # int_X D^4 = c2(N) - c1(N)^2 with c1(N) = delta|
-        return self.c2_normal - self.delta_restriction_sq
-
-
-VF = VfData()
+# Intersection data of the blown-up surface V.
+V_PAIR_COEFF = 18  # int_V (mu z1)|.(mu z2)| = 18 * z1.z2
+V_DELTA_SQUARE = -81  # int_V (delta|)^2
+C2_NORMAL = 81  # int_V c2 of the normal bundle
+C2_AMBIENT = 243  # int_V c2 of the ambient fourfold, restricted
 
 
 def _vf_pair(a: KummerTwoClass, b: KummerTwoClass):
     """Pairing on V of the restrictions of two halved-model degree-2
     classes: 18 * mu_pair(a, b) - 81 * (delta coefficients product)."""
-    return VF.pair_coeff * mu_pair(a, b) + VF.delta_restriction_sq * a.x * b.x
+    return V_PAIR_COEFF * mu_pair(a, b) + V_DELTA_SQUARE * a.x * b.x
 
 
 class XTwoClass:
@@ -130,10 +118,11 @@ def x_quartic(
         elif k == 2:
             term = -_vf_pair(bases[0], bases[1])
         elif k == 3:
-            # -int_V c1(N).b| with c1(N) = delta|: -delta_restriction_sq * x
-            term = -VF.delta_restriction_sq * bases[0].x
+            # -int_V c1(N).b| with c1(N) = delta|: -V_DELTA_SQUARE * x
+            term = -V_DELTA_SQUARE * bases[0].x
         else:
-            term = VF.exceptional_fourth
+            # int_X D^4 = c2(N) - c1(N)^2 with c1(N) = delta|
+            term = C2_NORMAL - V_DELTA_SQUARE
         total += factor * term
     return total
 
@@ -204,9 +193,9 @@ def ch2_pairing(line: XTwoClass, alpha: KummerTwoClass, beta: KummerTwoClass) ->
     integrate against the pulled-back classes.
 
     The c2(X) pairing against two X classes u, v is
-    C2_PAIR_COEFF * q(u_base, v_base) - VF.c2_ambient t_u t_v  (pullback part)
-    + vf(u_base, v_base) - VF.c2_normal t_u t_v     (exceptional correction),
-    with VF.c2_ambient = 243 and VF.c2_normal = 81, and the ambient correction
+    C2_PAIR_COEFF * q(u_base, v_base) - C2_AMBIENT t_u t_v  (pullback part)
+    + vf(u_base, v_base) - C2_NORMAL t_u t_v     (exceptional correction),
+    with C2_AMBIENT = 243 and C2_NORMAL = 81, and the ambient correction
     is -4 * td2 = -(1/3) c2, i.e. -(C2_PAIR_COEFF/3) q(alpha, beta). All three
     terms are summed over the common denominator 12, in ints on integral classes.
     """
@@ -219,10 +208,10 @@ def ch2_pairing(line: XTwoClass, alpha: KummerTwoClass, beta: KummerTwoClass) ->
     c2x = (
         C2_PAIR_COEFF * bbf(u.base, v.base)
         # int_X pi^*c2 . D^2 = -int_V c2(ambient)|
-        - VF.c2_ambient * u.t * v.t
+        - C2_AMBIENT * u.t * v.t
         + _vf_pair(u.base, v.base)
         # int_X (exceptional correction) . D^2 = -int_V c2(N)
-        - VF.c2_normal * u.t * v.t
+        - C2_NORMAL * u.t * v.t
     )
     twelve_times = (
         6 * (x_quartic(line, line, u, v) - x_quartic(line, d, u, v))

@@ -41,8 +41,7 @@ from .fiber import (
 )
 from .kummer import KummerTwoClass, fujiki_integral, riemann_roch, riemann_roch_from_square
 from .lattice import AbelianSurfaceModel, _number_text, digit_limit
-from .report import ReportConfig, exit_code, run_report, to_json, to_markdown
-from .walls import enumerate_wall_numerics, generate_wall_cases, is_ample_h
+from .walls import ampleness_text, generate_wall_cases
 
 #: (entry, label, fn) for `chern`: `--entry` prints fn(a) of one entry, and
 #: without it every labelled row is printed in this order.
@@ -185,6 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args) -> int:
+    # imported here, so the calculator commands do not load the claim catalogue
+    from .report import ReportConfig, exit_code, run_report, to_json, to_markdown
+
     config = ReportConfig(**{k: v for k, v in vars(args).items() if k in ReportConfig.__slots__})
     report = run_report(config)
     text = to_json(report) if args.format == "json" else to_markdown(report)
@@ -211,17 +213,19 @@ def _cmd_rr(args) -> int:
 
 
 def _cmd_walls(args) -> int:
-    for w in enumerate_wall_numerics():
-        divs = ",".join(str(v) for v in sorted(w.div_candidates))
-        print(f"ss={w.ss} sv={w.sv} n={w.n} q={w.q} div in {{{divs}}}")
-    for w in generate_wall_cases():
+    cases = generate_wall_cases()
+    for w in cases:
+        if w.retained:
+            divs = ",".join(str(v) for v in sorted(w.div_candidates))
+            print(f"ss={w.ss} sv={w.sv} n={w.n} q={w.q} div in {{{divs}}}")
+    for w in cases:
         if not w.retained:
             print(f"discarded: ss={w.ss} sv={w.sv} (square {w.q} is not negative)")
     return 0
 
 
 def _cmd_ample(args) -> int:
-    print(is_ample_h(args.abar, args.d, args.m).render())
+    print(ampleness_text(args.abar, args.d, args.m))
     return 0
 
 

@@ -22,6 +22,8 @@ GRAM_DELTA = GramLattice(((0, 1), (1, 0)))
 
 
 def _check_md(m: int, d: int) -> int:
+    if not (isinstance(m, int) and isinstance(d, int)):
+        raise TypeError("m and d must be integers")
     if m < 1 or d < 1:
         raise ValueError("m and d must be positive integers")
     md = m * d
@@ -66,6 +68,8 @@ class SubsheafProfile:
 
     def __init__(self, r1p: int, r1pp: int, r2: int) -> None:
         for v in (r1p, r1pp, r2):
+            if not isinstance(v, int):
+                raise TypeError("restriction ranks must be integers")
             if not 0 <= v <= 4:
                 raise ValueError("restriction ranks must lie in 0..4")
         self.r1p = r1p
@@ -119,6 +123,8 @@ def integer_rank_criterion(profile: SubsheafProfile, m: int, d: int) -> bool:
 def destabilizer_margin(r2: int, r1pp: int) -> Rational:
     """Slack of the destabilizing inequality for an integer-rank profile:
     33 - 6 r2 - (12 + 6 r1pp)/r2; positive slack rules the profile out."""
+    if not (isinstance(r2, int) and isinstance(r1pp, int)):
+        raise TypeError("r2 and r1pp must be integers")
     if r2 not in (1, 2, 3):
         raise ValueError("a proper destabilizer has rank r2 in {1, 2, 3}")
     return 33 - 6 * r2 - _quotient(12 + 6 * r1pp, r2)

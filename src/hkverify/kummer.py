@@ -127,11 +127,6 @@ def c2_pair(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
     return C2_PAIR_COEFF * bbf(a, b)
 
 
-def c2_square() -> int:
-    """int c2^2."""
-    return C2_SQUARE_VALUE
-
-
 #: Euler characteristic of a line bundle with q(c1) = q, a Poly in q:
 #: 3 * binom(q/2 + 2, 2) = 3 (q + 4)(q + 2) / 8.
 riemann_roch_from_square = 3 * (SYMBOL_A + 4) * (SYMBOL_A + 2) / 8

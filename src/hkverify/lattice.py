@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import zip_longest
 from math import gcd
 
 
@@ -209,26 +209,12 @@ class GramLattice:
         return a * d - b * c
 
 
-def max_negative_square(lattice: GramLattice, box: int) -> int | None:
-    """Largest self-pairing strictly below zero over the coefficient box
-    [-box, box]^2, or None when no vector in the box has negative square.
-
-    Brute-force companion to nocamere_bound.
-    """
-    if box < 1:
-        raise ValueError("box must be at least 1")
-    best: int | None = None
-    for coords in product(range(-box, box + 1), repeat=2):
-        q = lattice.square(coords)
-        if q < 0 and (best is None or q > best):
-            best = q
-    return best
-
-
 def nocamere_bound(d0: int, q_beta: int) -> Fraction:
     """Upper bound -2*d0/(1 + q_beta) for negative squares in a rank-2
     lattice of discriminant -d0^2 containing an isotropic class, where
     q_beta >= 0 is the square of the complementary basis vector."""
+    if not (isinstance(d0, int) and isinstance(q_beta, int)):
+        raise TypeError("d0 and q_beta must be integers")
     if d0 < 1:
         raise ValueError("d0 must be a positive integer")
     if q_beta < 0:
@@ -307,6 +293,8 @@ def theorem_hypothesis(e: int, i: int) -> int | None:
 
     Returns abar when accepted, None when rejected.
     """
+    if not (isinstance(e, int) and isinstance(i, int)):
+        raise TypeError("e and i must be integers")
     if i not in (2, 6):
         raise ValueError("the hypothesis covers only i = 2 and i = 6")
     if e <= 0:

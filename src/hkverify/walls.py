@@ -5,7 +5,7 @@ Wall classes have square -6 and divisibility in {2, 3, 6}; the finite list
 of admissible sub-vector numerics is enumerated from scratch. The
 ampleness check runs the complete finite search for a violating class
 (either a wall through h or a wall separating h from the polarization
-ray) and also reports the blanket sufficiency thresholds in d.
+ray); `ampleness_text` also reports the blanket sufficiency threshold in d.
 """
 
 from __future__ import annotations
@@ -17,27 +17,14 @@ from .kummer import KummerTwoClass
 from .lattice import AbelianSurfaceModel, _number_text
 
 
-class MukaiVector:
-    """Triple (r, ell, s) with its ell-square; the full ell is not needed,
-    only its square and selected dot products."""
-
-    __slots__ = ("r", "ell_sq", "s")
-
-    def __init__(self, r: int, ell_sq: int, s: int) -> None:
-        if ell_sq % 2:
-            raise ValueError("ell^2 must be even")
-        self.r = r
-        self.ell_sq = ell_sq
-        self.s = s
+def mukai_square(r: int, ell_sq: int, s: int) -> int:
+    """<v, v> = -2 r s + ell^2 for the Mukai vector v = (r, ell, s); the full
+    ell is not needed, only its square."""
+    return -2 * r * s + ell_sq
 
 
-def mukai_square(v: MukaiVector) -> int:
-    """<v, v> = -2 r s + ell^2."""
-    return -2 * v.r * v.s + v.ell_sq
-
-
-#: Mukai vector of the moduli space carrying the family.
-MODULI_VECTOR = MukaiVector(1, 0, -3)
+#: Mukai vector (r, ell^2, s) of the moduli space carrying the family.
+MODULI_VECTOR = (1, 0, -3)
 
 
 class WallNumerics:
@@ -76,29 +63,6 @@ def generate_wall_cases() -> tuple[WallNumerics, ...]:
     return tuple(cases)
 
 
-def enumerate_wall_numerics() -> tuple[WallNumerics, ...]:
-    """The retained wall cases (square strictly negative)."""
-    return tuple(w for w in generate_wall_cases() if w.retained)
-
-
-class AmplenessResult:
-    __slots__ = ("verdict", "witness", "separating_threshold", "below_threshold")
-
-    def __init__(self, verdict, witness, separating_threshold, below_threshold) -> None:
-        self.verdict = verdict  # "ample" | "not-ample"
-        self.witness = witness  # a KummerTwoClass, or None
-        # no separating wall once d > 24 abar^2 + 6 abar
-        self.separating_threshold = separating_threshold
-        self.below_threshold = below_threshold  # d does not exceed the blanket threshold
-
-    def render(self) -> str:
-        if self.verdict == "not-ample":
-            return f"NotAmple (witness {','.join(map(_number_text, self.witness.coeffs()))})"
-        if self.below_threshold:
-            return f"Ample (below certified threshold d <= {_number_text(self.separating_threshold)})"
-        return "Ample"
-
-
 def ample_thresholds(abar: int) -> tuple[int, int]:
     return (12 * abar + 3, 24 * abar * abar + 6 * abar)
 
@@ -108,7 +72,7 @@ def ample_thresholds(abar: int) -> tuple[int, int]:
 _WALL_SEARCHES = ((0, 0, (-6,)), (1, -1, (0, 2)), (2, -1, (0, 2)), (3, -1, (0, 2)))
 
 
-def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
+def is_ample_h(abar: int, d: int, m: int) -> KummerTwoClass | None:
     """Decide ampleness of h = 2m * mu(omegabar) - delta on the doubled
     model with omegabar^2 = 4 abar and omegabar.gamma = d.
 
@@ -116,7 +80,8 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
     x = 0, beta.omegabar = 0, beta^2 = -6 (wall through h) or x = 1,
     beta.omegabar = c in {1, 2, 3} with m c <= 3, beta^2 in {0, 2}
     (separating wall), and writing beta = p omegabar + q gamma the pairing
-    equation 4 abar p + q d = c pins q; |p| <= 2 suffices.
+    equation 4 abar p + q d = c pins q; |p| <= 2 suffices. Returns the
+    violating class found, or None when h is ample.
     """
     if abar < 1 or d < 1 or m < 1:
         raise ValueError("abar, d, m must be positive integers")
@@ -124,18 +89,23 @@ def is_ample_h(abar: int, d: int, m: int) -> AmplenessResult:
         # h is a class only for an integral m, and AbelianSurfaceModel(4 abar, d)
         # makes the same check for abar and d, but is built only for a witness
         raise TypeError("abar, d, m must be integers")
-    _, separating_thr = ample_thresholds(abar)
-    witness = None
     for (c, x, squares), p in product(_WALL_SEARCHES[: 1 + 3 // m], range(-2, 3)):
         num = c - 4 * abar * p
         if num % d == 0 and 4 * abar * p * p + 2 * p * (num // d) * d in squares:
             if abs(p) == 2:
                 raise ArithmeticError("ampleness search hit the box boundary")
-            witness = KummerTwoClass(AbelianSurfaceModel(4 * abar, d), p, num // d, x)
-            break
-    return AmplenessResult(
-        verdict="ample" if witness is None else "not-ample",
-        witness=witness,
-        separating_threshold=separating_thr,
-        below_threshold=d <= separating_thr,
-    )
+            return KummerTwoClass(AbelianSurfaceModel(4 * abar, d), p, num // d, x)
+    return None
+
+
+def ampleness_text(abar: int, d: int, m: int) -> str:
+    """The verdict of `is_ample_h` as the `ample` command prints it, with the
+    witness of a non-ample h, or the separating threshold when d does not
+    exceed it (no separating wall once d > 24 abar^2 + 6 abar)."""
+    witness = is_ample_h(abar, d, m)
+    if witness is not None:
+        return f"NotAmple (witness {','.join(map(_number_text, witness.coeffs()))})"
+    _, separating_thr = ample_thresholds(abar)
+    if d <= separating_thr:
+        return f"Ample (below certified threshold d <= {_number_text(separating_thr)})"
+    return "Ample"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hkverify.abelian import (
     IsogenyParams,
-    JHShape,
     forced_stable,
     forced_stable_via_jh,
     is_simple_semihom,
@@ -82,23 +81,14 @@ def test_zeppola_validation():
         zeppola_oracle(5, 1)
 
 
-def test_jh_shape_validation():
-    JHShape(2, 1, 1)
-    with pytest.raises(ValueError):
-        JHShape(2, 4, 1)  # not coprime
-    with pytest.raises(ValueError):
-        JHShape(2, 1, 0)
-
-
 def test_jh_decompositions_example():
-    shapes = jh_decompositions(4, 2, 3)
-    assert [(s.r0, s.b0, s.m) for s in shapes] == [(2, 1, 1)]
+    assert jh_decompositions(4, 2, 3) == ((2, 1, 1),)
 
 
 def test_jh_decompositions_with_common_factor():
     # e shares a factor with the rank, so a multiplicity-2 shape appears
     shapes = jh_decompositions(4, 2, 2)
-    assert any(s.m > 1 for s in shapes)
+    assert any(m > 1 for _, _, m in shapes)
 
 
 @given(
@@ -107,11 +97,12 @@ def test_jh_decompositions_with_common_factor():
     st.integers(min_value=1, max_value=12),
 )
 def test_jh_shapes_resubstitute(r, a, e):
-    for shape in jh_decompositions(r, a, e):
-        g = gcd(shape.r0, e)
-        assert shape.m * shape.r0 * shape.r0 == r * g
-        assert shape.m * shape.r0 * shape.b0 == a * g
-        assert gcd(shape.r0, shape.b0) == 1
+    for r0, b0, m in jh_decompositions(r, a, e):
+        g = gcd(r0, e)
+        assert m * r0 * r0 == r * g
+        assert m * r0 * b0 == a * g
+        assert gcd(r0, b0) == 1
+        assert m >= 1
 
 
 def test_forced_stable_examples():
@@ -138,12 +129,10 @@ def test_forced_stable_two_paths_agree(s0, c0, e):
 
 
 def test_satollo_transfer_examples():
-    sat = satollo_transfer(1, 5)
-    assert (sat.model.self_omega, sat.model.mixed_d) == (4, 5)
-    assert sat.elementary_divisors == (1, 2)
-    sat2 = satollo_transfer(2, 7)
-    assert sat2.model.self_omega == 8
-    assert sat2.elementary_divisors == (1, 4)
+    model, divisors = satollo_transfer(1, 5)
+    assert (model.self_omega, model.mixed_d, divisors) == (4, 5, (1, 2))
+    model, divisors = satollo_transfer(2, 7)
+    assert (model.self_omega, model.mixed_d, divisors) == (8, 7, (1, 4))
 
 
 def test_satollo_transfer_requires_odd_d():

@@ -11,7 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hkverify.blowup import (
-    VF,
+    C2_AMBIENT,
+    C2_NORMAL,
+    V_DELTA_SQUARE,
+    V_PAIR_COEFF,
     XTwoClass,
     ch1_bundle,
     ch1_bundle_via_pushforward,
@@ -64,9 +67,8 @@ def x_classes():
 
 
 def test_vf_constants():
-    fields = (VF.pair_coeff, VF.delta_restriction_sq, VF.c2_normal, VF.c2_ambient)
-    assert fields == (18, -81, 81, 243)
-    assert VF.exceptional_fourth == 162
+    assert (V_PAIR_COEFF, V_DELTA_SQUARE, C2_NORMAL, C2_AMBIENT) == (18, -81, 81, 243)
+    assert C2_NORMAL - V_DELTA_SQUARE == 162
 
 
 def test_vf_pair_values():

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hkverify.chern
+from hkverify.abelian import zeppola_integral, zeppola_oracle
 from hkverify.blowup import (
     XTwoClass,
     ch1_bundle,
@@ -24,6 +25,7 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.chern import Poly
+from hkverify.fiber import SubsheafProfile, destabilizer_margin, fiber_degrees, subsheaf_rank
 from hkverify.kummer import (
     KummerTwoClass,
     bbf,
@@ -32,7 +34,7 @@ from hkverify.kummer import (
     fujiki_symmetrized,
     mu_pair,
 )
-from hkverify.lattice import AbelianSurfaceModel, _coef
+from hkverify.lattice import AbelianSurfaceModel, _coef, nocamere_bound, theorem_hypothesis
 from hkverify.report import CLAIMS, ReportConfig, Skipped, Sweep
 
 BIG = AbelianSurfaceModel(4, 5)
@@ -281,3 +283,31 @@ def test_chern_functions_reject_floats(name):
     for part in _parts(getattr(hkverify.chern, name)):
         with pytest.raises(TypeError):
             part(1.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: nocamere_bound(1.5, 0),
+        lambda: theorem_hypothesis(10.0, 2),
+        lambda: destabilizer_margin(1, 0.5),
+        lambda: fiber_degrees(1.5, 2),
+        lambda: zeppola_integral(2, 1.5),
+        lambda: subsheaf_rank(SubsheafProfile(0.5, 0, 0), 1, 9),
+        lambda: zeppola_oracle(2, 1.5),
+    ],
+    ids=[
+        "nocamere_bound",
+        "theorem_hypothesis",
+        "destabilizer_margin",
+        "fiber_degrees",
+        "zeppola_integral",
+        "SubsheafProfile",
+        "zeppola_oracle",
+    ],
+)
+def test_integer_parameters_reject_non_integers(call):
+    # unchecked, these gave -3.0, 1.0, 12.0, (72.0, 72.0), 6.75 and 2/9 as a
+    # float, and zeppola_oracle(2, 1.5) raised ArithmeticError
+    with pytest.raises(TypeError):
+        call()

@@ -17,7 +17,6 @@ from hkverify.kummer import (
     basis,
     bbf,
     c2_pair,
-    c2_square,
     fujiki_integral,
     fujiki_symmetrized,
     modularity_coefficient,
@@ -145,7 +144,7 @@ def test_c2_values():
     delta = KummerTwoClass(MODEL, 0, 0, 1)
     assert c2_pair(delta, delta) == -324
     assert C2_PAIR_COEFF == 54
-    assert c2_square() == C2_SQUARE_VALUE == 756
+    assert C2_SQUARE_VALUE == 756
 
 
 def test_riemann_roch_from_square_table():

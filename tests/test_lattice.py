@@ -2,6 +2,7 @@
 divisibility, and the congruence bookkeeping for moduli cases."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -13,12 +14,19 @@ from hkverify.lattice import (
     GramLattice,
     classify_moduli_case,
     kummer_divisibility,
-    max_negative_square,
     nocamere_bound,
     theorem_hypothesis,
 )
 
 ints = st.integers(min_value=-9, max_value=9)
+
+
+def max_negative_square(lattice: GramLattice, box: int) -> int | None:
+    """Largest self-pairing strictly below zero over the coefficient box
+    [-box, box]^2, or None when no vector in the box has negative square:
+    the brute-force search that nocamere_bound is compared with."""
+    squares = (lattice.square(coords) for coords in product(range(-box, box + 1), repeat=2))
+    return max((q for q in squares if q < 0), default=None)
 
 
 @st.composite

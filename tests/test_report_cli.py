@@ -307,12 +307,15 @@ def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
     assert exit_code(report) == 1
 
 
-@pytest.mark.parametrize("field", hkverify.blowup.VfData.__slots__)
-def test_every_vf_field_is_checked_by_the_report(monkeypatch, field):
-    # the V data is read from VF alone: bumping any one field fails the report
-    vf = hkverify.blowup.VF
-    bumped = hkverify.blowup.VfData(**{field: getattr(vf, field) + 1})
-    monkeypatch.setattr(hkverify.blowup, "VF", bumped)
+@pytest.mark.parametrize(
+    "name",
+    ["V_PAIR_COEFF", "V_DELTA_SQUARE", "C2_NORMAL", "C2_AMBIENT"],
+    ids=["pair_coeff", "delta_restriction_sq", "c2_normal", "c2_ambient"],
+)
+def test_every_vf_field_is_checked_by_the_report(monkeypatch, name):
+    # the V data is read from these four constants alone: bumping any one
+    # of them fails the report
+    monkeypatch.setattr(hkverify.blowup, name, getattr(hkverify.blowup, name) + 1)
     report = run_report()
     assert report.summary["fail"] > 0
     assert exit_code(report) == 1
@@ -320,11 +323,12 @@ def test_every_vf_field_is_checked_by_the_report(monkeypatch, field):
 
 def test_exceptional_fourth_is_checked_against_the_literal():
     # c2(N) bumped before the catalogue is built: a recorded value read from
-    # VF would follow the bump and compare x_quartic's k = 4 term with itself
+    # C2_NORMAL would follow the bump and compare x_quartic's k = 4 term with
+    # itself
     script = (
         "import sys\n"
         "import hkverify.blowup as blowup\n"
-        "blowup.VF = blowup.VfData(c2_normal=blowup.VF.c2_normal + 1)\n"
+        "blowup.C2_NORMAL += 1\n"
         "from hkverify.cli import main\n"
         "sys.exit(main(['report', '--only', 'blowup-exceptional-fourth', '--format', 'md']))\n"
     )
@@ -477,6 +481,42 @@ def test_cli_walls(capsys):
     assert out[0] == "ss=0 sv=1 n=1 q=-6 div in {6}"
     assert len([l for l in out if l.startswith("ss=")]) == 5
     assert out[-1].startswith("discarded: ss=2 sv=3")
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """(command, output lines) of each `$ hkverify ...` line in README.md's
+    code blocks, with the lines under it up to the next command or the end
+    of its block."""
+    readme = Path(hkverify.__file__).resolve().parents[2] / "README.md"
+    examples = []
+    in_block = False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            current = None
+        elif in_block and line.startswith("$ hkverify "):
+            current = []
+            examples.append((line[len("$ hkverify ") :], current))
+        elif in_block and current is not None:
+            current.append(line)
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples_with_output():
+    examples = dict(_README_EXAMPLES)
+    assert "walls" in examples and "ample --abar 1 --d 15" in examples
+    assert all(examples.values())
+
+
+@pytest.mark.parametrize(
+    "command, output", _README_EXAMPLES, ids=[command for command, _ in _README_EXAMPLES]
+)
+def test_readme_example_prints_its_output(capsys, command, output):
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out.splitlines() == output
 
 
 def test_cli_modularity(capsys):
@@ -703,6 +743,14 @@ def test_import_loads_no_dataclasses_or_inspect(module):
     # the value classes are __slots__ classes; importing dataclasses (which
     # pulls in inspect) cost about 30 ms of every cold process
     code = f"import {module}, sys; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    run = _run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_report_or_json():
+    # only `hkverify report` reads the claim catalogue, and imports it itself
+    code = "import hkverify.cli, sys; print(sorted({'hkverify.report', 'json'} & set(sys.modules)))"
     run = _run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
