@@ -23,6 +23,8 @@ class IsogenyParams:
     __slots__ = ("deg_f", "n", "d0")
 
     def __init__(self, deg_f: int, n: int, d0: int) -> None:
+        if not (isinstance(deg_f, int) and isinstance(n, int) and isinstance(d0, int)):
+            raise TypeError("deg_f, n and d0 must be integers")
         if deg_f < 1:
             raise ValueError("deg_f must be a positive integer")
         if n < 1:
@@ -50,6 +52,8 @@ def power_or_text(coeff: int, base: int, n: int) -> int | str:
     built; within a digit of the limit, where float rounding could mislead,
     the power is built and compared with 10^limit exactly. An unlimited
     interpreter (limit 0) gets the default limit, so the time stays bounded."""
+    if not (isinstance(coeff, int) and isinstance(base, int) and isinstance(n, int)):
+        raise TypeError("coeff, base and n must be integers")
     limit = digit_limit()
     digits = log10(coeff) + n * log10(base)
     text = f"{base}^{n}" if coeff == 1 else f"{coeff}*{base}^{n}"
@@ -139,6 +143,8 @@ def jh_decompositions(r: int, a: int, e: int) -> tuple[tuple[int, int, int], ...
     """All numeric shapes (r0, b0, m) of a Jordan-Holder factor stack, a
     factor of rank r0 and slope data b0 coprime to r0 repeated m times, with
     m r0^2 = r g, m r0 b0 = a g for g = gcd(r0, e)."""
+    if not (isinstance(r, int) and isinstance(a, int) and isinstance(e, int)):
+        raise TypeError("r, a and e must be integers")
     if r < 1 or e < 1:
         raise ValueError("r and e must be positive integers")
     shapes = []

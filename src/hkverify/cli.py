@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--format", choices=("json", "md"), default="json")
     rep.add_argument("--only", help="keep claims with this id prefix")
-    for option in ("--abar-max", "--d-max", "--a-max", "--md-max"):
+    for option in ("--abar-max", "--a-max", "--md-max"):
         rep.add_argument(option, type=_integer)
 
     fuj = sub.add_parser("fujiki", help="integrate a product of four classes")

@@ -168,6 +168,8 @@ _TWO_TORSION = tuple(product(product(range(2), repeat=2), repeat=2))
 
 def monodromy_group(n: int) -> frozenset:
     """Closure of the swap and shear generators in GL2(Z/n)."""
+    if not isinstance(n, int):
+        raise TypeError("n must be an integer")
     identity = ((1, 0), (0, 1))
     seen = {identity}
     frontier = [identity]

@@ -29,9 +29,10 @@ from math import gcd
 
 
 def _quotient(x, k: int | Fraction):
-    """x / k exactly: Fraction(x, k) on an int x, since int / int is a
-    float; x / k on a Fraction or a Poly, which divide exactly."""
-    return Fraction(x, k) if isinstance(x, int) else x / k
+    """x / k exactly: Fraction(x, k) through `_coef` on an int or a Fraction
+    x, since int / int is a float, so an integral quotient is an int; x / k
+    on a Poly, whose coefficients divide this way."""
+    return _coef(Fraction(x, k)) if isinstance(x, (int, Fraction)) else x / k
 
 
 def _number_text(value: int | Fraction) -> str:
@@ -80,15 +81,15 @@ class Poly:
         self.coeffs = tuple(coeffs)
 
     def __call__(self, x):
-        """The value at x by Horner's rule: an int or a Fraction at an int or
-        a Fraction, and the composition at a Poly. Any other x goes through
-        `_coef`, so a float raises TypeError."""
+        """The value at x by Horner's rule: through `_coef` at an int or a
+        Fraction, so an int where it is integral, and the composition at a
+        Poly. Any other x goes through `_coef`, so a float raises TypeError."""
         if not isinstance(x, Poly):
             x = _coef(x)
         value = 0 * x  # the zero of x's kind, so a composition is a Poly
         for c in reversed(self.coeffs):
             value = value * x + c
-        return value
+        return _coef(value) if isinstance(value, Fraction) else value
 
     def __add__(self, other):
         other = self._lift(other)
@@ -198,7 +199,7 @@ class GramLattice:
         for i, ui in enumerate(u):
             for j, vj in enumerate(v):
                 total += _coef(ui) * self.gram[i][j] * _coef(vj)
-        return total
+        return _coef(total)
 
     def square(self, u) -> int | Fraction:
         return self.pair(u, u)
@@ -278,6 +279,8 @@ _MODULI_MODULUS = {2: 8, 3: 18, 6: 72}
 def classify_moduli_case(e: int, i: int) -> bool:
     """Whether the pair (e, i) lands in one of the four admissible numeric
     cases: i = 1 with e even, or i in {2, 3, 6} with e = -6 mod (8, 18, 72)."""
+    if not (isinstance(e, int) and isinstance(i, int)):
+        raise TypeError("e and i must be integers")
     if i not in (1, 2, 3, 6):
         raise ValueError("index i must be one of 1, 2, 3, 6")
     if e <= 0:

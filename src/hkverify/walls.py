@@ -20,6 +20,8 @@ from .lattice import AbelianSurfaceModel, _number_text
 def mukai_square(r: int, ell_sq: int, s: int) -> int:
     """<v, v> = -2 r s + ell^2 for the Mukai vector v = (r, ell, s); the full
     ell is not needed, only its square."""
+    if not (isinstance(r, int) and isinstance(ell_sq, int) and isinstance(s, int)):
+        raise TypeError("r, ell_sq and s must be integers")
     return -2 * r * s + ell_sq
 
 
@@ -64,6 +66,8 @@ def generate_wall_cases() -> tuple[WallNumerics, ...]:
 
 
 def ample_thresholds(abar: int) -> tuple[int, int]:
+    if not isinstance(abar, int):
+        raise TypeError("abar must be an integer")
     return (12 * abar + 3, 24 * abar * abar + 6 * abar)
 
 

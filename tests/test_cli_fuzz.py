@@ -32,7 +32,6 @@ FLAGS = {
         "--format": st.sampled_from(["json", "md", "xml"]),
         "--only": st.one_of(st.sampled_from(PREFIXES), JUNK),
         "--abar-max": st.one_of(st.integers(-1, 3).map(str), JUNK),
-        "--d-max": SMALL,
         "--a-max": SMALL,
         "--md-max": SMALL,
     },

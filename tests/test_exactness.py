@@ -1,9 +1,10 @@
 """The package's one number contract: class coefficients stay ints where
 they are integral, and every public form returns what its exact arithmetic
-gives, an int on integral inputs and otherwise an int or a Fraction, equal
-to the plain-Fraction formula. The Chern numbers, Polys in a, are at an
-int an int or a Fraction equal to their closed form, and at a float a they
-raise TypeError. No claim value is a float."""
+gives, on integral inputs an int wherever the value is whole, and otherwise
+an int or a Fraction, equal to the plain-Fraction formula. The Chern
+numbers, Polys in a, are at an int an int or a Fraction equal to their
+closed form, and at a float a they raise TypeError. No claim value is a
+float."""
 
 import ast
 import inspect
@@ -16,7 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hkverify.chern
-from hkverify.abelian import zeppola_integral, zeppola_oracle
+from hkverify.abelian import (
+    IsogenyParams,
+    jh_decompositions,
+    kernel_order,
+    power_or_text,
+    zeppola_integral,
+    zeppola_oracle,
+)
 from hkverify.blowup import (
     XTwoClass,
     ch1_bundle,
@@ -25,7 +33,15 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.chern import Poly
-from hkverify.fiber import SubsheafProfile, destabilizer_margin, fiber_degrees, subsheaf_rank
+from hkverify.walls import ample_thresholds, mukai_square
+from hkverify.fiber import (
+    SubsheafProfile,
+    destabilizer_margin,
+    fiber_degrees,
+    fiber_degrees_gram,
+    monodromy_group,
+    subsheaf_rank,
+)
 from hkverify.kummer import (
     KummerTwoClass,
     bbf,
@@ -34,8 +50,15 @@ from hkverify.kummer import (
     fujiki_symmetrized,
     mu_pair,
 )
-from hkverify.lattice import AbelianSurfaceModel, _coef, nocamere_bound, theorem_hypothesis
-from hkverify.report import CLAIMS, ReportConfig, Skipped, Sweep
+from hkverify.lattice import (
+    AbelianSurfaceModel,
+    _coef,
+    _quotient,
+    classify_moduli_case,
+    nocamere_bound,
+    theorem_hypothesis,
+)
+from hkverify.report import CLAIMS, ReportConfig, Sweep
 
 BIG = AbelianSurfaceModel(4, 5)
 SMALL = AbelianSurfaceModel(2, 5)
@@ -65,7 +88,7 @@ def _floats(value, path="value"):
         return [path]
     if isinstance(value, (tuple, list)):
         return [f for i, v in enumerate(value) for f in _floats(v, f"{path}[{i}]")]
-    if isinstance(value, (Sweep, Skipped)):
+    if isinstance(value, Sweep):
         return [
             f
             for field in value.__slots__
@@ -190,6 +213,20 @@ def test_integral_inputs_give_ints():
     assert type(fujiki_symmetrized(e, e, e, e)) in (int, Fraction)
 
 
+def test_exact_quotients_are_ints_where_integral():
+    # _quotient sends its result through _coef, so a division that comes
+    # out integral gives an int, as a coefficient does
+    e = KummerTwoClass(BIG, 0, 0, 1)
+    line = XTwoClass(KummerTwoClass(SMALL, 1, 0, 0), 0)
+    assert ch2_pairing(line, e, e) == 45 and type(ch2_pairing(line, e, e)) is int
+    assert type(_quotient(90, 2)) is int and type(_quotient(Fraction(9, 2), Fraction(3, 2))) is int
+    assert _quotient(1, 2) == Fraction(1, 2)
+    assert _quotient(Poly((2, 4)), 2) == Poly((1, 2))
+    # a Poly's value and a Gram pairing pass through _coef the same way
+    assert type(hkverify.chern.chi_bundle(1)) is int
+    assert [type(v) for v in fiber_degrees_gram(1, 10)] == [int, int]
+
+
 # The fact the blowup-ch1-paths certificate relies on: both ch1 paths are
 # affine in (p, q, x, y). A map on Q^4 that respects every affine
 # combination of two points is affine.
@@ -295,6 +332,13 @@ def test_chern_functions_reject_floats(name):
         lambda: zeppola_integral(2, 1.5),
         lambda: subsheaf_rank(SubsheafProfile(0.5, 0, 0), 1, 9),
         lambda: zeppola_oracle(2, 1.5),
+        lambda: kernel_order(IsogenyParams(7, 2, 1.5)),
+        lambda: ample_thresholds(1.5),
+        lambda: power_or_text(1, 2.5, 3),
+        lambda: monodromy_group(2.0),
+        lambda: classify_moduli_case(10.0, 2),
+        lambda: jh_decompositions(4, 2.5, 3),
+        lambda: mukai_square(1, 0.5, -3),
     ],
     ids=[
         "nocamere_bound",
@@ -304,10 +348,20 @@ def test_chern_functions_reject_floats(name):
         "zeppola_integral",
         "SubsheafProfile",
         "zeppola_oracle",
+        "IsogenyParams",
+        "ample_thresholds",
+        "power_or_text",
+        "monodromy_group",
+        "classify_moduli_case",
+        "jh_decompositions",
+        "mukai_square",
     ],
 )
 def test_integer_parameters_reject_non_integers(call):
     # unchecked, these gave -3.0, 1.0, 12.0, (72.0, 72.0), 6.75 and 2/9 as a
-    # float, and zeppola_oracle(2, 1.5) raised ArithmeticError
+    # float, zeppola_oracle(2, 1.5) raised ArithmeticError, kernel_order gave
+    # 45.5625, ample_thresholds (21.0, 63.0), power_or_text 15.625,
+    # monodromy_group a group of float matrices, classify_moduli_case True,
+    # jh_decompositions () and mukai_square 6.5
     with pytest.raises(TypeError):
         call()

@@ -41,6 +41,7 @@ from hkverify.report import (
     EXPECTED_DISCREPANCIES,
     ClaimRecord,
     ReportConfig,
+    Sweep,
     exit_code,
     run_report,
     to_json,
@@ -89,13 +90,7 @@ def test_json_schema(default_report):
     payload = json.loads(to_json(default_report))
     assert set(payload) == {"version", "config", "records", "summary", "warnings"}
     assert payload["version"]
-    assert set(payload["config"]) == {
-        "abar_max",
-        "d_max",
-        "a_max",
-        "md_max",
-        "only",
-    }
+    assert set(payload["config"]) == {"abar_max", "a_max", "md_max", "only"}
     for record in payload["records"]:
         assert set(record) == {"claim_id", "computed", "stated", "verdict", "provenance"}
         assert record["verdict"] in ("pass", "fail", "discrepancy", "skipped")
@@ -338,12 +333,16 @@ def test_exceptional_fourth_is_checked_against_the_literal():
     assert row in run.stdout.splitlines()
 
 
-def test_small_d_max_skips_the_ample_sweep():
-    report = run_report(ReportConfig(d_max=5))
-    by_id = {r.claim_id: r for r in report.records}
-    assert by_id["ample-sweep"].verdict == "skipped"
-    assert report.summary["skipped"] == 1
-    assert exit_code(report) == 0  # skipped is not a failure
+def test_provenance_follows_from_the_claim_kind(default_report):
+    # a claim is derived exactly when it computes a Sweep, two computations
+    # compared case by case
+    by_id = {r.claim_id: r for r in default_report.records}
+    for claim in CLAIMS:
+        derived = isinstance(claim.compute(ReportConfig()), Sweep)
+        assert by_id[claim.claim_id].provenance == ("derived" if derived else "stated")
+    assert by_id["chern-polynomial-identities"].computed == "0 failures / 3 cases"
+    provenances = [r.provenance for r in default_report.records]
+    assert (provenances.count("derived"), provenances.count("stated")) == (14, 47)
 
 
 def test_exit_code_flags_failures(default_report):
@@ -366,25 +365,27 @@ def test_claim_record_validation():
 def test_report_config_validation():
     with pytest.raises(ValueError):
         ReportConfig(abar_max=0)
-    with pytest.raises(ValueError):
-        ReportConfig(d_max=-1)
+    with pytest.raises(TypeError):
+        ReportConfig(d_max=60)  # the retired knob is not a keyword
     with pytest.raises(ValueError):
         ReportConfig(samples=0)
 
 
-@pytest.mark.parametrize("md_max", [0, -3])
+@pytest.mark.parametrize("md_max", [0, -3, 1, 8])
 def test_report_config_rejects_non_positive_md_max(capsys, md_max):
-    with pytest.raises(ValueError, match="md_max must be positive"):
+    # fiber-rank-integrality starts at m*d = 9, so a smaller md_max would
+    # leave it no case
+    with pytest.raises(ValueError, match="md_max must be at least 9"):
         ReportConfig(md_max=md_max)
     assert main(["report", "--md-max", str(md_max)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: md_max must be positive\n"
+    assert captured.out == "" and captured.err == "error: md_max must be at least 9\n"
 
 
 def test_report_config_stores_no_samples_or_seed():
     # samples and seed are keyword arguments accepted, checked and dropped
     config = ReportConfig(samples=150, seed=3)
-    assert ReportConfig.__slots__ == ("abar_max", "d_max", "a_max", "md_max", "only")
+    assert ReportConfig.__slots__ == ("abar_max", "a_max", "md_max", "only")
     assert not hasattr(config, "samples") and not hasattr(config, "seed")
     default = ReportConfig()
     assert [getattr(config, f) for f in ReportConfig.__slots__] == [
@@ -412,7 +413,7 @@ def test_cli_report_markdown(capsys):
     assert "| fujiki-delta-fourth | 324 | 324 | pass | stated |" in lines
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+@pytest.mark.parametrize("flag", ["--samples", "--seed", "--d-max"])
 def test_cli_report_rejects_retired_sampling_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["report", flag, "7", "--only", "fujiki-"])
