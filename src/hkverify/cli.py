@@ -127,14 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # an option left out keeps ReportConfig's default
-    rep = sub.add_parser(
-        "report", help="recompute every recorded claim", argument_default=argparse.SUPPRESS
-    )
+    rep = sub.add_parser("report", help="recompute every recorded claim")
     rep.add_argument("--format", choices=("json", "md"), default="json")
     rep.add_argument("--only", help="keep claims with this id prefix")
-    for option in ("--abar-max", "--a-max", "--md-max"):
-        rep.add_argument(option, type=_integer)
 
     fuj = sub.add_parser("fujiki", help="integrate a product of four classes")
     fuj.add_argument("--abar", type=_integer, required=True)
@@ -187,8 +182,7 @@ def _cmd_report(args) -> int:
     # imported here, so the calculator commands do not load the claim catalogue
     from .report import ReportConfig, exit_code, run_report, to_json, to_markdown
 
-    config = ReportConfig(**{k: v for k, v in vars(args).items() if k in ReportConfig.__slots__})
-    report = run_report(config)
+    report = run_report(ReportConfig(only=args.only))
     text = to_json(report) if args.format == "json" else to_markdown(report)
     sys.stdout.write(text)
     return exit_code(report)
@@ -214,13 +208,13 @@ def _cmd_rr(args) -> int:
 
 def _cmd_walls(args) -> int:
     cases = generate_wall_cases()
-    for w in cases:
-        if w.retained:
-            divs = ",".join(str(v) for v in sorted(w.div_candidates))
-            print(f"ss={w.ss} sv={w.sv} n={w.n} q={w.q} div in {{{divs}}}")
-    for w in cases:
-        if not w.retained:
-            print(f"discarded: ss={w.ss} sv={w.sv} (square {w.q} is not negative)")
+    for ss, sv, n, q, divs in cases:
+        if q < 0:
+            listed = ",".join(str(v) for v in sorted(divs))
+            print(f"ss={ss} sv={sv} n={n} q={q} div in {{{listed}}}")
+    for ss, sv, _, q, _ in cases:
+        if q >= 0:
+            print(f"discarded: ss={ss} sv={sv} (square {q} is not negative)")
     return 0
 
 

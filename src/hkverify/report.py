@@ -141,27 +141,35 @@ class ClaimRecord:
 
 
 class ReportConfig:
-    """The ranges of the box sweeps; defaults reproduce the full report.
+    """The `only` prefix and the ranges of the box sweeps; the default ranges
+    are the ones `hkverify report` always runs. Only library callers set the
+    ranges: the benchmark's sweep-grid workload and `tests/test_golden.py`
+    use `abar_max=8, a_max=200, md_max=121`.
+
     `abar_max` bounds `ample-sweep` and `lattice-discriminant-sweep`, `a_max`
     bounds `chern-chi-end-sweep`, and `md_max` bounds `fiber-rank-integrality`,
     which starts at m*d = 9, so `md_max` must be at least 9 and every sweep
-    has cases. No claim samples, but `samples` and `seed` are keyword
-    arguments accepted and dropped (`samples` is checked first), because the
-    benchmark's worker (`perfbench/child.py`) passes both for its sweep-grid
-    workload."""
+    has cases. A range must be an int (a bool is stored as its int) and
+    `only` a str or None, else TypeError. No claim samples, but `samples`
+    and `seed` are keyword arguments accepted and dropped (`samples` is
+    checked first), because the benchmark's worker (`perfbench/child.py`)
+    passes both for its sweep-grid workload."""
 
     __slots__ = ("abar_max", "a_max", "md_max", "only")
 
     def __init__(
         self, abar_max=3, a_max=50, md_max=41, samples=None, seed=None, only=None
     ) -> None:
+        ranges = (abar_max, a_max, md_max)
+        if not all(isinstance(v, int) for v in ranges):
+            raise TypeError("abar_max, a_max and md_max must be integers")
+        if not (only is None or isinstance(only, str)):
+            raise TypeError("only must be a string or None")
         if abar_max < 1 or a_max < 1 or (samples is not None and samples < 1):
             raise ValueError("abar_max, a_max and samples must be positive")
         if md_max < 9:
             raise ValueError("md_max must be at least 9")
-        self.abar_max = abar_max
-        self.a_max = a_max
-        self.md_max = md_max
+        self.abar_max, self.a_max, self.md_max = map(int, ranges)
         self.only = only
 
 
@@ -468,12 +476,12 @@ CLAIMS = (
     # walls and ampleness
     Claim(
         "walls-retained",
-        lambda cfg: tuple((w.ss, w.sv, w.n, w.q) for w in generate_wall_cases() if w.retained),
+        lambda cfg: tuple((ss, sv, n, q) for ss, sv, n, q, _ in generate_wall_cases() if q < 0),
         ((0, 1, 1, -6), (0, 2, 2, -6), (0, 3, 3, -6), (2, 4, 2, -6), (4, 5, 1, -6)),
     ),
     Claim(
         "walls-discarded",
-        lambda cfg: tuple((w.ss, w.sv, w.q) for w in generate_wall_cases() if not w.retained),
+        lambda cfg: tuple((ss, sv, q) for ss, sv, _, q, _ in generate_wall_cases() if q >= 0),
         ((2, 3, 2),),
     ),
     Claim("mukai-square", lambda cfg: mukai_square(*MODULI_VECTOR), 6),

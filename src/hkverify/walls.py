@@ -29,27 +29,12 @@ def mukai_square(r: int, ell_sq: int, s: int) -> int:
 MODULI_VECTOR = (1, 0, -3)
 
 
-class WallNumerics:
-    """Numeric shadow of a candidate sub-vector: its square ss, the pairing
-    sv with the moduli vector, n = gcd(sv, 6), the induced wall square q and
-    the admissible divisibilities."""
-
-    __slots__ = ("ss", "sv", "n", "q", "div_candidates", "retained")
-
-    def __init__(
-        self, ss: int, sv: int, n: int, q: int, div_candidates: frozenset[int], retained: bool
-    ) -> None:
-        self.ss = ss
-        self.sv = sv
-        self.n = n
-        self.q = q
-        self.div_candidates = div_candidates
-        self.retained = retained
-
-
-def generate_wall_cases() -> tuple[WallNumerics, ...]:
-    """All (ss, sv) with ss in {0, 2, 4} and 0 <= ss < sv <= 3 + ss/2,
-    with q = -(6/n^2)(sv^2 - 6 ss); cases with q >= 0 carry retained=False."""
+def generate_wall_cases() -> tuple[tuple[int, int, int, int, frozenset[int]], ...]:
+    """The numeric shadow (ss, sv, n, q, divs) of each candidate sub-vector:
+    its square ss in {0, 2, 4}, the pairing sv with the moduli vector,
+    0 <= ss < sv <= 3 + ss/2, n = gcd(sv, 6), the induced wall square
+    q = -(6/n^2)(sv^2 - 6 ss) and the admissible divisibilities divs. Only
+    the cases with q < 0 are walls."""
     cases = []
     for ss in (0, 2, 4):
         for sv in range(ss + 1, 3 + ss // 2 + 1):
@@ -59,15 +44,17 @@ def generate_wall_cases() -> tuple[WallNumerics, ...]:
                 raise ArithmeticError("wall square must be an integer")
             step = 6 // n
             divs = frozenset(k for k in (1, 2, 3, 6) if k % step == 0)
-            cases.append(
-                WallNumerics(ss, sv, n, q, divs, retained=q < 0)
-            )
+            cases.append((ss, sv, n, q, divs))
     return tuple(cases)
 
 
 def ample_thresholds(abar: int) -> tuple[int, int]:
+    """(12 abar + 3, 24 abar^2 + 6 abar): the wall threshold and the
+    separating threshold in d, for abar >= 1."""
     if not isinstance(abar, int):
         raise TypeError("abar must be an integer")
+    if abar < 1:
+        raise ValueError("abar must be a positive integer")
     return (12 * abar + 3, 24 * abar * abar + 6 * abar)
 
 

@@ -140,14 +140,14 @@ def test_criterion_wall_enumeration():
     # exactly five retained wall cases, every one of square -6 with
     # divisibilities among {2, 3, 6}; the single discarded case is
     # (ss, sv) = (2, 3) with square +2
-    retained = [w for w in generate_wall_cases() if w.retained]
+    retained = [w for w in generate_wall_cases() if w[3] < 0]
     assert len(retained) == 5
-    assert [(w.ss, w.sv) for w in retained] == [(0, 1), (0, 2), (0, 3), (2, 4), (4, 5)]
-    for w in retained:
-        assert w.q == -6
-        assert w.div_candidates <= {2, 3, 6}
-    discarded = [w for w in generate_wall_cases() if not w.retained]
-    assert [(w.ss, w.sv, w.q) for w in discarded] == [(2, 3, 2)]
+    assert [(ss, sv) for ss, sv, _, _, _ in retained] == [(0, 1), (0, 2), (0, 3), (2, 4), (4, 5)]
+    for _, _, _, q, divs in retained:
+        assert q == -6
+        assert divs <= {2, 3, 6}
+    discarded = [w for w in generate_wall_cases() if w[3] >= 0]
+    assert [(ss, sv, q) for ss, sv, _, q, _ in discarded] == [(2, 3, 2)]
 
 
 def test_criterion_ampleness_beyond_threshold():

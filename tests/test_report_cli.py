@@ -372,14 +372,35 @@ def test_report_config_validation():
 
 
 @pytest.mark.parametrize("md_max", [0, -3, 1, 8])
-def test_report_config_rejects_non_positive_md_max(capsys, md_max):
+def test_report_config_rejects_non_positive_md_max(md_max):
     # fiber-rank-integrality starts at m*d = 9, so a smaller md_max would
     # leave it no case
     with pytest.raises(ValueError, match="md_max must be at least 9"):
         ReportConfig(md_max=md_max)
-    assert main(["report", "--md-max", str(md_max)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: md_max must be at least 9\n"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"abar_max": 2.5},
+        {"a_max": "3"},
+        {"md_max": None},
+        {"md_max": 9.5},
+        {"only": 5},
+        {"only": b"chern-"},
+    ],
+)
+def test_report_config_rejects_non_int_range_and_non_str_only(kwargs):
+    # rejected at construction, not later in a claim's range() or in
+    # str.startswith while run_report runs
+    with pytest.raises(TypeError):
+        ReportConfig(**kwargs)
+
+
+def test_report_config_stores_a_bool_range_as_its_int():
+    config = ReportConfig(abar_max=True, a_max=True)
+    assert (type(config.abar_max), type(config.a_max)) == (int, int)
+    assert json.loads(to_json(run_report(config)))["config"]["a_max"] == 1
 
 
 def test_report_config_stores_no_samples_or_seed():
@@ -413,7 +434,9 @@ def test_cli_report_markdown(capsys):
     assert "| fujiki-delta-fourth | 324 | 324 | pass | stated |" in lines
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--seed", "--d-max"])
+@pytest.mark.parametrize(
+    "flag", ["--samples", "--seed", "--d-max", "--abar-max", "--a-max", "--md-max"]
+)
 def test_cli_report_rejects_retired_sampling_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["report", flag, "7", "--only", "fujiki-"])

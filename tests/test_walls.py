@@ -20,7 +20,7 @@ from hkverify.walls import (
 
 
 def _retained():
-    return [w for w in generate_wall_cases() if w.retained]
+    return [w for w in generate_wall_cases() if w[3] < 0]
 
 
 def test_moduli_vector_square():
@@ -29,7 +29,7 @@ def test_moduli_vector_square():
 
 
 def test_wall_case_table():
-    table = [(w.ss, w.sv, w.n, w.q, tuple(sorted(w.div_candidates))) for w in _retained()]
+    table = [(ss, sv, n, q, tuple(sorted(divs))) for ss, sv, n, q, divs in _retained()]
     assert table == [
         (0, 1, 1, -6, (6,)),
         (0, 2, 2, -6, (3, 6)),
@@ -40,24 +40,31 @@ def test_wall_case_table():
 
 
 def test_wall_case_discarded():
-    discarded = [w for w in generate_wall_cases() if not w.retained]
+    discarded = [w for w in generate_wall_cases() if w[3] >= 0]
     assert len(discarded) == 1
-    w = discarded[0]
-    assert (w.ss, w.sv) == (2, 3)
-    assert w.q == 2  # nonnegative square, not a wall
+    ss, sv, _, q, _ = discarded[0]
+    assert (ss, sv) == (2, 3)
+    assert q == 2  # nonnegative square, not a wall
 
 
 def test_every_retained_wall_has_square_minus_six():
-    for w in _retained():
-        assert w.q == -6
-        assert w.div_candidates <= {1, 2, 3, 6}
-        assert all(d % (6 // w.n) == 0 for d in w.div_candidates)
+    for _, _, n, q, divs in _retained():
+        assert q == -6
+        assert divs <= {1, 2, 3, 6}
+        assert all(d % (6 // n) == 0 for d in divs)
 
 
 def test_ample_thresholds():
     assert ample_thresholds(1) == (15, 30)
     assert ample_thresholds(2) == (27, 108)
     assert ample_thresholds(3) == (39, 234)
+
+
+@pytest.mark.parametrize("abar", [0, -2])
+def test_ample_thresholds_rejects_non_positive_abar(abar):
+    # the polarization square 4 abar must be positive, as in is_ample_h
+    with pytest.raises(ValueError, match="abar"):
+        ample_thresholds(abar)
 
 
 def test_ampleness_verdicts():
