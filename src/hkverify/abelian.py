@@ -11,7 +11,7 @@ normalization, which is also what squares to the kernel order).
 
 from __future__ import annotations
 
-from math import factorial, gcd, log10
+from math import factorial, gcd, isqrt, log10
 
 from .lattice import AbelianSurfaceModel, digit_limit
 
@@ -142,42 +142,54 @@ def zeppola_oracle(n: int, d0: int) -> int:
 def jh_decompositions(r: int, a: int, e: int) -> tuple[tuple[int, int, int], ...]:
     """All numeric shapes (r0, b0, m) of a Jordan-Holder factor stack, a
     factor of rank r0 and slope data b0 coprime to r0 repeated m times, with
-    m r0^2 = r g, m r0 b0 = a g for g = gcd(r0, e)."""
+    m r0^2 = r g, m r0 b0 = a g for g = gcd(r0, e), by increasing r0. Only
+    the divisors r0 of r can occur, and only they are tried."""
     if not (isinstance(r, int) and isinstance(a, int) and isinstance(e, int)):
         raise TypeError("r, a and e must be integers")
     if r < 1 or e < 1:
         raise ValueError("r and e must be positive integers")
     shapes = []
-    for r0 in range(1, r + 1):
-        g = gcd(r0, e)
-        num = r * g
-        if num % (r0 * r0):
+    # m r0^2 = r g with g = gcd(r0, e) dividing r0: writing r0 = g j gives
+    # r = m j r0, so r0 divides r; the divisors come in pairs {k, r // k}
+    # with k <= sqrt(r), and the shapes are sorted at the end
+    for k in range(1, isqrt(r) + 1):
+        if r % k:
             continue
-        m = num // (r0 * r0)
-        if (a * g) % (m * r0):
-            continue
-        b0 = (a * g) // (m * r0)
-        if gcd(r0, b0) != 1:
-            continue
-        shapes.append((r0, b0, m))
-    return tuple(shapes)
+        for r0 in {k, r // k}:
+            g = gcd(r0, e)
+            num = r * g
+            if num % (r0 * r0):
+                continue
+            m = num // (r0 * r0)
+            if (a * g) % (m * r0):
+                continue
+            b0 = (a * g) // (m * r0)
+            if gcd(r0, b0) != 1:
+                continue
+            shapes.append((r0, b0, m))
+    return tuple(sorted(shapes))
+
+
+def _check_slope_data(s0: int, c0: int, e: int) -> None:
+    """The common domain of both stability tests: coprime (s0, c0) with
+    s0 and e positive."""
+    if gcd(s0, c0) != 1:
+        raise ValueError("s0 and c0 must be coprime")
+    if s0 < 1 or e < 1:
+        raise ValueError("s0 and e must be positive integers")
 
 
 def forced_stable(s0: int, c0: int, e: int) -> bool:
     """Whether every semistable sheaf with the given coprime slope data
     (s0, c0) is automatically stable: true exactly when gcd(s0, e) = 1."""
-    if gcd(s0, c0) != 1:
-        raise ValueError("s0 and c0 must be coprime")
-    if s0 < 1 or e < 1:
-        raise ValueError("s0 and e must be positive integers")
+    _check_slope_data(s0, c0, e)
     return gcd(s0, e) == 1
 
 
 def forced_stable_via_jh(s0: int, c0: int, e: int) -> bool:
     """Independent check: stability is forced exactly when every shape in
     jh_decompositions(s0^2, s0 c0, e) has multiplicity 1."""
-    if gcd(s0, c0) != 1:
-        raise ValueError("s0 and c0 must be coprime")
+    _check_slope_data(s0, c0, e)
     return all(m == 1 for _, _, m in jh_decompositions(s0 * s0, s0 * c0, e))
 
 

@@ -40,7 +40,6 @@ classes and otherwise an int or a Fraction, never a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .kummer import (
     C2_PAIR_COEFF,
@@ -87,44 +86,37 @@ def exceptional_class(model: AbelianSurfaceModel) -> XTwoClass:
     return XTwoClass(KummerTwoClass(model, 0, 0, 0), 1)
 
 
+#: (i, j, k, l): the exceptional factors i, j of a k = 2 term, and the
+#: classes k, l whose bases pair on V.
+_PAIR_SPLITS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
+
+
 def x_quartic(
     c1: XTwoClass, c2: XTwoClass, c3: XTwoClass, c4: XTwoClass
 ) -> int | Fraction:
     """Integral over X of a product of four degree-2 classes, by multilinear
-    expansion into pullback/exceptional monomials and the reduction rules;
-    the rules are linear in each base, so picks with a zero t or base vanish."""
-    cs = (c1, c2, c3, c4)
-    if len({c.model for c in cs}) != 1:
-        raise ValueError("classes live on different fourfolds")
-    zero_base = [not any(c.base.coeffs()) for c in cs]
-    total = 0
-    for picks in product((False, True), repeat=4):
-        factor = 1
-        bases = []
-        for c, zero, exceptional in zip(cs, zero_base, picks):
-            if exceptional:
-                factor *= c.t
-            elif zero:
-                factor = 0
-            else:
-                bases.append(c.base)
-        if factor == 0:
-            continue
-        k = 4 - len(bases)
-        if k == 0:
-            term = fujiki_integral(*bases)
-        elif k == 1:
-            continue
-        elif k == 2:
-            term = -_vf_pair(bases[0], bases[1])
-        elif k == 3:
-            # -int_V c1(N).b| with c1(N) = delta|: -V_DELTA_SQUARE * x
-            term = -V_DELTA_SQUARE * bases[0].x
-        else:
-            # int_X D^4 = c2(N) - c1(N)^2 with c1(N) = delta|
-            term = C2_NORMAL - V_DELTA_SQUARE
-        total += factor * term
-    return total
+    expansion into pullback/exceptional monomials and the reduction rules,
+    grouped by k: the fujiki term, the six pair splits, the four triple
+    terms and the D^4 term (the k = 1 terms vanish). The terms are linear in
+    each base and each t, so the fujiki term is skipped when a base is zero
+    and a pair split when one of its two t is zero."""
+    bs = [c1.base, c2.base, c3.base, c4.base]
+    t1, t2, t3, t4 = ts = [c1.t, c2.t, c3.t, c4.t]
+    model, nonzero = c1.base.model, True
+    for b in bs:
+        if b.model is not model and b.model != model:
+            raise ValueError("classes live on different fourfolds")
+        if not (b.p or b.q or b.x):
+            nonzero = False
+    total = fujiki_integral(*bs) if nonzero else 0
+    for i, j, k, l in _PAIR_SPLITS:
+        if ts[i] and ts[j]:
+            total -= ts[i] * ts[j] * _vf_pair(bs[k], bs[l])
+    # k = 3: -int_V c1(N).b| with c1(N) = delta|, i.e. -V_DELTA_SQUARE * x
+    triples = t2 * t3 * t4 * bs[0].x + t1 * t3 * t4 * bs[1].x
+    triples += t1 * t2 * t4 * bs[2].x + t1 * t2 * t3 * bs[3].x
+    # k = 4: int_X D^4 = c2(N) - c1(N)^2 with c1(N) = delta|
+    return total - V_DELTA_SQUARE * triples + t1 * t2 * t3 * t4 * (C2_NORMAL - V_DELTA_SQUARE)
 
 
 def halved_model(model: AbelianSurfaceModel) -> AbelianSurfaceModel:

@@ -12,6 +12,7 @@ monodromy acts by left multiplication.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import product
 from numbers import Rational
 
@@ -90,25 +91,31 @@ def _subsheaf_rank_raw(profile: SubsheafProfile, md: int) -> tuple[int, int]:
     return (s * md - (s - 2 * profile.r2), 2 * md)
 
 
-def _subsheaf_rank_weighted_raw(profile: SubsheafProfile, m: int, d: int) -> tuple[int, int]:
+def _subsheaf_rank_weighted_raw(
+    profile: SubsheafProfile, deg_v: int, deg_delta: int
+) -> tuple[int, int]:
     """The same rank as the degree-weighted average over the fiber
-    components, as (numerator, denominator) with a positive denominator:
+    components of degrees (deg_v, deg_delta) = `fiber_degrees(m, d)`, as
+    (numerator, denominator) with a positive denominator:
     (r1' + r1'') deg V + r2 deg Delta over 2 deg V + deg Delta."""
-    deg_v, deg_delta = fiber_degrees(m, d)
     s = profile.r1p + profile.r1pp
     return (s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta)
 
 
-def rank_failures(profile: SubsheafProfile, md: int) -> int:
-    """Failed checks for one profile at m = 1, d = md > 8: whether
+def rank_failures(profiles: Iterable[SubsheafProfile], md: int) -> Iterator[int]:
+    """Failed checks for each profile at m = 1, d = md > 8: whether
     integer_rank_criterion matches the integrality of the rank, and whether
     the two rank kernels agree. Both are (numerator, positive denominator)
     pairs, so the rank is integral iff the denominator divides the
-    numerator, and the kernels agree iff the cross products are equal."""
-    num, den = _subsheaf_rank_raw(profile, md)
-    criterion_wrong = integer_rank_criterion(profile, 1, md) != (num % den == 0)
-    w_num, w_den = _subsheaf_rank_weighted_raw(profile, 1, md)
-    return criterion_wrong + (w_num * den != num * w_den)
+    numerator, and the kernels agree iff the cross products are equal. The
+    fiber degrees (and their check of md) are the same for every profile of
+    the row, so they are computed once."""
+    deg_v, deg_delta = fiber_degrees(1, md)
+    for profile in profiles:
+        num, den = _subsheaf_rank_raw(profile, md)
+        criterion_wrong = integer_rank_criterion(profile, 1, md) != (num % den == 0)
+        w_num, w_den = _subsheaf_rank_weighted_raw(profile, deg_v, deg_delta)
+        yield criterion_wrong + (w_num * den != num * w_den)
 
 
 def integer_rank_criterion(profile: SubsheafProfile, m: int, d: int) -> bool:

@@ -25,7 +25,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 
 def _quotient(x, k: int | Fraction):
@@ -72,24 +72,37 @@ class Poly:
     calling: p(x).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_nums", "_den")
 
     def __init__(self, coeffs=()) -> None:
         coeffs = [_coef(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
+        # the coefficients as int numerators over their common denominator
+        self._den = lcm(*(c.denominator for c in coeffs))
+        self._nums = tuple(c.numerator * (self._den // c.denominator) for c in coeffs)
 
     def __call__(self, x):
-        """The value at x by Horner's rule: through `_coef` at an int or a
-        Fraction, so an int where it is integral, and the composition at a
-        Poly. Any other x goes through `_coef`, so a float raises TypeError."""
-        if not isinstance(x, Poly):
-            x = _coef(x)
-        value = 0 * x  # the zero of x's kind, so a composition is a Poly
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return _coef(value) if isinstance(value, Fraction) else value
+        """The value at x. At an int or a Fraction p/q (through `_coef`, so a
+        float raises TypeError), Horner's rule runs in ints on the numerators
+        over the common denominator, homogeneously in p and q, and one
+        `_quotient` at the end (none over the denominator 1) gives an int
+        where the value is integral. At a Poly, Horner's rule gives the
+        composition."""
+        if isinstance(x, Poly):
+            value = Poly()
+            for c in reversed(self.coeffs):
+                value = value * x + c
+            return value
+        x = _coef(x)
+        num, den = x.numerator, x.denominator
+        value, power = 0, 1
+        for c in reversed(self._nums):
+            power *= den
+            value = value * num + c * power
+        scale = self._den * power
+        return value if scale == 1 else _quotient(value, scale)
 
     def __add__(self, other):
         other = self._lift(other)
@@ -247,9 +260,6 @@ class AbelianSurfaceModel:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.self_omega == other.self_omega and self.mixed_d == other.mixed_d
-
-    def __hash__(self) -> int:
-        return hash((self.self_omega, self.mixed_d))
 
     def gram(self) -> GramLattice:
         return GramLattice(((self.self_omega, self.mixed_d), (self.mixed_d, 0)))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from . import __version__
@@ -215,9 +215,12 @@ class Claim:
 
 
 def _sweep(case_failures: Iterable[int]) -> Sweep:
-    """Sweep over cases, given the number of failed checks in each case."""
-    counts = list(case_failures)
-    return Sweep(sum(counts), len(counts))
+    """Sweep over cases, given the number of failed checks in each case;
+    failures and cases are counted in one pass."""
+    failures = cases = 0
+    for cases, failed in enumerate(case_failures, 1):
+        failures += failed
+    return Sweep(failures, cases)
 
 
 _SMALL = AbelianSurfaceModel(2, 5)  # the halved model
@@ -261,9 +264,18 @@ def _ch1_paths_cases():
 
 
 def _delta_pairing_cases():
-    for alpha, beta, x, y in product(_BASIS, _BASIS, _GRID, _GRID):
-        via_chern = delta_pairing_via_chern(_line(1, 0, x, y), alpha, beta)
-        yield via_chern != delta_pairing_closed(x - y, alpha, beta)
+    for x, y in product(_GRID, _GRID):
+        line = _line(1, 0, x, y)
+        for alpha, beta in product(_BASIS, _BASIS):
+            via_chern = delta_pairing_via_chern(line, alpha, beta)
+            yield via_chern != delta_pairing_closed(x - y, alpha, beta)
+
+
+def _pullback_quartic_cases():
+    # the three pulled-back basis classes, built once per sweep
+    pulled = [pullback_correspondence(c) for c in _BASIS]
+    for cs, xs in zip(product(_BASIS, repeat=4), product(pulled, repeat=4)):
+        yield x_quartic(*xs) != 4 * fujiki_integral(*cs)
 
 
 def _ample_cases(cfg: ReportConfig):
@@ -276,11 +288,8 @@ def _ample_cases(cfg: ReportConfig):
 
 def _rank_integrality_sweep(cfg: ReportConfig) -> Sweep:
     profiles = [SubsheafProfile(*ranks) for ranks in product(range(5), repeat=3)]
-    return _sweep(
-        rank_failures(profile, md)
-        for md in range(9, cfg.md_max + 1, 2)
-        for profile in profiles
-    )
+    rows = (rank_failures(profiles, md) for md in range(9, cfg.md_max + 1, 2))
+    return _sweep(chain.from_iterable(rows))
 
 
 def _monodromy_fixed_point(cfg: ReportConfig) -> str:
@@ -380,14 +389,7 @@ CLAIMS = (
         lambda cfg: quartic_chain(_SMALL),
         (81, Fraction(243, 2), 81, Fraction(81, 2)),
     ),
-    Claim(
-        "blowup-pullback-quartic",
-        lambda cfg: _sweep(
-            x_quartic(*map(pullback_correspondence, cs)) != 4 * fujiki_integral(*cs)
-            for cs in product(_BASIS, repeat=4)
-        ),
-        0,
-    ),
+    Claim("blowup-pullback-quartic", lambda cfg: _sweep(_pullback_quartic_cases()), 0),
     Claim(
         "blowup-pushpull-degree",
         lambda cfg: _sweep(

@@ -10,7 +10,6 @@ ray); `ampleness_text` also reports the blanket sufficiency threshold in d.
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 
 from .kummer import KummerTwoClass
@@ -59,7 +58,7 @@ def ample_thresholds(abar: int) -> tuple[int, int]:
 
 
 #: (c, coefficient of delta, allowed beta^2): the wall through h, then the
-#: separating walls by c; those need m c <= 3, so they end at c = 3 // m
+#: separating walls by increasing c; those need m c <= 3
 _WALL_SEARCHES = ((0, 0, (-6,)), (1, -1, (0, 2)), (2, -1, (0, 2)), (3, -1, (0, 2)))
 
 
@@ -71,8 +70,9 @@ def is_ample_h(abar: int, d: int, m: int) -> KummerTwoClass | None:
     x = 0, beta.omegabar = 0, beta^2 = -6 (wall through h) or x = 1,
     beta.omegabar = c in {1, 2, 3} with m c <= 3, beta^2 in {0, 2}
     (separating wall), and writing beta = p omegabar + q gamma the pairing
-    equation 4 abar p + q d = c pins q; |p| <= 2 suffices. Returns the
-    violating class found, or None when h is ample.
+    equation 4 abar p + q d = c pins q = (c - 4 abar p) / d, so that
+    beta^2 = 4 abar p^2 + 2 p q d = p (c + q d); |p| <= 2 suffices. Returns
+    the violating class found, or None when h is ample.
     """
     if abar < 1 or d < 1 or m < 1:
         raise ValueError("abar, d, m must be positive integers")
@@ -80,12 +80,16 @@ def is_ample_h(abar: int, d: int, m: int) -> KummerTwoClass | None:
         # h is a class only for an integral m, and AbelianSurfaceModel(4 abar, d)
         # makes the same check for abar and d, but is built only for a witness
         raise TypeError("abar, d, m must be integers")
-    for (c, x, squares), p in product(_WALL_SEARCHES[: 1 + 3 // m], range(-2, 3)):
-        num = c - 4 * abar * p
-        if num % d == 0 and 4 * abar * p * p + 2 * p * (num // d) * d in squares:
-            if abs(p) == 2:
-                raise ArithmeticError("ampleness search hit the box boundary")
-            return KummerTwoClass(AbelianSurfaceModel(4 * abar, d), p, num // d, x)
+    four_abar = 4 * abar
+    for c, x, squares in _WALL_SEARCHES:
+        if m * c > 3:
+            break
+        for p in (-2, -1, 0, 1, 2):
+            num = c - four_abar * p  # q d
+            if num % d == 0 and p * (c + num) in squares:
+                if abs(p) == 2:
+                    raise ArithmeticError("ampleness search hit the box boundary")
+                return KummerTwoClass(AbelianSurfaceModel(four_abar, d), p, num // d, x)
     return None
 
 

@@ -105,6 +105,40 @@ def test_jh_shapes_resubstitute(r, a, e):
         assert m >= 1
 
 
+def _jh_decompositions_full_scan(r, a, e):
+    # every r0 = 1..r, with no divisor pruning
+    shapes = []
+    for r0 in range(1, r + 1):
+        g = gcd(r0, e)
+        if (r * g) % (r0 * r0):
+            continue
+        m = r * g // (r0 * r0)
+        if (a * g) % (m * r0):
+            continue
+        b0 = a * g // (m * r0)
+        if gcd(r0, b0) == 1:
+            shapes.append((r0, b0, m))
+    return tuple(shapes)
+
+
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=60),
+)
+def test_jh_decompositions_match_the_full_scan(r, a, e):
+    assert jh_decompositions(r, a, e) == _jh_decompositions_full_scan(r, a, e)
+
+
+def test_jh_decompositions_match_the_full_scan_on_squares():
+    # the ranks r = s0^2 of forced-stable-two-paths, and every divisor shape
+    for s0 in range(1, 13):
+        for c0 in range(-12, 13):
+            for e in range(1, 40):
+                r, a = s0 * s0, s0 * c0
+                assert jh_decompositions(r, a, e) == _jh_decompositions_full_scan(r, a, e)
+
+
 def test_forced_stable_examples():
     assert forced_stable(2, 9, 3) is True
     assert forced_stable(2, 1, 2) is False
@@ -115,6 +149,14 @@ def test_forced_stable_examples():
 def test_forced_stable_rejects_common_factor():
     with pytest.raises(ValueError):
         forced_stable(2, 4, 3)
+
+
+@pytest.mark.parametrize("args", [(-1, 1, 1), (-2, 1, 3), (0, 1, 1), (1, 1, 0), (2, 1, -4)])
+@pytest.mark.parametrize("path", [forced_stable, forced_stable_via_jh], ids=["gcd", "jh"])
+def test_both_stability_paths_reject_a_non_positive_rank_or_e(path, args):
+    # both paths of forced-stable-two-paths share one domain
+    with pytest.raises(ValueError, match="s0 and e must be positive integers"):
+        path(*args)
 
 
 @given(

@@ -192,6 +192,32 @@ def test_poly_call_matches_sympy(p, n, x, q):
     assert str(p(q)) == str(sympy.expand(expr.subs(a, _to_sympy(q))))
 
 
+def _horner_in_fractions(poly, x):
+    # the value by Horner's rule in plain Fraction arithmetic
+    value = Fraction(0)
+    for c in reversed(poly.coeffs):
+        value = value * x + c
+    return value
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [Poly(()), Poly((7,)), Poly((Fraction(-5, 3),)), Poly((Fraction(1, 2), -3, Fraction(7, 4)))]
+    + [ch4_integral, ch1_ch3, chi_bundle, ch1_fourth, ch2_td2],
+)
+@pytest.mark.parametrize(
+    "x", [0, 1, -1, -7, -250, 10**30, Fraction(1, 3), Fraction(-7, 4), Fraction(22, -6)]
+)
+def test_poly_call_matches_fraction_horner(poly, x):
+    value = poly(x)
+    expected = _horner_in_fractions(poly, x)
+    assert value == expected
+    # an int exactly where the value is integral
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+    with pytest.raises(TypeError):
+        poly(float(x))
+
+
 @pytest.mark.parametrize("x", [1.5, 2.0, Decimal("1.5"), 1j, "1"])
 @given(small_poly)
 def test_poly_call_rejects_inexact_arguments(x, p):

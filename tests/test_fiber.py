@@ -68,7 +68,7 @@ def test_subsheaf_rank_example():
     profile = SubsheafProfile(1, 2, 1)
     assert subsheaf_rank(profile, 1, 9) == Fraction(13, 9)
     assert _subsheaf_rank_raw(profile, 9) == (26, 18)
-    assert Fraction(*_subsheaf_rank_weighted_raw(profile, 1, 9)) == Fraction(13, 9)
+    assert Fraction(*_subsheaf_rank_weighted_raw(profile, *fiber_degrees(1, 9))) == Fraction(13, 9)
 
 
 def test_profile_validation():
@@ -86,7 +86,7 @@ def test_subsheaf_rank_two_paths_agree(r1p, r1pp, r2, md_pair):
     m, d = md_pair
     profile = SubsheafProfile(r1p, r1pp, r2)
     num, den = _subsheaf_rank_raw(profile, m * d)
-    w_num, w_den = _subsheaf_rank_weighted_raw(profile, m, d)
+    w_num, w_den = _subsheaf_rank_weighted_raw(profile, *fiber_degrees(m, d))
     assert den > 0 and w_den > 0
     assert subsheaf_rank(profile, m, d) == Fraction(num, den) == Fraction(w_num, w_den)
 

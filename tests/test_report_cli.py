@@ -279,14 +279,14 @@ def _rank_failures_in_fractions(profile, md):
 
 def test_rank_failures_match_the_fraction_checks():
     # every profile at every md of the sweep-grid range, odd and even
-    for ranks, md in product(product(range(5), repeat=3), range(9, 122)):
-        profile = SubsheafProfile(*ranks)
-        assert rank_failures(profile, md) == _rank_failures_in_fractions(profile, md), (ranks, md)
+    profiles = [SubsheafProfile(*ranks) for ranks in product(range(5), repeat=3)]
+    for md in range(9, 122):
+        expected = [_rank_failures_in_fractions(profile, md) for profile in profiles]
+        assert list(rank_failures(profiles, md)) == expected, md
 
 
-def _weighted_rank_with_wrong_denominator(profile, m, d):
+def _weighted_rank_with_wrong_denominator(profile, deg_v, deg_delta):
     # 2 deg V + deg Delta -> 2 deg V + deg Delta + 1
-    deg_v, deg_delta = fiber_degrees(m, d)
     s = profile.r1p + profile.r1pp
     return (s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta + 1)
 
@@ -300,6 +300,43 @@ def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
     (record,) = report.records
     assert (record.computed, record.verdict) == ("2108 failures / 2125 cases", "fail")
     assert exit_code(report) == 1
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+@pytest.mark.parametrize(
+    ("claim_id", "owner", "names", "calls"),
+    [
+        # two per case: ch1^2 in delta_pairing_via_chern and the one k = 0
+        # term of x_quartic(line, line, u, v); the other two quartics of
+        # ch2_pairing have an exceptional factor with a zero base
+        ("delta-pairing-two-paths", hkverify.blowup, ("fujiki_integral",), 162),
+        # one per basis class, not one per factor of each of the 81 cases
+        ("blowup-pullback-quartic", hkverify.report, ("pullback_correspondence",), 3),
+        # one per md row (m d = 9, 11, ..., 41), not one per profile
+        ("fiber-rank-integrality", hkverify.fiber, ("fiber_degrees",), 17),
+        # four per case, the claim's own 8 ch4 - 2 ch1 ch3 + ch2^2: a Poly
+        # evaluates in ints, so its calls add none
+        ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 200),
+    ],
+    ids=["fujiki-per-delta-case", "pullbacks-per-sweep", "degrees-per-row", "fraction-ops"],
+)
+def test_sweep_work_is_pinned_by_call_counts(monkeypatch, claim_id, owner, names, calls):
+    # call counts repeat exactly where timings do not, so a kernel that goes
+    # back to per-case row work or to Fraction arithmetic fails here
+    counted = []
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _original=original, **kwargs):
+            counted.append(None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    (record,) = run_report(ReportConfig(only=claim_id)).records
+    assert record.verdict == "pass"
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize(
