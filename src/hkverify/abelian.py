@@ -16,32 +16,21 @@ from math import factorial, gcd, isqrt, log10
 from .lattice import AbelianSurfaceModel, digit_limit
 
 
-class IsogenyParams:
-    """deg_f: degree of the base isogeny factor; n: dimension parameter;
-    d0: principal part of the polarization type."""
-
-    __slots__ = ("deg_f", "n", "d0")
-
-    def __init__(self, deg_f: int, n: int, d0: int) -> None:
-        if not (isinstance(deg_f, int) and isinstance(n, int) and isinstance(d0, int)):
-            raise TypeError("deg_f, n and d0 must be integers")
-        if deg_f < 1:
-            raise ValueError("deg_f must be a positive integer")
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        if d0 < 1:
-            raise ValueError("d0 must be a positive integer")
-        self.deg_f = deg_f
-        self.n = n
-        self.d0 = d0
+def _check_isogeny(deg_f: int, n: int, d0: int) -> None:
+    """The common domain of both simplicity tests: the isogeny degree deg_f,
+    the dimension n and the polarization part d0 are positive integers."""
+    if not (isinstance(deg_f, int) and isinstance(n, int) and isinstance(d0, int)):
+        raise TypeError("deg_f, n and d0 must be integers")
+    if deg_f < 1 or n < 1 or d0 < 1:
+        name = "deg_f" if deg_f < 1 else "n" if n < 1 else "d0"
+        raise ValueError(f"{name} must be a positive integer")
 
 
-def kernel_order(params: IsogenyParams, modulus: int | None = None) -> int:
+def kernel_order(n: int, d0: int, modulus: int | None = None) -> int:
     """Order of the kernel of the polarization morphism:
     (n+1)^2 * d0^(2n), or its residue modulo `modulus` when one is given."""
-    if modulus is None:
-        return (params.n + 1) ** 2 * params.d0 ** (2 * params.n)
-    return (params.n + 1) ** 2 % modulus * pow(params.d0, 2 * params.n, modulus) % modulus
+    _check_isogeny(1, n, d0)
+    return pow((n + 1) * pow(d0, n, modulus), 2, modulus)
 
 
 def power_or_text(coeff: int, base: int, n: int) -> int | str:
@@ -54,27 +43,31 @@ def power_or_text(coeff: int, base: int, n: int) -> int | str:
     interpreter (limit 0) gets the default limit, so the time stays bounded."""
     if not (isinstance(coeff, int) and isinstance(base, int) and isinstance(n, int)):
         raise TypeError("coeff, base and n must be integers")
+    for name, value, least in (("coeff", coeff, 1), ("base", base, 1), ("n", n, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be an integer >= {least}")
     limit = digit_limit()
     digits = log10(coeff) + n * log10(base)
-    text = f"{base}^{n}" if coeff == 1 else f"{coeff}*{base}^{n}"
-    if digits > limit + 1:
-        return text
-    value = coeff * base**n
-    return value if digits < limit - 1 or value < 10**limit else text
+    if digits <= limit + 1:
+        value = coeff * base**n
+        if digits < limit - 1 or value < 10**limit:
+            return value
+    return f"{base}^{n}" if coeff == 1 else f"{coeff}*{base}^{n}"
 
 
-def is_simple_semihom(params: IsogenyParams) -> tuple[bool, int | str | None]:
-    """Simplicity criterion gcd(deg_f, (n+1) d0) = 1, returning the rank
-    deg_f^n when it holds (as `power_or_text` spells it). The equivalent
-    kernel-order coprimality test gcd(deg_f^n, kernel_order) = 1 is
-    recomputed modulo deg_f, which has the same prime factors as deg_f^n,
-    and must agree."""
-    f, n = params.deg_f, params.n
-    simple = gcd(f, (n + 1) * params.d0) == 1
-    via_kernel = gcd(f, kernel_order(params, f)) == 1
-    if simple != via_kernel:
-        raise ArithmeticError("the two simplicity criteria disagree")
-    return (simple, power_or_text(1, f, n) if simple else None)
+def is_simple_semihom(deg_f: int, n: int, d0: int) -> bool:
+    """Simplicity criterion gcd(deg_f, (n+1) d0) = 1; the bundle then has
+    rank deg_f^n."""
+    _check_isogeny(deg_f, n, d0)
+    return gcd(deg_f, (n + 1) * d0) == 1
+
+
+def is_simple_via_kernel(deg_f: int, n: int, d0: int) -> bool:
+    """Independent check: simplicity holds exactly when the rank deg_f^n is
+    coprime to the kernel order. deg_f has the same prime factors as deg_f^n,
+    so the kernel order is taken modulo deg_f."""
+    _check_isogeny(deg_f, n, d0)
+    return gcd(deg_f, kernel_order(n, d0, deg_f)) == 1
 
 
 def zeppola_integral(n: int, d0: int) -> int:

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .abelian import IsogenyParams, is_simple_semihom, power_or_text
+from .abelian import is_simple_semihom, is_simple_via_kernel, power_or_text
 from .blowup import is_modular_bundle
 from .chern import (
     a_invariant,
@@ -272,13 +272,15 @@ def _cmd_monodromy(args) -> int:
 
 
 def _cmd_semihom(args) -> int:
-    n, d0 = args.n, args.d0
-    simple, rank = is_simple_semihom(IsogenyParams(args.deg_f, n, d0))
-    if simple:
-        # the fiber count (n+1)*d0^n, spelled like the rank
-        print(f"Simple (rank {rank}, fiber count {power_or_text(n + 1, d0, n)})")
-    else:
+    deg_f, n, d0 = args.deg_f, args.n, args.d0
+    simple = is_simple_semihom(deg_f, n, d0)
+    if simple != is_simple_via_kernel(deg_f, n, d0):
+        raise ArithmeticError("the two simplicity criteria disagree")
+    if not simple:
         print("NotSimple")
+        return 0
+    # the rank deg_f^n and the fiber count (n+1)*d0^n
+    print(f"Simple (rank {power_or_text(1, deg_f, n)}, fiber count {power_or_text(n + 1, d0, n)})")
     return 0
 
 

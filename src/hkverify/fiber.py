@@ -132,8 +132,8 @@ def destabilizer_margin(r2: int, r1pp: int) -> Rational:
     33 - 6 r2 - (12 + 6 r1pp)/r2; positive slack rules the profile out."""
     if not (isinstance(r2, int) and isinstance(r1pp, int)):
         raise TypeError("r2 and r1pp must be integers")
-    if r2 not in (1, 2, 3):
-        raise ValueError("a proper destabilizer has rank r2 in {1, 2, 3}")
+    if r2 not in (1, 2, 3) or not 0 <= r1pp <= 4:
+        raise ValueError("a proper destabilizer has r2 in {1, 2, 3} and r1pp in 0..4")
     return 33 - 6 * r2 - _quotient(12 + 6 * r1pp, r2)
 
 
@@ -177,6 +177,8 @@ def monodromy_group(n: int) -> frozenset:
     """Closure of the swap and shear generators in GL2(Z/n)."""
     if not isinstance(n, int):
         raise TypeError("n must be an integer")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     identity = ((1, 0), (0, 1))
     seen = {identity}
     frontier = [identity]

@@ -36,11 +36,12 @@ from math import gcd
 
 from . import __version__
 from .abelian import (
-    IsogenyParams,
     forced_stable,
     forced_stable_via_jh,
     is_simple_semihom,
+    is_simple_via_kernel,
     jh_decompositions,
+    power_or_text,
     satollo_transfer,
     zeppola_integral,
     zeppola_oracle,
@@ -303,14 +304,6 @@ def _monodromy_invariant_coset(cfg: ReportConfig) -> str:
     return f"{len(cosets)} ({'trivial' if trivial else 'other'})"
 
 
-def _semihom_criteria_disagree(deg_f: int, n: int, d0: int) -> bool:
-    try:
-        is_simple_semihom(IsogenyParams(deg_f, n, d0))
-    except ArithmeticError:
-        return True
-    return False
-
-
 def _satollo_transfer(cfg: ReportConfig) -> tuple[int, ...]:
     model, divisors = satollo_transfer(1, 5)
     return (model.self_omega, model.mixed_d) + divisors
@@ -524,14 +517,14 @@ CLAIMS = (
     # semi-homogeneous bundles on abelian varieties
     Claim(
         "semihom-example",
-        lambda cfg: is_simple_semihom(IsogenyParams(4, 2, 3)),
+        lambda cfg: (is_simple_semihom(4, 2, 3), power_or_text(1, 4, 2)),
         (True, 16),
     ),
     Claim(
         "semihom-criteria-agree",
         lambda cfg: _sweep(
-            _semihom_criteria_disagree(*params)
-            for params in product(range(1, 21), (1, 2, 3), range(1, 21))
+            is_simple_semihom(*p) != is_simple_via_kernel(*p)
+            for p in product(range(1, 21), (1, 2, 3), range(1, 21))
         ),
         0,
     ),

@@ -74,12 +74,12 @@ def is_ample_h(abar: int, d: int, m: int) -> KummerTwoClass | None:
     beta^2 = 4 abar p^2 + 2 p q d = p (c + q d); |p| <= 2 suffices. Returns
     the violating class found, or None when h is ample.
     """
-    if abar < 1 or d < 1 or m < 1:
-        raise ValueError("abar, d, m must be positive integers")
     if not (isinstance(abar, int) and isinstance(d, int) and isinstance(m, int)):
         # h is a class only for an integral m, and AbelianSurfaceModel(4 abar, d)
         # makes the same check for abar and d, but is built only for a witness
         raise TypeError("abar, d, m must be integers")
+    if abar < 1 or d < 1 or m < 1:
+        raise ValueError("abar, d, m must be positive integers")
     four_abar = 4 * abar
     for c, x, squares in _WALL_SEARCHES:
         if m * c > 3:

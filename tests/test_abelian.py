@@ -9,37 +9,81 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hkverify.abelian import (
-    IsogenyParams,
     forced_stable,
     forced_stable_via_jh,
     is_simple_semihom,
+    is_simple_via_kernel,
     jh_decompositions,
     kernel_order,
+    power_or_text,
     satollo_transfer,
     zeppola_integral,
     zeppola_oracle,
 )
+from hkverify.lattice import digit_limit
 
 
 def test_kernel_order():
-    assert kernel_order(IsogenyParams(1, 2, 1)) == 9
-    assert kernel_order(IsogenyParams(7, 2, 3)) == 9 * 81
-    assert kernel_order(IsogenyParams(5, 1, 4)) == 64
+    assert kernel_order(2, 1) == 9
+    assert kernel_order(2, 3) == 9 * 81
+    assert kernel_order(1, 4) == 64
+    assert kernel_order(2, 3, 7) == 9 * 81 % 7
+    assert kernel_order(10**8, 3, 4) == 1  # (n+1)^2 d0^(2n) mod 4, no huge power
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        IsogenyParams(0, 2, 1)
-    with pytest.raises(ValueError):
-        IsogenyParams(1, 2, 0)
+    # both criteria share one domain check, which names the first bad argument
+    cases = [
+        ((0, 2, 1), "deg_f must be a positive integer"),
+        ((1, 0, 1), "n must be a positive integer"),
+        ((1, 2, 0), "d0 must be a positive integer"),
+        ((0, 0, 0), "deg_f must be a positive integer"),
+        ((-3, 2, 1), "deg_f must be a positive integer"),
+    ]
+    for fn in (is_simple_semihom, is_simple_via_kernel):
+        for args, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(*args)
+
+
+def test_kernel_order_rejects_a_non_positive_n_or_d0():
+    for n, d0 in ((0, 1), (-1, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            kernel_order(n, d0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 2, -3), "n must be an integer >= 0"),
+        ((0, 2, 3), "coeff must be an integer >= 1"),
+        ((1, 0, 3), "base must be an integer >= 1"),
+        ((-1, 2, 3), "coeff must be an integer >= 1"),
+    ],
+)
+def test_power_or_text_rejects_out_of_range_arguments(args, message):
+    # unchecked, (1, 2, -3) gave the float 0.125 and the others raised
+    # "math domain error" from log10
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        power_or_text(*args)
+
+
+def test_power_or_text_edges():
+    assert power_or_text(1, 2, 0) == 1
+    assert power_or_text(5, 1, 10**9) == 5
+    assert power_or_text(1, 10, digit_limit() - 1) == 10 ** (digit_limit() - 1)
+    assert power_or_text(1, 10, digit_limit()) == f"10^{digit_limit()}"
+    assert power_or_text(3, 10, digit_limit()) == f"3*10^{digit_limit()}"
 
 
 def test_simplicity_examples():
-    assert is_simple_semihom(IsogenyParams(4, 2, 3)) == (True, 16)
-    assert is_simple_semihom(IsogenyParams(2, 1, 2)) == (False, None)
-    assert is_simple_semihom(IsogenyParams(7, 2, 3)) == (True, 49)
-    assert is_simple_semihom(IsogenyParams(6, 2, 3)) == (False, None)
-    assert is_simple_semihom(IsogenyParams(5, 2, 5)) == (False, None)
+    assert is_simple_semihom(4, 2, 3) is True
+    assert power_or_text(1, 4, 2) == 16
+    assert is_simple_semihom(2, 1, 2) is False
+    assert is_simple_semihom(7, 2, 3) is True
+    assert power_or_text(1, 7, 2) == 49
+    assert is_simple_semihom(6, 2, 3) is False
+    assert is_simple_semihom(5, 2, 5) is False
 
 
 @given(
@@ -48,13 +92,10 @@ def test_simplicity_examples():
     st.integers(min_value=1, max_value=20),
 )
 def test_simplicity_matches_kernel_coprimality(deg_f, n, d0):
-    params = IsogenyParams(deg_f, n, d0)
-    simple, rank = is_simple_semihom(params)
-    assert simple == (gcd(deg_f ** n, kernel_order(params)) == 1)
-    if simple:
-        assert rank == deg_f ** n
-    else:
-        assert rank is None
+    simple = is_simple_semihom(deg_f, n, d0)
+    assert simple == (gcd(deg_f ** n, kernel_order(n, d0)) == 1)
+    assert simple == is_simple_via_kernel(deg_f, n, d0)
+    assert power_or_text(1, deg_f, n) == deg_f ** n
 
 
 def test_zeppola_values():

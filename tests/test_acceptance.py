@@ -11,10 +11,10 @@ from math import gcd
 import sympy
 
 from hkverify.abelian import (
-    IsogenyParams,
     forced_stable,
     forced_stable_via_jh,
     is_simple_semihom,
+    is_simple_via_kernel,
     jh_decompositions,
     kernel_order,
     zeppola_integral,
@@ -247,9 +247,9 @@ def test_criterion_semihomogeneous_arithmetic():
     for deg_f in range(1, 21):
         for n in (1, 2, 3):
             for d0 in range(1, 21):
-                params = IsogenyParams(deg_f, n, d0)
-                simple, rank = is_simple_semihom(params)
-                assert simple == (gcd(deg_f ** n, kernel_order(params)) == 1)
+                simple = is_simple_semihom(deg_f, n, d0)
+                assert simple == (gcd(deg_f ** n, kernel_order(n, d0)) == 1)
+                assert simple == is_simple_via_kernel(deg_f, n, d0)
     for s0 in range(1, 7):
         for c0 in range(1, 12):
             if gcd(s0, c0) != 1:

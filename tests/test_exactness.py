@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 import hkverify.chern
 from hkverify.abelian import (
-    IsogenyParams,
+    forced_stable,
+    is_simple_via_kernel,
     jh_decompositions,
     kernel_order,
     power_or_text,
+    satollo_transfer,
     zeppola_integral,
     zeppola_oracle,
 )
@@ -33,7 +35,7 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.chern import Poly
-from hkverify.walls import ample_thresholds, mukai_square
+from hkverify.walls import ample_thresholds, is_ample_h, mukai_square
 from hkverify.fiber import (
     SubsheafProfile,
     destabilizer_margin,
@@ -332,13 +334,18 @@ def test_chern_functions_reject_floats(name):
         lambda: zeppola_integral(2, 1.5),
         lambda: subsheaf_rank(SubsheafProfile(0.5, 0, 0), 1, 9),
         lambda: zeppola_oracle(2, 1.5),
-        lambda: kernel_order(IsogenyParams(7, 2, 1.5)),
+        lambda: kernel_order(2, 1.5),
+        lambda: is_simple_via_kernel(7, 2, 1.5),
         lambda: ample_thresholds(1.5),
         lambda: power_or_text(1, 2.5, 3),
         lambda: monodromy_group(2.0),
         lambda: classify_moduli_case(10.0, 2),
         lambda: jh_decompositions(4, 2.5, 3),
         lambda: mukai_square(1, 0.5, -3),
+        lambda: is_ample_h(0.5, 3, 1),
+        lambda: is_ample_h(1, 3, 0.5),
+        lambda: forced_stable(1.5, 2, 3),
+        lambda: satollo_transfer(1.5, 5),
     ],
     ids=[
         "nocamere_bound",
@@ -348,13 +355,18 @@ def test_chern_functions_reject_floats(name):
         "zeppola_integral",
         "SubsheafProfile",
         "zeppola_oracle",
-        "IsogenyParams",
+        "kernel_order",
+        "is_simple_via_kernel",
         "ample_thresholds",
         "power_or_text",
         "monodromy_group",
         "classify_moduli_case",
         "jh_decompositions",
         "mukai_square",
+        "is_ample_h_abar",
+        "is_ample_h_m",
+        "forced_stable",
+        "satollo_transfer",
     ],
 )
 def test_integer_parameters_reject_non_integers(call):
@@ -362,6 +374,7 @@ def test_integer_parameters_reject_non_integers(call):
     # float, zeppola_oracle(2, 1.5) raised ArithmeticError, kernel_order gave
     # 45.5625, ample_thresholds (21.0, 63.0), power_or_text 15.625,
     # monodromy_group a group of float matrices, classify_moduli_case True,
-    # jh_decompositions () and mukai_square 6.5
+    # jh_decompositions () and mukai_square 6.5; is_ample_h raised ValueError
+    # for a float below 1
     with pytest.raises(TypeError):
         call()

@@ -129,6 +129,18 @@ def test_margin_values():
         destabilizer_margin(4, 4)
 
 
+@pytest.mark.parametrize("r1pp", [-5, -1, 5, 99])
+def test_margin_rejects_a_restriction_rank_outside_0_to_4(r1pp):
+    # unchecked, (1, 99) gave -579 and (1, -5) gave 45
+    with pytest.raises(ValueError):
+        destabilizer_margin(1, r1pp)
+
+
+def test_margin_accepts_the_ends_of_0_to_4():
+    assert destabilizer_margin(1, 0) == 15
+    assert destabilizer_margin(1, 4) == -9
+
+
 def test_minimum_margin():
     assert minimum_destabilizer_margin() == 3
     attaining = [
@@ -153,6 +165,14 @@ def test_monodromy_group_is_s3_mod_n(n):
     # and mod 2 it is all of GL2(Z/2)), so the order is 6 at every level,
     # the 4-torsion of the coset claim included
     assert len(monodromy_group(n)) == 6
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_monodromy_group_rejects_a_level_below_2(n):
+    # unchecked, n = 1 gave 2 elements, n = -2 gave 7 and n = 0 raised
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        monodromy_group(n)
 
 
 def test_monodromy_fixed_points_trivial():

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import hkverify
 import hkverify.blowup
 import hkverify.chern
+import hkverify.cli
 import hkverify.fiber
 import hkverify.report
 from hkverify.cli import _CHERN_TABLE, main
@@ -299,6 +301,19 @@ def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
     report = run_report(ReportConfig(only="fiber-rank-integrality"))
     (record,) = report.records
     assert (record.computed, record.verdict) == ("2108 failures / 2125 cases", "fail")
+    assert exit_code(report) == 1
+
+
+def _wrong_kernel_criterion(deg_f, n, d0):
+    # (n+1)^2 d0^(2n) -> (n+2)^2 d0^(2n)
+    return gcd(deg_f, (n + 2) ** 2 * d0 ** (2 * n)) == 1
+
+
+def test_semihom_sweep_catches_a_wrong_kernel_criterion(monkeypatch):
+    monkeypatch.setattr(hkverify.report, "is_simple_via_kernel", _wrong_kernel_criterion)
+    report = run_report(ReportConfig(only="semihom-criteria-agree"))
+    (record,) = report.records
+    assert (record.computed, record.verdict) == ("305 failures / 1200 cases", "fail")
     assert exit_code(report) == 1
 
 
@@ -609,6 +624,17 @@ def test_cli_semihom(capsys):
     assert capsys.readouterr().out == "Simple (rank 16, fiber count 27)\n"
     assert main(["semihom", "--deg-f", "2", "--n", "1", "--d0", "2"]) == 0
     assert capsys.readouterr().out.strip() == "NotSimple"
+
+
+def test_cli_semihom_exits_one_when_the_criteria_disagree(monkeypatch, capsys):
+    # at (3, 1, 1) the gcd criterion says simple, the wrong kernel one not
+    monkeypatch.setattr(hkverify.cli, "is_simple_via_kernel", _wrong_kernel_criterion)
+    assert main(["semihom", "--deg-f", "3", "--n", "1", "--d0", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the two simplicity criteria disagree\n")
+    # where the two agree, the output is unchanged
+    assert main(["semihom", "--deg-f", "2", "--n", "1", "--d0", "2"]) == 0
+    assert capsys.readouterr().out == "NotSimple\n"
 
 
 def test_cli_semihom_prints_huge_values_as_powers(capsys):
