@@ -30,6 +30,10 @@ def kernel_order(n: int, d0: int, modulus: int | None = None) -> int:
     """Order of the kernel of the polarization morphism:
     (n+1)^2 * d0^(2n), or its residue modulo `modulus` when one is given."""
     _check_isogeny(1, n, d0)
+    if not (modulus is None or isinstance(modulus, int)):
+        raise TypeError("modulus must be an integer or None")
+    if modulus is not None and modulus < 1:
+        raise ValueError("modulus must be a positive integer")
     return pow((n + 1) * pow(d0, n, modulus), 2, modulus)
 
 
@@ -166,6 +170,8 @@ def jh_decompositions(r: int, a: int, e: int) -> tuple[tuple[int, int, int], ...
 def _check_slope_data(s0: int, c0: int, e: int) -> None:
     """The common domain of both stability tests: coprime (s0, c0) with
     s0 and e positive."""
+    if not (isinstance(s0, int) and isinstance(c0, int) and isinstance(e, int)):
+        raise TypeError("s0, c0 and e must be integers")
     if gcd(s0, c0) != 1:
         raise ValueError("s0 and c0 must be coprime")
     if s0 < 1 or e < 1:
@@ -190,6 +196,8 @@ def satollo_transfer(abar: int, d: int) -> tuple[AbelianSurfaceModel, tuple[int,
     """Transfer of the halved model (2 abar, d) to the saturated doubled
     model (4 abar, d); needs d odd. Returns the doubled model and the
     elementary divisors (1, 2 abar) of the transferred polarization."""
+    if not (isinstance(abar, int) and isinstance(d, int)):
+        raise TypeError("abar and d must be integers")
     if abar < 1:
         raise ValueError("abar must be a positive integer")
     if d < 1 or d % 2 == 0:

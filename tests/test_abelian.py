@@ -52,6 +52,16 @@ def test_kernel_order_rejects_a_non_positive_n_or_d0():
             kernel_order(n, d0)
 
 
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_kernel_order_rejects_a_non_positive_modulus(modulus):
+    # unchecked, modulus 0 raised pow's "pow() 3rd argument cannot be 0"
+    # and -3 gave 0
+    with pytest.raises(ValueError, match="^modulus must be a positive integer$"):
+        kernel_order(2, 3, modulus)
+    with pytest.raises(TypeError, match="^modulus must be an integer or None$"):
+        kernel_order(2, 3, modulus + 0.5)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -216,6 +226,24 @@ def test_satollo_transfer_examples():
     assert (model.self_omega, model.mixed_d, divisors) == (4, 5, (1, 2))
     model, divisors = satollo_transfer(2, 7)
     assert (model.self_omega, model.mixed_d, divisors) == (8, 7, (1, 4))
+
+
+@pytest.mark.parametrize(
+    "path, args, names",
+    [
+        (satollo_transfer, (0.5, 5), "abar and d"),
+        (satollo_transfer, (1, 0.5), "abar and d"),
+        (satollo_transfer, (1, 4.0), "abar and d"),
+        (forced_stable, (1, 2, 0.5), "s0, c0 and e"),
+        (forced_stable_via_jh, (1, 2, 0.5), "s0, c0 and e"),
+        (forced_stable, (1.5, 2, 3), "s0, c0 and e"),
+    ],
+)
+def test_a_float_is_a_type_error_that_names_the_arguments(path, args, names):
+    # the types are checked before the ranges: unchecked, the first five
+    # raised ValueError and forced_stable(1.5, 2, 3) failed inside gcd
+    with pytest.raises(TypeError, match=f"^{names} must be integers$"):
+        path(*args)
 
 
 def test_satollo_transfer_requires_odd_d():

@@ -8,6 +8,7 @@ float."""
 
 import ast
 import inspect
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -16,17 +17,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hkverify.abelian
 import hkverify.chern
-from hkverify.abelian import (
-    forced_stable,
-    is_simple_via_kernel,
-    jh_decompositions,
-    kernel_order,
-    power_or_text,
-    satollo_transfer,
-    zeppola_integral,
-    zeppola_oracle,
-)
+import hkverify.fiber
+import hkverify.lattice
+import hkverify.walls
 from hkverify.blowup import (
     XTwoClass,
     ch1_bundle,
@@ -35,15 +30,7 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.chern import Poly
-from hkverify.walls import ample_thresholds, is_ample_h, mukai_square
-from hkverify.fiber import (
-    SubsheafProfile,
-    destabilizer_margin,
-    fiber_degrees,
-    fiber_degrees_gram,
-    monodromy_group,
-    subsheaf_rank,
-)
+from hkverify.fiber import SubsheafProfile, fiber_degrees_gram
 from hkverify.kummer import (
     KummerTwoClass,
     bbf,
@@ -52,15 +39,8 @@ from hkverify.kummer import (
     fujiki_symmetrized,
     mu_pair,
 )
-from hkverify.lattice import (
-    AbelianSurfaceModel,
-    _coef,
-    _quotient,
-    classify_moduli_case,
-    nocamere_bound,
-    theorem_hypothesis,
-)
-from hkverify.report import CLAIMS, ReportConfig, Sweep
+from hkverify.lattice import AbelianSurfaceModel, _coef, _quotient
+from hkverify.report import CLAIMS, ReportConfig
 
 BIG = AbelianSurfaceModel(4, 5)
 SMALL = AbelianSurfaceModel(2, 5)
@@ -90,12 +70,6 @@ def _floats(value, path="value"):
         return [path]
     if isinstance(value, (tuple, list)):
         return [f for i, v in enumerate(value) for f in _floats(v, f"{path}[{i}]")]
-    if isinstance(value, Sweep):
-        return [
-            f
-            for field in value.__slots__
-            for f in _floats(getattr(value, field), f"{path}.{field}")
-        ]
     if isinstance(value, Poly):
         return _floats(value.coeffs, f"{path}.coeffs")
     return []
@@ -324,57 +298,95 @@ def test_chern_functions_reject_floats(name):
             part(1.5)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: nocamere_bound(1.5, 0),
-        lambda: theorem_hypothesis(10.0, 2),
-        lambda: destabilizer_margin(1, 0.5),
-        lambda: fiber_degrees(1.5, 2),
-        lambda: zeppola_integral(2, 1.5),
-        lambda: subsheaf_rank(SubsheafProfile(0.5, 0, 0), 1, 9),
-        lambda: zeppola_oracle(2, 1.5),
-        lambda: kernel_order(2, 1.5),
-        lambda: is_simple_via_kernel(7, 2, 1.5),
-        lambda: ample_thresholds(1.5),
-        lambda: power_or_text(1, 2.5, 3),
-        lambda: monodromy_group(2.0),
-        lambda: classify_moduli_case(10.0, 2),
-        lambda: jh_decompositions(4, 2.5, 3),
-        lambda: mukai_square(1, 0.5, -3),
-        lambda: is_ample_h(0.5, 3, 1),
-        lambda: is_ample_h(1, 3, 0.5),
-        lambda: forced_stable(1.5, 2, 3),
-        lambda: satollo_transfer(1.5, 5),
-    ],
-    ids=[
-        "nocamere_bound",
-        "theorem_hypothesis",
-        "destabilizer_margin",
-        "fiber_degrees",
-        "zeppola_integral",
-        "SubsheafProfile",
-        "zeppola_oracle",
-        "kernel_order",
-        "is_simple_via_kernel",
-        "ample_thresholds",
-        "power_or_text",
-        "monodromy_group",
-        "classify_moduli_case",
-        "jh_decompositions",
-        "mukai_square",
-        "is_ample_h_abar",
-        "is_ample_h_m",
-        "forced_stable",
-        "satollo_transfer",
-    ],
-)
-def test_integer_parameters_reject_non_integers(call):
-    # unchecked, these gave -3.0, 1.0, 12.0, (72.0, 72.0), 6.75 and 2/9 as a
-    # float, zeppola_oracle(2, 1.5) raised ArithmeticError, kernel_order gave
-    # 45.5625, ample_thresholds (21.0, 63.0), power_or_text 15.625,
-    # monodromy_group a group of float matrices, classify_moduli_case True,
-    # jh_decompositions () and mukai_square 6.5; is_ample_h raised ValueError
-    # for a float below 1
-    with pytest.raises(TypeError):
-        call()
+def _int_callables() -> dict:
+    """Every public function or class of lattice, walls, fiber and abelian
+    with an int-annotated parameter, by name: the callable and the positions
+    of those parameters."""
+    found = {}
+    for module in (hkverify.lattice, hkverify.walls, hkverify.fiber, hkverify.abelian):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            params = inspect.signature(obj).parameters.values()
+            ints = [i for i, p in enumerate(params) if p.annotation == "int"]
+            if ints:
+                found[name] = (obj, ints)
+    return found
+
+
+INT_CALLABLES = _int_callables()
+
+_PROFILE = SubsheafProfile(1, 2, 1)
+
+#: One valid call of each of INT_CALLABLES, by its positional arguments.
+VALID_INT_CALLS = {
+    "nocamere_bound": (1, 0),
+    "AbelianSurfaceModel": (4, 5),
+    "kummer_divisibility": (2, 0, -1),
+    "classify_moduli_case": (10, 2),
+    "theorem_hypothesis": (10, 2),
+    "mukai_square": (1, 0, -3),
+    "ample_thresholds": (1,),
+    "is_ample_h": (1, 3, 1),
+    "ampleness_text": (1, 3, 1),
+    "restriction_c1_fiber_v": (1, 2),
+    "restriction_c1_fiber_delta": (1, 2),
+    "fiber_degrees": (1, 2),
+    "fiber_degrees_gram": (1, 2),
+    "SubsheafProfile": (0, 0, 0),
+    "subsheaf_rank": (_PROFILE, 1, 9),
+    "rank_failures": ([_PROFILE], 9),
+    "integer_rank_criterion": (_PROFILE, 1, 9),
+    "destabilizer_margin": (1, 2),
+    "monodromy_group": (2,),
+    "kernel_order": (2, 1),
+    "power_or_text": (1, 2, 3),
+    "is_simple_semihom": (7, 2, 1),
+    "is_simple_via_kernel": (7, 2, 1),
+    "zeppola_integral": (2, 1),
+    "zeppola_oracle": (2, 1),
+    "jh_decompositions": (4, 2, 3),
+    "forced_stable": (1, 2, 3),
+    "forced_stable_via_jh": (1, 2, 3),
+    "satollo_transfer": (1, 5),
+}
+
+
+def _call(fn, args):
+    result = fn(*args)
+    if isinstance(result, Iterator):
+        list(result)  # a generator checks its arguments when consumed
+    return result
+
+
+def test_every_int_parameter_has_a_valid_call():
+    assert set(VALID_INT_CALLS) == set(INT_CALLABLES)
+    assert len(INT_CALLABLES) == 29
+
+
+@pytest.mark.parametrize("name", sorted(INT_CALLABLES))
+def test_integer_parameters_reject_non_integers(name):
+    # each int parameter of a valid call, swapped for float(v), 0.5 and
+    # v + 0.5. Unchecked, these gave -3.0, 1.0, 12.0, (72.0, 72.0), 6.75
+    # and 2/9 as a float, zeppola_oracle(2, 1.5) raised ArithmeticError,
+    # kernel_order gave 45.5625, ample_thresholds (21.0, 63.0),
+    # power_or_text 15.625, monodromy_group a group of float matrices,
+    # classify_moduli_case True, jh_decompositions () and mukai_square 6.5;
+    # is_ample_h, satollo_transfer and the stability pair checked a float's
+    # range first and raised ValueError
+    fn, positions = INT_CALLABLES[name]
+    args = VALID_INT_CALLS[name]
+    _call(fn, args)
+    wrong = []
+    for i in positions:
+        for bad in (float(args[i]), 0.5, args[i] + 0.5):
+            call = args[:i] + (bad,) + args[i + 1 :]
+            try:
+                wrong.append((call, _call(fn, call)))
+            except TypeError:
+                pass
+            except Exception as exc:
+                wrong.append((call, exc))
+    assert wrong == []

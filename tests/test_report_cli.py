@@ -36,14 +36,13 @@ from hkverify.kummer import (
     riemann_roch,
     riemann_roch_from_square,
 )
-from hkverify.lattice import AbelianSurfaceModel, digit_limit
+from hkverify.lattice import AbelianSurfaceModel, Poly, digit_limit
 from hkverify.walls import ample_thresholds
 from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
     ClaimRecord,
     ReportConfig,
-    Sweep,
     exit_code,
     run_report,
     to_json,
@@ -386,15 +385,54 @@ def test_exceptional_fourth_is_checked_against_the_literal():
 
 
 def test_provenance_follows_from_the_claim_kind(default_report):
-    # a claim is derived exactly when it computes a Sweep, two computations
-    # compared case by case
+    # read off the catalogue entry, with no claim computed: an entry with no
+    # recorded value is a sweep, two computations compared case by case
     by_id = {r.claim_id: r for r in default_report.records}
     for claim in CLAIMS:
-        derived = isinstance(claim.compute(ReportConfig()), Sweep)
+        derived = claim.stated is None
         assert by_id[claim.claim_id].provenance == ("derived" if derived else "stated")
-    assert by_id["chern-polynomial-identities"].computed == "0 failures / 3 cases"
+    record = by_id["chern-polynomial-identities"]
+    assert (record.computed, record.stated) == ("0 failures / 3 cases",) * 2
     provenances = [r.provenance for r in default_report.records]
     assert (provenances.count("derived"), provenances.count("stated")) == (14, 47)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ReportConfig(), ReportConfig(abar_max=8, a_max=200, md_max=121)],
+    ids=["default", "sweep-grid"],
+)
+def test_no_sweep_is_ever_empty(cfg):
+    # every sweep computes (failures, cases), two ints, with at least one case
+    sweeps = [c for c in CLAIMS if c.stated is None]
+    assert len(sweeps) == 14
+    for claim in sweeps:
+        value = claim.compute(cfg)
+        assert [type(v) for v in value] == [int, int], claim.claim_id
+        assert value[1] >= 1, claim.claim_id
+
+
+def test_a_changed_derived_ch1sq_ch2_fails(monkeypatch):
+    # the discrepancy is pinned to its difference, stated - derived =
+    # 288 a^2 - 216 a: a derived value off by one is a failure, not the
+    # known discrepancy
+    derived = hkverify.chern.ch1sq_ch2_derived + 1
+    monkeypatch.setattr(hkverify.report, "ch1sq_ch2_derived", derived)
+    report = run_report(ReportConfig(only="chern-ch1sq-ch2"))
+    (record,) = report.records
+    assert (record.computed, record.verdict) == ("288*a**2 - 324*a + 82", "fail")
+    assert exit_code(report) == 1
+
+
+@pytest.mark.parametrize("degree", [2, 1, 0], ids=["576", "540", "81"])
+def test_a_changed_recorded_ch1sq_ch2_fails(monkeypatch, degree):
+    # a recorded coefficient off by one moves the difference off its pin
+    (claim,) = [c for c in CLAIMS if c.claim_id in EXPECTED_DISCREPANCIES]
+    bump = Poly((0,) * degree + (1,))
+    monkeypatch.setattr(claim, "stated", claim.stated + bump)
+    report = run_report(ReportConfig(only=claim.claim_id))
+    assert report.records[0].verdict == "fail"
+    assert exit_code(report) == 1
 
 
 def test_exit_code_flags_failures(default_report):
