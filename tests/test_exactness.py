@@ -366,8 +366,23 @@ def test_every_int_parameter_has_a_valid_call():
     assert len(INT_CALLABLES) == 29
 
 
-@pytest.mark.parametrize("name", sorted(INT_CALLABLES))
-def test_integer_parameters_reject_non_integers(name):
+def _int_cases() -> list:
+    """One case per callable of INT_CALLABLES, with its int positions; the
+    parameters of is_ample_h, each range-checked on its own, get a case
+    each, named after the parameter."""
+    cases = []
+    for name in sorted(INT_CALLABLES):
+        fn, positions = INT_CALLABLES[name]
+        if name == "is_ample_h":
+            params = list(inspect.signature(fn).parameters)
+            cases += [pytest.param(name, (i,), id=f"{name}_{params[i]}") for i in positions]
+        else:
+            cases.append(pytest.param(name, positions, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("name,positions", _int_cases())
+def test_integer_parameters_reject_non_integers(name, positions):
     # each int parameter of a valid call, swapped for float(v), 0.5 and
     # v + 0.5. Unchecked, these gave -3.0, 1.0, 12.0, (72.0, 72.0), 6.75
     # and 2/9 as a float, zeppola_oracle(2, 1.5) raised ArithmeticError,
@@ -376,7 +391,7 @@ def test_integer_parameters_reject_non_integers(name):
     # classify_moduli_case True, jh_decompositions () and mukai_square 6.5;
     # is_ample_h, satollo_transfer and the stability pair checked a float's
     # range first and raised ValueError
-    fn, positions = INT_CALLABLES[name]
+    fn = INT_CALLABLES[name][0]
     args = VALID_INT_CALLS[name]
     _call(fn, args)
     wrong = []
