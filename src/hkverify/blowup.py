@@ -133,9 +133,13 @@ def pullback_correspondence(c: KummerTwoClass) -> XTwoClass:
     """Pull a doubled-model degree-2 class back to X through the degree-4
     correspondence: mu(p, q) + x*delta  ->  pullback of mu(2p, q) + x*delta
     on the halved model, plus x times the exceptional class."""
-    small = halved_model(c.model)
-    base = KummerTwoClass(small, 2 * c.p, c.q, c.x)
-    return XTwoClass(base, c.x)
+    return _pulled_back(c, halved_model(c.model))
+
+
+def _pulled_back(c: KummerTwoClass, small: AbelianSurfaceModel) -> XTwoClass:
+    """pullback_correspondence(c) built on `small`, which the caller has
+    checked to be the halved model of c.model."""
+    return XTwoClass(KummerTwoClass(small, 2 * c.p, c.q, c.x), c.x)
 
 
 def pushforward_correspondence(c: XTwoClass) -> KummerTwoClass:
@@ -190,12 +194,16 @@ def ch2_pairing(line: XTwoClass, alpha: KummerTwoClass, beta: KummerTwoClass) ->
     with C2_AMBIENT = 243 and C2_NORMAL = 81, and the ambient correction
     is -4 * td2 = -(1/3) c2, i.e. -(C2_PAIR_COEFF/3) q(alpha, beta). All three
     terms are summed over the common denominator 12, in ints on integral classes.
+
+    The models are checked once, and the pulled-back classes and D are built
+    on line.model itself, so every pairing below takes `mu_pair`'s identity
+    fast path instead of comparing equal models.
     """
-    small = line.model
-    u = pullback_correspondence(alpha)
-    v = pullback_correspondence(beta)
-    if u.model != small or v.model != small:
+    small, big = line.model, alpha.model
+    if (beta.model is not big and beta.model != big) or halved_model(big) != small:
         raise ValueError("alpha, beta must live on the doubled model of the line class")
+    u = _pulled_back(alpha, small)
+    v = _pulled_back(beta, small)
     d = exceptional_class(small)
     c2x = (
         C2_PAIR_COEFF * bbf(u.base, v.base)

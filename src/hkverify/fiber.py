@@ -68,9 +68,9 @@ class SubsheafProfile:
     __slots__ = ("r1p", "r1pp", "r2")
 
     def __init__(self, r1p: int, r1pp: int, r2: int) -> None:
+        if not (isinstance(r1p, int) and isinstance(r1pp, int) and isinstance(r2, int)):
+            raise TypeError("r1p, r1pp and r2 must be integers")
         for v in (r1p, r1pp, r2):
-            if not isinstance(v, int):
-                raise TypeError("restriction ranks must be integers")
             if not 0 <= v <= 4:
                 raise ValueError("restriction ranks must lie in 0..4")
         self.r1p = r1p
@@ -110,6 +110,8 @@ def rank_failures(profiles: Iterable[SubsheafProfile], md: int) -> Iterator[int]
     numerator, and the kernels agree iff the cross products are equal. The
     fiber degrees (and their check of md) are the same for every profile of
     the row, so they are computed once."""
+    if not isinstance(md, int):
+        raise TypeError("md must be an integer")
     deg_v, deg_delta = fiber_degrees(1, md)
     for profile in profiles:
         num, den = _subsheaf_rank_raw(profile, md)

@@ -248,7 +248,7 @@ class AbelianSurfaceModel:
 
     def __init__(self, self_omega: int, mixed_d: int) -> None:
         if not isinstance(self_omega, int) or not isinstance(mixed_d, int):
-            raise TypeError("omegabar^2 and d must be integers")
+            raise TypeError("self_omega and mixed_d must be integers")
         if self_omega <= 0 or self_omega % 2:
             raise ValueError("omegabar^2 must be a positive even integer")
         if mixed_d <= 0:
@@ -276,7 +276,7 @@ def kummer_divisibility(p: int, q: int, x: int) -> int:
     against delta contributes 6x, so div = gcd(gcd(p, q), 6x).
     """
     if not all(isinstance(v, int) for v in (p, q, x)):
-        raise TypeError("divisibility is defined for integral classes")
+        raise TypeError("p, q and x must be integers")
     if p == 0 and q == 0 and x == 0:
         raise ValueError("the zero class has no divisibility")
     return gcd(gcd(p, q), 6 * x)

@@ -5,8 +5,9 @@ The claim catalogue is the table `CLAIMS`, one `Claim` per record: its
 canonical id, a function that recomputes the value and the recorded value,
 if any. `run_report` keeps only the claims whose id starts with
 `ReportConfig.only` and computes just those. Nothing is sampled: every
-sweep runs over a fixed grid or is an exact certificate on a basis, so a
-claim computes the same way alone as in the full catalogue. The config has
+sweep runs over a fixed grid or is an exact certificate (on a basis, or on
+a frame of points that a degree bound makes enough), so a claim computes the
+same way alone as in the full catalogue. The config has
 no sample count or seed: `samples` and `seed` are keyword arguments
 accepted and dropped by `ReportConfig`, which checks `samples` first.
 
@@ -143,19 +144,23 @@ class ClaimRecord:
 
 
 class ReportConfig:
-    """The `only` prefix and the ranges of the box sweeps; the default ranges
-    are the ones `hkverify report` always runs. Only library callers set the
-    ranges: the benchmark's sweep-grid workload and `tests/test_golden.py`
-    use `abar_max=8, a_max=200, md_max=121`.
+    """The `only` prefix and three ranges; the defaults are the ones
+    `hkverify report` always runs. Only library callers set the ranges: the
+    benchmark's sweep-grid workload and `tests/test_golden.py` use
+    `abar_max=8, a_max=200, md_max=121`.
 
-    `abar_max` bounds `ample-sweep` and `lattice-discriminant-sweep`, `a_max`
-    bounds `chern-chi-end-sweep`, and `md_max` bounds `fiber-rank-integrality`,
-    which starts at m*d = 9, so `md_max` must be at least 9 and every sweep
-    has cases. A range must be an int (a bool is stored as its int) and
-    `only` a str or None, else TypeError. No claim samples, but `samples`
-    and `seed` are keyword arguments accepted and dropped (`samples` is
-    checked first), because the benchmark's worker (`perfbench/child.py`)
-    passes both for its sweep-grid workload."""
+    Only `ample-sweep` reads a range: `abar_max` bounds its box. The other
+    sweeps are exact certificates whose frames do not depend on the config,
+    `lattice-discriminant-sweep`, `chern-chi-end-sweep`,
+    `fiber-degrees-gram` and `fiber-rank-integrality` among them, so
+    `a_max` and `md_max` change no record. They stay, validated and echoed
+    in the JSON config block, because the benchmark sends them; `md_max`
+    must still be at least 9, the first m*d of the rank certificate. A range
+    must be an int (a bool is stored as its int) and `only` a str or None,
+    else TypeError. No claim samples, but `samples` and `seed` are keyword
+    arguments accepted and dropped (`samples` is checked first), because
+    the benchmark's worker (`perfbench/child.py`) passes both for its
+    sweep-grid workload."""
 
     __slots__ = ("abar_max", "a_max", "md_max", "only")
 
@@ -242,6 +247,40 @@ _GRID = (-1, 0, 1)
 _AFFINE_FRAME = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
+# Degree-bound certificates. A polynomial of degree <= n in one variable that
+# vanishes at n + 1 distinct points is zero, and one of degree <= n1 in x and
+# <= n2 in y that vanishes on an (n1 + 1) x (n2 + 1) grid is zero. So each
+# frame below proves its identity for every value of the variables, and with
+# it every case of the box the sweep used to check, whatever its range.
+#
+# lattice-discriminant-sweep: the determinant of [[x, d], [d, 0]],
+# x = omegabar^2, has degree <= 1 in x and <= 2 in d, and so has -d^2. Their
+# difference vanishes on the 2x3 grid {2, 4} x {1, 2, 3}, so it vanishes at
+# every x = k*abar (k in {2, 4}) and d of the old box.
+_DISCRIMINANT_FRAME = tuple(product((2, 4), (1, 2, 3)))
+
+# fiber-degrees-gram: both fiber_degrees and fiber_degrees_gram read (m, d)
+# only through md = m*d (`fiber._check_md`), and both have degree <= 2 in md:
+# 12 md (md - 1) and 24 md, against the Gram squares
+# 2 * 4 * ((md - 1)/2) * 3 md and 2 * 12 md. So three values of md, here 2, 3
+# and 4 (an integral and a half-integral V coefficient), prove the identity
+# at every m*d > 1, the old box m in {1, 2, 3}, d <= 13 included.
+_FIBER_DEGREE_FRAME = ((1, 2), (3, 1), (2, 2))
+
+# fiber-rank-integrality: write s = r1' + r1'' and e = s - 2 r2, so |e| <= 8.
+# The rank is (s md - e)/(2 md). For md > 8 it is an integer exactly when
+# e = 0: an integer k gives e = (s - 2k) md, a multiple of md smaller than md
+# in size. So integer_rank_criterion (e = 0) and the integrality of the rank
+# do not depend on md, and one md > 8 decides the criterion check. The
+# weighted rank is (s deg V + r2 deg Delta)/(2 deg V + deg Delta) with
+# deg V = 12 md (md - 1) and deg Delta = 24 md, so both cross products of
+# the kernel comparison have degree <= 3 in md and agree at every md once
+# they agree at four values. The four rows md = 9, 11, 13, 15 of all 125
+# profiles prove both checks for every md > 8, every row of the old box
+# md = 9, 11, ..., md_max included.
+_RANK_FRAME = (9, 11, 13, 15)
+
+
 def _line(p, q, x, y) -> XTwoClass:
     """The line class pullback(mu(p*omegabar + q*gamma) + x*delta) + y*D on X."""
     return XTwoClass(KummerTwoClass(_SMALL, p, q, x), y)
@@ -276,9 +315,23 @@ def _ample_cases(cfg: ReportConfig):
                 yield is_ample_h(abar, d, m) is not None
 
 
+def _chi_end_cases():
+    # chern-chi-end-sweep compares chi(End) with 3, the traceless part with 0
+    # and 8 ch4 - 2 ch1.ch3 + ch2^2 with 18: Polys in a of degree at most the
+    # largest degree n among the five read here (2 today), so the frame
+    # a = 1 ... n + 1 proves all three for every a, every a <= a_max of the
+    # old box included. The frame is read from the Polys, so an entry of
+    # higher degree widens it.
+    polys = (chi_end, chi_end_traceless, ch4_integral, ch1_ch3, ch2_squared)
+    for v in range(1, max(len(p.coeffs) for p in polys) + 1):
+        yield (chi_end(v) != 3 or chi_end_traceless(v) != 0) + (
+            8 * ch4_integral(v) - 2 * ch1_ch3(v) + ch2_squared(v) != 18
+        )
+
+
 def _rank_integrality_sweep(cfg: ReportConfig) -> tuple[int, int]:
     profiles = [SubsheafProfile(*ranks) for ranks in product(range(5), repeat=3)]
-    rows = (rank_failures(profiles, md) for md in range(9, cfg.md_max + 1, 2))
+    rows = (rank_failures(profiles, md) for md in _RANK_FRAME)
     return _sweep(chain.from_iterable(rows))
 
 
@@ -304,10 +357,7 @@ CLAIMS = (
     Claim(
         "lattice-discriminant-sweep",
         lambda cfg: _sweep(
-            AbelianSurfaceModel(k * abar, d).discriminant() != -d * d
-            for abar in range(1, cfg.abar_max + 1)
-            for d in range(1, 22)
-            for k in (2, 4)
+            AbelianSurfaceModel(x, d).discriminant() != -d * d for x, d in _DISCRIMINANT_FRAME
         ),
     ),
     Claim(
@@ -442,14 +492,7 @@ CLAIMS = (
         "chern-polynomial-identities",
         lambda cfg: _sweep(not holds for holds in polynomial_identities().values()),
     ),
-    Claim(
-        "chern-chi-end-sweep",
-        lambda cfg: _sweep(
-            (chi_end(v) != 3 or chi_end_traceless(v) != 0)
-            + (8 * ch4_integral(v) - 2 * ch1_ch3(v) + ch2_squared(v) != 18)
-            for v in range(1, cfg.a_max + 1)
-        ),
-    ),
+    Claim("chern-chi-end-sweep", lambda cfg: _sweep(_chi_end_cases())),
     Claim("chern-a-invariant", lambda cfg: a_invariant(), 72),
     Claim("chern-a-invariant-parts", lambda cfg: a_invariant_components(), (16, 54, 12)),
     # walls and ampleness
@@ -476,10 +519,7 @@ CLAIMS = (
     Claim(
         "fiber-degrees-gram",
         lambda cfg: _sweep(
-            fiber_degrees(m, d) != fiber_degrees_gram(m, d)
-            for m in (1, 2, 3)
-            for d in range(1, 14)
-            if m * d > 1
+            fiber_degrees(m, d) != fiber_degrees_gram(m, d) for m, d in _FIBER_DEGREE_FRAME
         ),
     ),
     Claim(
@@ -515,6 +555,11 @@ CLAIMS = (
         lambda cfg: tuple(zeppola_integral(*p) for p in ((1, 5), (2, 1), (3, 2))),
         (10, 3, 32),
     ),
+    # zeppola-oracle: the oracle's 2-form at d0 is d0 times the one at d0 = 1,
+    # so its n-th wedge power, and the oracle's value, is d0^n times the value
+    # at d0 = 1; so is (n + 1) d0^n. Both sides are polynomials of degree
+    # n <= 3 in d0, and the five values d0 = 1 ... 5 prove the identity for
+    # every d0 >= 1.
     Claim(
         "zeppola-oracle",
         lambda cfg: _sweep(
@@ -586,15 +631,23 @@ def _warnings(report: Report) -> list[str]:
     ]
 
 
-def _fields(value) -> dict:
-    """The fields of a ReportConfig or a ClaimRecord, by name."""
-    return {name: getattr(value, name) for name in value.__slots__}
+def _fields(record: ClaimRecord) -> dict:
+    """The fields of a ClaimRecord, by name."""
+    return {name: getattr(record, name) for name in record.__slots__}
 
 
 def to_json(report: Report) -> str:
+    cfg = report.config
     payload = {
         "version": __version__,
-        "config": _fields(report.config),
+        # every field of the config; a_max and md_max change no record and
+        # are echoed because the benchmark sends them and checks the echo
+        "config": {
+            "abar_max": cfg.abar_max,
+            "a_max": cfg.a_max,
+            "md_max": cfg.md_max,
+            "only": cfg.only,
+        },
         "records": [_fields(r) for r in report.records],
         "summary": report.summary,
         "warnings": _warnings(report),

@@ -8,6 +8,7 @@ float."""
 
 import ast
 import inspect
+import re
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
@@ -390,8 +391,12 @@ def test_integer_parameters_reject_non_integers(name, positions):
     # power_or_text 15.625, monodromy_group a group of float matrices,
     # classify_moduli_case True, jh_decompositions () and mukai_square 6.5;
     # is_ample_h, satollo_transfer and the stability pair checked a float's
-    # range first and raised ValueError
+    # range first and raised ValueError. The TypeError must name the
+    # parameter the caller passed: rank_failures said "m and d",
+    # AbelianSurfaceModel "omegabar^2 and d", and kummer_divisibility and
+    # SubsheafProfile named no argument
     fn = INT_CALLABLES[name][0]
+    params = list(inspect.signature(fn).parameters)
     args = VALID_INT_CALLS[name]
     _call(fn, args)
     wrong = []
@@ -400,8 +405,9 @@ def test_integer_parameters_reject_non_integers(name, positions):
             call = args[:i] + (bad,) + args[i + 1 :]
             try:
                 wrong.append((call, _call(fn, call)))
-            except TypeError:
-                pass
+            except TypeError as exc:
+                if not re.search(rf"\b{params[i]}\b", str(exc)):
+                    wrong.append((call, exc))
             except Exception as exc:
                 wrong.append((call, exc))
     assert wrong == []

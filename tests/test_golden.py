@@ -4,8 +4,14 @@
 `hkverify report --format json` and `--format md` with the default
 configuration; `tests/golden/report-sweep-grid.json` is the JSON report at
 the benchmark's wide grid, where `ample-sweep` decides ampleness for every
-abar up to 8. A change that alters a single byte of any of them fails here;
-regenerating the fixtures is a deliberate act that CHANGES.md records.
+abar up to 8. Only `ample-sweep` reads a range of the config, so the two
+JSON reports differ in that record and in the echoed config block alone:
+`a_max` and `md_max` change no record and stay only because the benchmark
+sends them. The certificates (among them `lattice-discriminant-sweep`,
+`chern-chi-end-sweep`, `fiber-degrees-gram` and `fiber-rank-integrality`)
+run the same fixed frames at both. A change that alters a single byte of any
+of them fails here; regenerating the fixtures is a deliberate act that
+CHANGES.md records.
 """
 
 from pathlib import Path

@@ -18,6 +18,7 @@ import hkverify.blowup
 import hkverify.chern
 import hkverify.cli
 import hkverify.fiber
+import hkverify.lattice
 import hkverify.report
 from hkverify.cli import _CHERN_TABLE, main
 from hkverify.fiber import (
@@ -176,6 +177,33 @@ def _ch2_with_mu_delta_cross_term(line, alpha, beta):
     return true + alpha.p * beta.x + alpha.x * beta.p
 
 
+_subsheaf_rank_weighted_raw = hkverify.fiber._subsheaf_rank_weighted_raw
+
+
+def _weighted_rank_off_beyond_md_11(profile, deg_v, deg_delta):
+    # the numerator gains r2 (md - 9)(md - 11), with md = deg Delta / 24: a
+    # wrong kernel whose cross products keep degree <= 3 in md, right at the
+    # frame's first two rows and wrong at its last two
+    num, den = _subsheaf_rank_weighted_raw(profile, deg_v, deg_delta)
+    md = deg_delta // 24
+    return (num + profile.r2 * (md - 9) * (md - 11), den)
+
+
+def _discriminant_off_at_d_3(model):
+    # + omegabar^2 (d - 1)(d - 2)/2: degree 1 in omegabar^2 and 2 in d, right
+    # at d = 1, 2
+    true = model.gram().discriminant()
+    return true + model.self_omega * (model.mixed_d - 1) * (model.mixed_d - 2) // 2
+
+
+def _fiber_degrees_off_at_md_4(m, d):
+    # the V degree gains (md - 2)(md - 3): still degree 2 in md, right at
+    # md = 2, 3
+    deg_v, deg_delta = fiber_degrees(m, d)
+    return (deg_v + (m * d - 2) * (m * d - 3), deg_delta)
+
+
+_a = hkverify.lattice.SYMBOL_A
 _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
 
 
@@ -236,7 +264,7 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "chi_end_traceless",
             hkverify.chern.chi_end_traceless + 1,
             "chern-chi-end-sweep",
-            "50 failures / 50 cases",
+            "3 failures / 3 cases",
         ),
         (
             hkverify.report,
@@ -244,6 +272,46 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             (*_CHI_END_PARTS[:2], _CHI_END_PARTS[2] + 1),
             "chern-chi-end-decomposition",
             "(48, -63, 19)",
+        ),
+        # the degree-bound certificates: each wrong formula stays inside the
+        # certificate's degree bound and agrees with the right one on part
+        # of the frame
+        (
+            hkverify.fiber,
+            "_subsheaf_rank_weighted_raw",
+            _weighted_rank_off_beyond_md_11,
+            "fiber-rank-integrality",
+            "200 failures / 500 cases",
+        ),
+        (
+            AbelianSurfaceModel,
+            "discriminant",
+            _discriminant_off_at_d_3,
+            "lattice-discriminant-sweep",
+            "2 failures / 6 cases",
+        ),
+        (
+            hkverify.report,
+            "fiber_degrees",
+            _fiber_degrees_off_at_md_4,
+            "fiber-degrees-gram",
+            "1 failures / 3 cases",
+        ),
+        (
+            hkverify.report,
+            "ch1_ch3",
+            hkverify.chern.ch1_ch3 + (_a - 1) * (_a - 2),
+            "chern-chi-end-sweep",
+            "1 failures / 3 cases",
+        ),
+        # degree 3: the frame widens to a = 1 ... 4 and the wrong entry fails
+        # at a = 4, where a fixed three-point frame would have passed it
+        (
+            hkverify.report,
+            "ch4_integral",
+            hkverify.chern.ch4_integral + (_a - 1) * (_a - 2) * (_a - 3),
+            "chern-chi-end-sweep",
+            "1 failures / 4 cases",
         ),
     ],
     ids=[
@@ -256,6 +324,11 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
         "cross-zero",
         "chi-end-traceless",
         "chi-end-third-summand",
+        "rank-beyond-md-11",
+        "discriminant-at-d-3",
+        "fiber-degree-at-md-4",
+        "ch1-ch3-at-a-3",
+        "ch4-cubic",
     ],
 )
 def test_basis_certificates_catch_wrong_formulas(
@@ -299,8 +372,19 @@ def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
     )
     report = run_report(ReportConfig(only="fiber-rank-integrality"))
     (record,) = report.records
-    assert (record.computed, record.verdict) == ("2108 failures / 2125 cases", "fail")
+    assert (record.computed, record.verdict) == ("496 failures / 500 cases", "fail")
     assert exit_code(report) == 1
+
+
+def test_only_ample_sweep_reads_the_config_ranges(default_report):
+    # the certificates run fixed frames: at the benchmark's wide grid every
+    # record but ample-sweep is the same, byte for byte
+    grid = run_report(ReportConfig(abar_max=8, a_max=200, md_max=121))
+    changed = [
+        a[0] for a, b in zip(_rows(default_report.records), _rows(grid.records)) if a != b
+    ]
+    assert changed == ["ample-sweep"]
+    assert len(grid.records) == len(default_report.records)
 
 
 def _wrong_kernel_criterion(deg_f, n, d0):
@@ -326,15 +410,27 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         # term of x_quartic(line, line, u, v); the other two quartics of
         # ch2_pairing have an exceptional factor with a zero base
         ("delta-pairing-two-paths", hkverify.blowup, ("fujiki_integral",), 162),
+        # per case, one model check in ch2_pairing and four in the ch1 terms of
+        # fujiki_integral(c1, c1, alpha, beta), where c1 lives on a freshly
+        # built doubled model; ch2_pairing's pulled-back classes and D live on
+        # the line class's own model, so its pairings compare no models
+        ("delta-pairing-two-paths", AbelianSurfaceModel, ("__eq__",), 405),
         # one per basis class, not one per factor of each of the 81 cases
         ("blowup-pullback-quartic", hkverify.report, ("pullback_correspondence",), 3),
-        # one per md row (m d = 9, 11, ..., 41), not one per profile
-        ("fiber-rank-integrality", hkverify.fiber, ("fiber_degrees",), 17),
-        # four per case, the claim's own 8 ch4 - 2 ch1 ch3 + ch2^2: a Poly
-        # evaluates in ints, so its calls add none
-        ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 200),
+        # one per md row of the frame (m d = 9, 11, 13, 15), not one per profile
+        ("fiber-rank-integrality", hkverify.fiber, ("fiber_degrees",), 4),
+        # four per case of the frame a = 1, 2, 3, the claim's own
+        # 8 ch4 - 2 ch1 ch3 + ch2^2: a Poly evaluates in ints, so its calls
+        # add none
+        ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 12),
     ],
-    ids=["fujiki-per-delta-case", "pullbacks-per-sweep", "degrees-per-row", "fraction-ops"],
+    ids=[
+        "fujiki-per-delta-case",
+        "model-checks-per-delta-case",
+        "pullbacks-per-sweep",
+        "degrees-per-row",
+        "fraction-ops",
+    ],
 )
 def test_sweep_work_is_pinned_by_call_counts(monkeypatch, claim_id, owner, names, calls):
     # call counts repeat exactly where timings do not, so a kernel that goes
