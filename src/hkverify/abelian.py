@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import factorial, gcd, isqrt, log10
 
-from .lattice import AbelianSurfaceModel, digit_limit
+from .lattice import AbelianSurfaceModel, _number_text, digit_limit
 
 
 def _check_isogeny(deg_f: int, n: int, d0: int) -> None:
@@ -43,20 +43,24 @@ def power_or_text(coeff: int, base: int, n: int) -> int | str:
 
     The digit count log10(coeff) + n*log10(base) decides before any power is
     built; within a digit of the limit, where float rounding could mislead,
-    the power is built and compared with 10^limit exactly. An unlimited
-    interpreter (limit 0) gets the default limit, so the time stays bounded."""
+    the power is built and compared with 10^limit exactly. n enters the count
+    capped at 4*(limit + 2), as a float overflows past 10^308: log10(base) >
+    1/4 for base >= 2 puts the capped count past the limit, and base 1 adds
+    no digits. An unlimited interpreter (limit 0) gets the default limit, so
+    the time stays bounded. The text spells its numbers in full."""
     if not (isinstance(coeff, int) and isinstance(base, int) and isinstance(n, int)):
         raise TypeError("coeff, base and n must be integers")
     for name, value, least in (("coeff", coeff, 1), ("base", base, 1), ("n", n, 0)):
         if value < least:
             raise ValueError(f"{name} must be an integer >= {least}")
     limit = digit_limit()
-    digits = log10(coeff) + n * log10(base)
+    digits = log10(coeff) + min(n, 4 * (limit + 2)) * log10(base)
     if digits <= limit + 1:
         value = coeff * base**n
         if digits < limit - 1 or value < 10**limit:
             return value
-    return f"{base}^{n}" if coeff == 1 else f"{coeff}*{base}^{n}"
+    power = f"{_number_text(base)}^{_number_text(n)}"
+    return power if coeff == 1 else f"{_number_text(coeff)}*{power}"
 
 
 def is_simple_semihom(deg_f: int, n: int, d0: int) -> bool:
@@ -69,9 +73,14 @@ def is_simple_semihom(deg_f: int, n: int, d0: int) -> bool:
 def is_simple_via_kernel(deg_f: int, n: int, d0: int) -> bool:
     """Independent check: simplicity holds exactly when the rank deg_f^n is
     coprime to the kernel order. deg_f has the same prime factors as deg_f^n,
-    so the kernel order is taken modulo deg_f."""
+    so the kernel order is taken modulo deg_f. A prime power dividing deg_f
+    has an exponent below b = deg_f.bit_length(), so for n > b the factor
+    d0^(2n) has the same gcd with deg_f as d0^(2b): the modular power then
+    has an exponent of at most 2b, however many digits n has."""
     _check_isogeny(deg_f, n, d0)
-    return gcd(deg_f, kernel_order(n, d0, deg_f)) == 1
+    b = deg_f.bit_length()
+    order = kernel_order(n, d0, deg_f) if n <= b else (n + 1) ** 2 * pow(d0, 2 * b, deg_f)
+    return gcd(deg_f, order) == 1
 
 
 def zeppola_integral(n: int, d0: int) -> int:

@@ -104,7 +104,7 @@ def x_quartic(
     t1, t2, t3, t4 = ts = [c1.t, c2.t, c3.t, c4.t]
     model, nonzero = c1.base.model, True
     for b in bs:
-        if b.model is not model and b.model != model:
+        if b.model is not model:
             raise ValueError("classes live on different fourfolds")
         if not (b.p or b.q or b.x):
             nonzero = False
@@ -133,13 +133,7 @@ def pullback_correspondence(c: KummerTwoClass) -> XTwoClass:
     """Pull a doubled-model degree-2 class back to X through the degree-4
     correspondence: mu(p, q) + x*delta  ->  pullback of mu(2p, q) + x*delta
     on the halved model, plus x times the exceptional class."""
-    return _pulled_back(c, halved_model(c.model))
-
-
-def _pulled_back(c: KummerTwoClass, small: AbelianSurfaceModel) -> XTwoClass:
-    """pullback_correspondence(c) built on `small`, which the caller has
-    checked to be the halved model of c.model."""
-    return XTwoClass(KummerTwoClass(small, 2 * c.p, c.q, c.x), c.x)
+    return XTwoClass(KummerTwoClass(halved_model(c.model), 2 * c.p, c.q, c.x), c.x)
 
 
 def pushforward_correspondence(c: XTwoClass) -> KummerTwoClass:
@@ -194,17 +188,14 @@ def ch2_pairing(line: XTwoClass, alpha: KummerTwoClass, beta: KummerTwoClass) ->
     with C2_AMBIENT = 243 and C2_NORMAL = 81, and the ambient correction
     is -4 * td2 = -(1/3) c2, i.e. -(C2_PAIR_COEFF/3) q(alpha, beta). All three
     terms are summed over the common denominator 12, in ints on integral classes.
-
-    The models are checked once, and the pulled-back classes and D are built
-    on line.model itself, so every pairing below takes `mu_pair`'s identity
-    fast path instead of comparing equal models.
+    alpha and beta must live on the doubled model of line.model, the one
+    model object with those numbers (`lattice.AbelianSurfaceModel`).
     """
-    small, big = line.model, alpha.model
-    if (beta.model is not big and beta.model != big) or halved_model(big) != small:
+    if beta.model is not alpha.model or halved_model(alpha.model) is not line.model:
         raise ValueError("alpha, beta must live on the doubled model of the line class")
-    u = _pulled_back(alpha, small)
-    v = _pulled_back(beta, small)
-    d = exceptional_class(small)
+    u = pullback_correspondence(alpha)
+    v = pullback_correspondence(beta)
+    d = exceptional_class(line.model)
     c2x = (
         C2_PAIR_COEFF * bbf(u.base, v.base)
         # int_X pi^*c2 . D^2 = -int_V c2(ambient)|

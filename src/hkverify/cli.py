@@ -5,12 +5,14 @@ verification report; the other subcommands expose the individual
 calculators (quartic integrals, Riemann-Roch, wall numerics, ampleness,
 modularity, Chern numbers, fiber data, monodromy counts, simplicity).
 Exit status: 0 on success (expected discrepancies included), 1 on a
-failed recomputation or invalid domain input, 2 on usage errors.
+failed recomputation, invalid domain input or an unwritable stdout, 2 on
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -300,10 +302,20 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        finally:
+            # a failed write to stdout surfaces here, not at interpreter exit
+            sys.stdout.flush()
     except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # stdout is a full device or a closed pipe: what it still buffers
+        # goes to devnull, so the interpreter's last flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,13 +50,13 @@ class KummerTwoClass:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.model, self.p, self.q, self.x) == (other.model, other.p, other.q, other.x)
+        return self.model is other.model and self.coeffs() == other.coeffs()
 
     def coeffs(self) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
         return (self.p, self.q, self.x)
 
     def __add__(self, other: "KummerTwoClass") -> "KummerTwoClass":
-        if self.model != other.model:
+        if self.model is not other.model:
             raise ValueError("classes live in different surface models")
         return KummerTwoClass(self.model, self.p + other.p, self.q + other.q, self.x + other.x)
 
@@ -74,9 +74,10 @@ class KummerTwoClass:
 def mu_pair(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
     """The surface pairing of the mu-parts of a and b,
     self_omega*p*p' + mixed_d*(p*q' + q*p'), computed directly;
-    model.gram().pair is its oracle."""
+    model.gram().pair is its oracle. Both classes must live on the same
+    model object, of which there is one per pair of numbers."""
     m = a.model
-    if m is not b.model and m != b.model:
+    if m is not b.model:
         raise ValueError("classes live in different surface models")
     return m.self_omega * a.p * b.p + m.mixed_d * (a.p * b.q + a.q * b.p)
 

@@ -12,10 +12,13 @@ value in the package (the Chern numbers, `kummer.riemann_roch_from_square`).
 The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
 ambient lattice for all divisibility and moduli-case bookkeeping; its
-pairing is `kummer.mu_pair`, with `gram().pair` as the oracle.
+pairing is `kummer.mu_pair`, with `gram().pair` as the oracle. There is one
+model object per pair (omegabar^2, d), so every check that two classes live
+on the same model is `is`; the constructor validates its arguments before it
+looks the pair up, so a float that hashes like an int is still refused.
 
 The package's value classes are plain `__slots__` classes with one
-hand-written `__init__`, not dataclasses: importing `dataclasses` and
+hand-written constructor, not dataclasses: importing `dataclasses` and
 decorating its classes cost about 30 ms of every cold process.
 """
 
@@ -236,30 +239,38 @@ def nocamere_bound(d0: int, q_beta: int) -> Fraction:
     return _quotient(-2 * d0, 1 + q_beta)
 
 
+#: The models built so far, one per (self_omega, mixed_d).
+_MODELS: dict[tuple[int, int], "AbelianSurfaceModel"] = {}
+
+
 class AbelianSurfaceModel:
     """Rank-2 model {omegabar, gamma} with omegabar^2 = self_omega,
     omegabar.gamma = mixed_d and gamma isotropic (discriminant -mixed_d^2).
 
     The same shape serves both sides of the degree-2 isogeny: self_omega is
     2*abar on the small side and 4*abar on the big one.
+
+    There is one model per pair of numbers: the constructor returns the
+    model already built with them, so two models are the same model exactly
+    when they are the same object. It checks its arguments before the
+    lookup, since 4.0 hashes like 4 and would otherwise find the int model.
     """
 
     __slots__ = ("self_omega", "mixed_d")
 
-    def __init__(self, self_omega: int, mixed_d: int) -> None:
+    def __new__(cls, self_omega: int, mixed_d: int) -> "AbelianSurfaceModel":
         if not isinstance(self_omega, int) or not isinstance(mixed_d, int):
             raise TypeError("self_omega and mixed_d must be integers")
         if self_omega <= 0 or self_omega % 2:
             raise ValueError("omegabar^2 must be a positive even integer")
         if mixed_d <= 0:
             raise ValueError("mixed pairing d must be a positive integer")
-        self.self_omega = self_omega
-        self.mixed_d = mixed_d
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.self_omega == other.self_omega and self.mixed_d == other.mixed_d
+        key = (int(self_omega), int(mixed_d))  # a bool becomes 1
+        model = _MODELS.get(key)
+        if model is None:
+            model = _MODELS[key] = super().__new__(cls)
+            model.self_omega, model.mixed_d = key
+        return model
 
     def gram(self) -> GramLattice:
         return GramLattice(((self.self_omega, self.mixed_d), (self.mixed_d, 0)))

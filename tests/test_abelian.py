@@ -2,6 +2,8 @@
 self-intersection count with its exterior-algebra oracle, Jordan-Holder
 shapes, and the saturated-model transfer."""
 
+import time
+from itertools import product
 from math import gcd
 
 import pytest
@@ -86,6 +88,23 @@ def test_power_or_text_edges():
     assert power_or_text(3, 10, digit_limit()) == f"3*10^{digit_limit()}"
 
 
+def test_power_or_text_takes_exponents_past_float_range():
+    # n * log10(base) turned n into a float, which overflows past 10^308:
+    # these raised OverflowError
+    assert power_or_text(1, 2, 10**309) == f"2^{10**309}"
+    assert power_or_text(5, 1, 10**400) == 5
+    assert power_or_text(1, 1, 10 ** digit_limit()) == 1
+
+
+def test_power_or_text_spells_a_coefficient_past_the_digit_limit():
+    # the fiber count (n + 1) * d0^n has a coefficient one digit longer than
+    # n when n is all nines; str() of such a coefficient raised ValueError
+    ten_to_limit = f"1{'0' * digit_limit()}"
+    assert power_or_text(10 ** digit_limit(), 1, 1) == f"{ten_to_limit}*1^1"
+    n = 10 ** digit_limit() - 1
+    assert power_or_text(n + 1, 2, n) == f"{ten_to_limit}*2^{'9' * digit_limit()}"
+
+
 def test_simplicity_examples():
     assert is_simple_semihom(4, 2, 3) is True
     assert power_or_text(1, 4, 2) == 16
@@ -106,6 +125,23 @@ def test_simplicity_matches_kernel_coprimality(deg_f, n, d0):
     assert simple == (gcd(deg_f ** n, kernel_order(n, d0)) == 1)
     assert simple == is_simple_via_kernel(deg_f, n, d0)
     assert power_or_text(1, deg_f, n) == deg_f ** n
+
+
+def test_kernel_criterion_past_the_exponent_cut():
+    # for n > deg_f.bit_length() the kernel order's d0 power is cut to that
+    # bit length; the gcd with deg_f^n must not change
+    for deg_f, n, d0 in product(range(1, 41), range(1, 13), range(1, 21)):
+        expected = gcd(deg_f**n, kernel_order(n, d0)) == 1
+        assert is_simple_via_kernel(deg_f, n, d0) == expected, (deg_f, n, d0)
+
+
+def test_kernel_criterion_is_fast_at_the_digit_limit():
+    # the modular power d0^n mod deg_f at n and deg_f of 4300 digits took
+    # about 8 s
+    deg_f, n = int("19" * (digit_limit() // 2)), 10 ** digit_limit() - 1
+    start = time.perf_counter()
+    assert is_simple_via_kernel(deg_f, n, 11) == is_simple_semihom(deg_f, n, 11)
+    assert time.perf_counter() - start < 1
 
 
 def test_zeppola_values():

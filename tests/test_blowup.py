@@ -39,6 +39,7 @@ from hkverify.kummer import (
     mu_pair,
 )
 from hkverify.lattice import AbelianSurfaceModel
+from hkverify.report import _BIG, _SMALL
 
 BIG = AbelianSurfaceModel(4, 5)
 SMALL = AbelianSurfaceModel(2, 5)
@@ -109,10 +110,21 @@ def test_x_quartic_rejects_mixed_models():
 
 
 def test_model_halving():
-    assert halved_model(BIG) == SMALL
-    assert doubled_model(SMALL) == BIG
+    # one model object per pair of numbers: halving and doubling give back
+    # the very models the report's catalogue is built on
+    assert halved_model(BIG) is SMALL is _SMALL
+    assert doubled_model(SMALL) is BIG is _BIG
     with pytest.raises(ValueError):
         halved_model(SMALL)  # 2 is not divisible by 4
+
+
+def test_ch2_pairing_rejects_classes_off_the_line_models():
+    line = XTwoClass(KummerTwoClass(SMALL, 1, 0, 0), 0)
+    alpha = KummerTwoClass(BIG, 1, 0, 0)
+    with pytest.raises(ValueError):
+        ch2_pairing(line, alpha, KummerTwoClass(AbelianSurfaceModel(4, 3), 1, 0, 0))
+    with pytest.raises(ValueError):
+        ch2_pairing(XTwoClass(KummerTwoClass(AbelianSurfaceModel(2, 3), 1, 0, 0), 0), alpha, alpha)
 
 
 @given(big_classes(), big_classes(), big_classes(), big_classes())

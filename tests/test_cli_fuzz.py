@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkverify.cli import _CHERN_TABLE, main
+from hkverify.lattice import digit_limit
 from hkverify.report import CLAIMS
 
 JUNK = st.sampled_from(
@@ -18,8 +19,11 @@ JUNK = st.sampled_from(
 POSITIVE = st.integers(1, 12).map(str)
 INTS = st.integers(-1000, 1000).map(str)
 RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(-20, 20), st.integers(-6, 6))
+# past float range (10^308) and up to the longest literal an int flag reads:
+# any float conversion of an int flag fails on these
+HUGE = st.integers(10**309, 10 ** digit_limit() - 1).map(str)
 # int flags mostly get valid values, so most runs get past the argument parser
-INT_VALUES = st.one_of(POSITIVE, POSITIVE, INTS, RATIONALS, JUNK)
+INT_VALUES = st.one_of(POSITIVE, POSITIVE, INTS, HUGE, RATIONALS, JUNK)
 RATIONAL_VALUES = st.one_of(POSITIVE, INTS, RATIONALS, RATIONALS, JUNK)
 TRIPLE = st.lists(st.one_of(st.integers(-5, 5).map(str), RATIONALS), min_size=3, max_size=3)
 CLASS = st.one_of(TRIPLE.map(",".join), TRIPLE.map(",".join), JUNK)

@@ -135,6 +135,27 @@ def test_surface_model_rejects_non_integer_parameters(self_omega, mixed_d):
         AbelianSurfaceModel(self_omega, mixed_d)
 
 
+def test_surface_models_are_one_object_per_pair():
+    # so that every check that two classes share a model is `is`
+    assert AbelianSurfaceModel(4, 5) is AbelianSurfaceModel(4, 5)
+    assert AbelianSurfaceModel(4, 5) is not AbelianSurfaceModel(4, 3)
+    assert AbelianSurfaceModel(4, 5) is not AbelianSurfaceModel(2, 5)
+
+
+@pytest.mark.parametrize("self_omega, mixed_d", [(4.0, 5), (4, 5.0), (4, 5.5)])
+def test_surface_model_checks_types_before_the_lookup(self_omega, mixed_d):
+    # 4.0 hashes like 4: looked up first, (4.0, 5) would find the int model
+    AbelianSurfaceModel(4, 5)
+    with pytest.raises(TypeError):
+        AbelianSurfaceModel(self_omega, mixed_d)
+
+
+def test_surface_model_stores_ints():
+    model = AbelianSurfaceModel(4, True)
+    assert type(model.mixed_d) is int and model.mixed_d == 1
+    assert model is AbelianSurfaceModel(4, 1)
+
+
 def test_max_negative_square_small_box():
     lat = GramLattice(((-2, 0), (0, -2)))
     assert max_negative_square(lat, 2) == -2
