@@ -75,11 +75,12 @@ def is_simple_via_kernel(deg_f: int, n: int, d0: int) -> bool:
     coprime to the kernel order. deg_f has the same prime factors as deg_f^n,
     so the kernel order is taken modulo deg_f. A prime power dividing deg_f
     has an exponent below b = deg_f.bit_length(), so for n > b the factor
-    d0^(2n) has the same gcd with deg_f as d0^(2b): the modular power then
-    has an exponent of at most 2b, however many digits n has."""
+    d0^(2n) has the same gcd with deg_f as d0^(2b). The order is therefore
+    taken as kernel_order(n, 1) = (n+1)^2 times d0^(2 min(n, b)): the same
+    gcd with deg_f, and modular powers that stay cheap however many digits
+    n has (base 1 costs nothing per bit of n)."""
     _check_isogeny(deg_f, n, d0)
-    b = deg_f.bit_length()
-    order = kernel_order(n, d0, deg_f) if n <= b else (n + 1) ** 2 * pow(d0, 2 * b, deg_f)
+    order = kernel_order(n, 1, deg_f) * pow(d0, 2 * min(n, deg_f.bit_length()), deg_f)
     return gcd(deg_f, order) == 1
 
 

@@ -186,7 +186,7 @@ def _cmd_report(args) -> int:
 
     report = run_report(ReportConfig(only=args.only))
     text = to_json(report) if args.format == "json" else to_markdown(report)
-    sys.stdout.write(text)
+    print(text, end="")
     return exit_code(report)
 
 
@@ -307,8 +307,10 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
             return _COMMANDS[args.command](args)
         finally:
-            # a failed write to stdout surfaces here, not at interpreter exit
-            sys.stdout.flush()
+            # a failed write to stdout surfaces here, not at interpreter exit;
+            # a process started with stdout closed has None, and print skips it
+            if sys.stdout is not None:
+                sys.stdout.flush()
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -50,7 +50,7 @@ class KummerTwoClass:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.model is other.model and self.coeffs() == other.coeffs()
+        return (self.model, self.p, self.q, self.x) == (other.model, other.p, other.q, other.x)
 
     def coeffs(self) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
         return (self.p, self.q, self.x)

@@ -254,6 +254,9 @@ class AbelianSurfaceModel:
     model already built with them, so two models are the same model exactly
     when they are the same object. It checks its arguments before the
     lookup, since 4.0 hashes like 4 and would otherwise find the int model.
+    A new model is stored with setdefault, so two threads that build one
+    pair get one model, and `__reduce__` sends a copy or an unpickled model
+    through the constructor, so it is the same object again.
     """
 
     __slots__ = ("self_omega", "mixed_d")
@@ -266,11 +269,14 @@ class AbelianSurfaceModel:
         if mixed_d <= 0:
             raise ValueError("mixed pairing d must be a positive integer")
         key = (int(self_omega), int(mixed_d))  # a bool becomes 1
-        model = _MODELS.get(key)
-        if model is None:
-            model = _MODELS[key] = super().__new__(cls)
+        if key not in _MODELS:
+            model = super().__new__(cls)
             model.self_omega, model.mixed_d = key
-        return model
+            _MODELS.setdefault(key, model)
+        return _MODELS[key]
+
+    def __reduce__(self):
+        return (AbelianSurfaceModel, (self.self_omega, self.mixed_d))
 
     def gram(self) -> GramLattice:
         return GramLattice(((self.self_omega, self.mixed_d), (self.mixed_d, 0)))

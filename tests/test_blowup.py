@@ -2,6 +2,8 @@
 between the two Kummer models, the transferred bundle's ch1/ch2, and the
 discriminant pairing with its modularity window."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -116,6 +118,19 @@ def test_model_halving():
     assert doubled_model(SMALL) is BIG is _BIG
     with pytest.raises(ValueError):
         halved_model(SMALL)  # 2 is not divisible by 4
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))], ids=["deepcopy", "pickle"]
+)
+def test_copied_classes_keep_their_model(clone):
+    line = XTwoClass(KummerTwoClass(SMALL, 1, Fraction(1, 2), 3), 2)
+    copied = clone(line)
+    assert copied.model is SMALL
+    assert copied.base == line.base and copied.t == line.t
+    # the copy still pairs with classes on the original models
+    alpha = KummerTwoClass(BIG, 1, 0, 0)
+    assert ch2_pairing(copied, alpha, alpha) == ch2_pairing(line, alpha, alpha)
 
 
 def test_ch2_pairing_rejects_classes_off_the_line_models():

@@ -1,6 +1,8 @@
 """Tests for the lattice primitives: Gram pairings, discriminants,
 divisibility, and the congruence bookkeeping for moduli cases."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -140,6 +142,11 @@ def test_surface_models_are_one_object_per_pair():
     assert AbelianSurfaceModel(4, 5) is AbelianSurfaceModel(4, 5)
     assert AbelianSurfaceModel(4, 5) is not AbelianSurfaceModel(4, 3)
     assert AbelianSurfaceModel(4, 5) is not AbelianSurfaceModel(2, 5)
+    # copies and pickles go through the constructor and give the model back
+    model = AbelianSurfaceModel(4, 5)
+    assert copy.copy(model) is model
+    assert copy.deepcopy(model) is model
+    assert pickle.loads(pickle.dumps(model)) is model
 
 
 @pytest.mark.parametrize("self_omega, mixed_d", [(4.0, 5), (4, 5.0), (4, 5.5)])

@@ -1011,6 +1011,26 @@ def _closed_pipe_run(argv):
         os.close(write)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["walls"], 0), (["report", "--only", "chern-ch4"], 0), (["--bogus"], 2)],
+    ids=["walls", "report", "usage-error"],
+)
+def test_cli_with_stdout_closed_keeps_its_exit_code(argv, code):
+    # with fd 1 closed at startup sys.stdout is None: print writes nothing,
+    # and the flush in main must not turn that into a traceback
+    run = subprocess.run(
+        [sys.executable, "-m", "hkverify", *argv],
+        env=_python_env(),
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def _full_device_run(argv):
     """Run argv with stdout on /dev/full, where every write fails."""
     with open("/dev/full", "w") as full:
