@@ -11,7 +11,7 @@ normalization, which is also what squares to the kernel order).
 
 from __future__ import annotations
 
-from math import factorial, gcd, isqrt, log10
+from math import factorial, gcd, isqrt
 
 from .lattice import AbelianSurfaceModel, _number_text, digit_limit
 
@@ -38,26 +38,23 @@ def kernel_order(n: int, d0: int, modulus: int | None = None) -> int:
 
 
 def power_or_text(coeff: int, base: int, n: int) -> int | str:
-    """coeff * base^n when its decimal form fits the interpreter's
-    int-to-string limit, else the text "coeff*base^n" ("base^n" for coeff 1).
+    """coeff * base^n when it is below 10^L, L the interpreter's int-to-string
+    limit (its default where the limit is off, so the time stays bounded),
+    else the text "coeff*base^n" ("base^n" for coeff 1), spelled in full.
 
-    The digit count log10(coeff) + n*log10(base) decides before any power is
-    built; within a digit of the limit, where float rounding could mislead,
-    the power is built and compared with 10^limit exactly. n enters the count
-    capped at 4*(limit + 2), as a float overflows past 10^308: log10(base) >
-    1/4 for base >= 2 puts the capped count past the limit, and base 1 adds
-    no digits. An unlimited interpreter (limit 0) gets the default limit, so
-    the time stays bounded. The text spells its numbers in full."""
+    With b = base.bit_length(), base^n >= 2^((b-1)n) and 2^(4L) > 10^L, so
+    (b-1)n >= 4L gives the text with no power built. Otherwise base^n is 1 or
+    below 2^(bn) <= 2^(2(b-1)n) < 2^(8L), cheap to build, and the product is
+    compared with 10^L exactly."""
     if not (isinstance(coeff, int) and isinstance(base, int) and isinstance(n, int)):
         raise TypeError("coeff, base and n must be integers")
     for name, value, least in (("coeff", coeff, 1), ("base", base, 1), ("n", n, 0)):
         if value < least:
             raise ValueError(f"{name} must be an integer >= {least}")
     limit = digit_limit()
-    digits = log10(coeff) + min(n, 4 * (limit + 2)) * log10(base)
-    if digits <= limit + 1:
+    if (base.bit_length() - 1) * n < 4 * limit:
         value = coeff * base**n
-        if digits < limit - 1 or value < 10**limit:
+        if value < 10**limit:
             return value
     power = f"{_number_text(base)}^{_number_text(n)}"
     return power if coeff == 1 else f"{_number_text(coeff)}*{power}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kummer import C2_PAIR_COEFF, C2_SQUARE_VALUE, riemann_roch_from_square
+from .kummer import C2_PAIR_COEFF, C2_SQUARE_VALUE, EULER_NUMBER, riemann_roch_from_square
 from .lattice import SYMBOL_A, Poly, _quotient
 
 _a = SYMBOL_A
@@ -23,8 +23,9 @@ _a = SYMBOL_A
 #: Rank of the transferred bundle.
 RANK = 4
 
-#: chi(O) of a generalized Kummer fourfold.
-CHI_O = 3
+#: chi(O) of a generalized Kummer fourfold, the Todd genus
+#: (3 int c2^2 - int c4) / 720 = (3 * 756 - 108) / 720 = 3.
+CHI_O = _quotient(3 * C2_SQUARE_VALUE - EULER_NUMBER, 720)
 
 #: q(ch1) = 16a - 6.
 ch1_square_q = 16 * _a - 6
@@ -56,8 +57,11 @@ ch2_squared = 36 * _a * _a - 54 * _a + 27
 #: (int ch1^4 - 2 * 54 q(ch1) + int c2^2) / 64, with int c2^2 = 756.
 ch2_squared_derived = (ch1_fourth - 2 * ch1sq_c2 + C2_SQUARE_VALUE) / 64
 
-#: int ch2 . td2 = 9a - 45/4.
-ch2_td2 = (36 * _a - 45) / 4
+# int ch2 . c2 via ch2 = (ch1^2 - c2)/8: (54 q(ch1) - int c2^2) / 8 = 108a - 135.
+_ch2_c2 = (ch1sq_c2 - C2_SQUARE_VALUE) / 8
+
+#: int ch2 . td2 with td2 = c2/12: int ch2 . c2 / 12 = 9a - 45/4.
+ch2_td2 = _ch2_c2 / 12
 
 #: int ch4 = (3/2) a^2 - (9/2) a + 9/4.
 ch4_integral = (6 * _a * _a - 18 * _a + 9) / 4
@@ -74,9 +78,6 @@ chi_bundle_rr = riemann_roch_from_square(2 * _a)
 
 #: Same chi through rank * chi(O) + int ch2 td2 + int ch4.
 chi_bundle_hrr = RANK * CHI_O + ch2_td2 + ch4_integral
-
-# int ch2 . c2 via ch2 = (ch1^2 - c2)/8: (54 q(ch1) - int c2^2) / 8 = 108a - 135.
-_ch2_c2 = (ch1sq_c2 - C2_SQUARE_VALUE) / 8
 
 #: chi(End) = rank^2 chi(O) + (1/12) int (8 ch2 - ch1^2) c2
 #: + int (8 ch4 - 2 ch1 ch3 + ch2^2), using derived entries only: the

@@ -108,6 +108,8 @@ def _class_coeffs(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 def _side_model(abar: int, d: int, side: str) -> AbelianSurfaceModel:
     # side A carries the doubled polarization square, side B the halved one
+    if abar < 1 or d < 1:
+        raise ValueError(f"{'abar' if abar < 1 else 'd'} must be an integer >= 1")
     return AbelianSurfaceModel(4 * abar if side == "A" else 2 * abar, d)
 
 
@@ -120,6 +122,14 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # replaces argparse's own test, which admits only -12 and -1.5
         self._negative_number_matcher = re.compile(r"^-[\d.][\d./,-]*$")
+
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write, but one to stdout must reach main's
+        # OSError branch; stderr and a stdout closed at startup (None) do not
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -226,7 +236,7 @@ def _cmd_ample(args) -> int:
 
 
 def _cmd_modularity(args) -> int:
-    model = AbelianSurfaceModel(4 * args.abar, args.d)
+    model = _side_model(args.abar, args.d, "A")
     modular, coeff = is_modular_bundle(args.x - args.y, model)
     print(f"Modular (coefficient {coeff})" if modular else "NotModular")
     return 0

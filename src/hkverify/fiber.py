@@ -108,10 +108,12 @@ def rank_failures(profiles: Iterable[SubsheafProfile], md: int) -> Iterator[int]
     the two rank kernels agree. Both are (numerator, positive denominator)
     pairs, so the rank is integral iff the denominator divides the
     numerator, and the kernels agree iff the cross products are equal. The
-    fiber degrees (and their check of md) are the same for every profile of
-    the row, so they are computed once."""
+    fiber degrees are the same for every profile of the row, so they are
+    computed once."""
     if not isinstance(md, int):
         raise TypeError("md must be an integer")
+    if md <= 8:
+        raise ValueError("md must be an integer > 8")
     deg_v, deg_delta = fiber_degrees(1, md)
     for profile in profiles:
         num, den = _subsheaf_rank_raw(profile, md)

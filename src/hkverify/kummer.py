@@ -34,6 +34,9 @@ C2_PAIR_COEFF = 54
 #: int c2^2.
 C2_SQUARE_VALUE = 756
 
+#: int c4, the Euler number of a generalized Kummer fourfold.
+EULER_NUMBER = 108
+
 
 class KummerTwoClass:
     """Degree-2 class mu(p*omegabar + q*gamma) + x*delta on the Kummer

@@ -6,8 +6,8 @@ division through `_quotient`, every printed number through `_number_text`
 (in full, however long), every literal is read within the interpreter's
 int-to-string limit `digit_limit`, and every public form returns what that exact
 arithmetic gives, an int on integral inputs and otherwise an int or a
-Fraction. Poly, the exact polynomial type, follows the same contract, and
-its evaluation `Poly.__call__` is the one input check of every polynomial
+Fraction. Poly, the exact polynomial type, follows the same contract; its
+one Horner loop `Poly.__call__` is the one input check of every polynomial
 value in the package (the Chern numbers, `kummer.riemann_roch_from_square`).
 The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
@@ -28,7 +28,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 
 def _quotient(x, k: int | Fraction):
@@ -67,45 +67,31 @@ def _coef(value) -> int | Fraction:
 class Poly:
     """Polynomial in one variable (printed as a) with exact coefficients,
     ints where integral (`_coef`), lowest degree first and trailing zeros
-    trimmed, so the zero polynomial has no coefficients. A coefficient that is not an int or a
-    Fraction, a float included, raises TypeError.
+    trimmed, so the zero polynomial has no coefficients. A coefficient that
+    is not an int or a Fraction, a float included, raises TypeError.
 
     Mixes with ints and Fractions on either side of +, - and *, divides by
     a scalar, compares by coefficients (Poly((3,)) == 3), and evaluates by
     calling: p(x).
     """
 
-    __slots__ = ("coeffs", "_nums", "_den")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()) -> None:
         coeffs = [_coef(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-        # the coefficients as int numerators over their common denominator
-        self._den = lcm(*(c.denominator for c in coeffs))
-        self._nums = tuple(c.numerator * (self._den // c.denominator) for c in coeffs)
 
     def __call__(self, x):
-        """The value at x. At an int or a Fraction p/q (through `_coef`, so a
-        float raises TypeError), Horner's rule runs in ints on the numerators
-        over the common denominator, homogeneously in p and q, and one
-        `_quotient` at the end (none over the denominator 1) gives an int
-        where the value is integral. At a Poly, Horner's rule gives the
-        composition."""
-        if isinstance(x, Poly):
-            value = Poly()
-            for c in reversed(self.coeffs):
-                value = value * x + c
-            return value
-        x = _coef(x)
-        num, den = x.numerator, x.denominator
-        value, power = 0, 1
-        for c in reversed(self._nums):
-            power *= den
-            value = value * num + c * power
-        scale = self._den * power
-        return value if scale == 1 else _quotient(value, scale)
+        """The value at x by Horner's rule: at an int or a Fraction (through
+        `_coef`, so a float raises TypeError) an int where the value is
+        integral, at a Poly the composition."""
+        composing = isinstance(x, Poly)
+        value, x = (Poly(), x) if composing else (0, _coef(x))
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value if composing else _coef(value)
 
     def __add__(self, other):
         other = self._lift(other)
@@ -265,9 +251,9 @@ class AbelianSurfaceModel:
         if not isinstance(self_omega, int) or not isinstance(mixed_d, int):
             raise TypeError("self_omega and mixed_d must be integers")
         if self_omega <= 0 or self_omega % 2:
-            raise ValueError("omegabar^2 must be a positive even integer")
+            raise ValueError("self_omega must be a positive even integer")
         if mixed_d <= 0:
-            raise ValueError("mixed pairing d must be a positive integer")
+            raise ValueError("mixed_d must be a positive integer")
         key = (int(self_omega), int(mixed_d))  # a bool becomes 1
         if key not in _MODELS:
             model = super().__new__(cls)

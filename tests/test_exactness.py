@@ -13,6 +13,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,28 @@ SWEEP_GRID = ReportConfig(abar_max=8, a_max=200, md_max=121, samples=150, seed=1
 def test_no_claim_value_is_a_float(cfg):
     floats = [f for c in CLAIMS for f in _floats(c.compute(cfg), c.claim_id)]
     assert floats == []
+
+
+#: The math functions that take and give ints only.
+_INT_MATH = {"gcd", "lcm", "isqrt", "factorial"}
+
+
+def test_src_uses_no_floats():
+    # every module of the package, parsed: a float literal, the name float,
+    # or a float function of math (log10 was one) is a float in the number
+    # layer
+    found = []
+    for path in sorted(Path(hkverify.lattice.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append((path.name, node.lineno, node.value))
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append((path.name, node.lineno, "float"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [(path.name, node.lineno, a.name) for a in node.names if a.name not in _INT_MATH]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, node.lineno, a.name) for a in node.names if a.name == "math"]
+    assert found == []
 
 
 def test_coefficients_are_ints_where_integral():

@@ -22,6 +22,7 @@ from hkverify.fiber import (
     minimum_destabilizer_margin,
     monodromy_fixed_points,
     monodromy_group,
+    rank_failures,
     restriction_c1_fiber_delta,
     restriction_c1_fiber_v,
     subsheaf_rank,
@@ -184,3 +185,13 @@ def test_invariant_cosets_unique():
     assert len(cosets) == 1
     assert cosets[0] == trivial_torsion_coset()
     assert len(cosets[0]) == 16
+
+
+@pytest.mark.parametrize("profiles", [[SubsheafProfile(1, 2, 1)], []], ids=["one", "none"])
+@pytest.mark.parametrize("md", [0, -3, 1, 8])
+def test_rank_failures_names_md(md, profiles):
+    # unchecked, md 0 and -3 said "m and d must be positive integers", 1
+    # "the fiber formulas need m*d > 1", 8 "the integrality criterion needs
+    # m*d > 8" and, with no profiles, 2 ... 8 passed
+    with pytest.raises(ValueError, match=r"^md must be an integer > 8$"):
+        list(rank_failures(profiles, md))

@@ -119,13 +119,14 @@ def test_surface_model_discriminant_is_minus_d_squared():
 
 
 def test_surface_model_validation():
-    with pytest.raises(ValueError):
+    # each message names the parameter, as the TypeError does
+    with pytest.raises(ValueError, match=r"^self_omega "):
         AbelianSurfaceModel(3, 5)  # odd self-pairing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^self_omega "):
         AbelianSurfaceModel(0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mixed_d "):
         AbelianSurfaceModel(4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mixed_d "):
         AbelianSurfaceModel(4, -3)
 
 

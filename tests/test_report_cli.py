@@ -418,10 +418,11 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         ("blowup-pullback-quartic", hkverify.report, ("pullback_correspondence",), 3),
         # one per md row of the frame (m d = 9, 11, 13, 15), not one per profile
         ("fiber-rank-integrality", hkverify.fiber, ("fiber_degrees",), 4),
-        # four per case of the frame a = 1, 2, 3, the claim's own
-        # 8 ch4 - 2 ch1 ch3 + ch2^2: a Poly evaluates in ints, so its calls
-        # add none
-        ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 12),
+        # ten per case of the frame a = 1, 2, 3: four for the claim's own
+        # 8 ch4 - 2 ch1 ch3 + ch2^2, five for Horner's rule on the Fraction
+        # coefficients of ch4, and one for the constant 27/2 of ch1 ch3; the
+        # Polys with int coefficients evaluate in ints and add none
+        ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 30),
     ],
     ids=[
         "fujiki-per-delta-case",
@@ -477,6 +478,28 @@ def test_exceptional_fourth_is_checked_against_the_literal():
     assert run.returncode == 1, run.stderr
     row = "| blowup-exceptional-fourth | 163 | 162 | fail | stated |"
     assert row in run.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "bump, failing",
+    [("C2_SQUARE_VALUE = 757", "chern-ch2-td2"), ("EULER_NUMBER = 109", "chern-chi-end-constant")],
+    ids=["c2-square", "euler-number"],
+)
+def test_chern_inputs_are_computed_from_the_kummer_constants(bump, failing):
+    # the constant is changed before the catalogue is built: ch2 . td2 was the
+    # literal 9a - 45/4 and chi(O) the literal 3, so each record compared a
+    # literal with itself and read pass
+    script = (
+        "import sys\n"
+        "import hkverify.kummer as kummer\n"
+        f"kummer.{bump}\n"
+        "from hkverify.cli import main\n"
+        f"sys.exit(main(['report', '--only', '{failing}', '--format', 'md']))\n"
+    )
+    run = _run_python("-c", script)
+    assert run.returncode == 1, run.stderr
+    (row,) = [line for line in run.stdout.splitlines() if line.startswith(f"| {failing} |")]
+    assert row.split(" | ")[3] == "fail", row
 
 
 def test_provenance_follows_from_the_claim_kind(default_report):
@@ -808,6 +831,25 @@ def test_cli_domain_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["fujiki", "--abar", "0", "--d", "3", "1,0,0", "1,0,0", "1,0,0", "1,0,0"], "abar"),
+        (["fujiki", "--abar", "1", "--d", "0", "1,0,0", "1,0,0", "1,0,0", "1,0,0"], "d"),
+        (["rr", "--abar", "0", "--d", "3", "--cls", "1,0,0"], "abar"),
+        (["modularity", "--x", "1", "--y", "0", "--abar", "0"], "abar"),
+        (["modularity", "--x", "1", "--y", "0", "--d", "-2"], "d"),
+    ],
+    ids=["fujiki-abar", "fujiki-d", "rr-abar", "modularity-abar", "modularity-d"],
+)
+def test_cli_surface_model_errors_name_the_flag(capsys, argv, name):
+    # unmended, these printed the model's own message, "omegabar^2 must be
+    # a positive even integer" or "mixed pairing d must be ...", which names
+    # no flag
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {name} must be an integer >= 1\n"
+
+
 def test_cli_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["not-a-command"])
@@ -1013,12 +1055,13 @@ def _closed_pipe_run(argv):
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["walls"], 0), (["report", "--only", "chern-ch4"], 0), (["--bogus"], 2)],
-    ids=["walls", "report", "usage-error"],
+    [(["walls"], 0), (["report", "--only", "chern-ch4"], 0), (["--bogus"], 2), (["-h"], 0)],
+    ids=["walls", "report", "usage-error", "help"],
 )
 def test_cli_with_stdout_closed_keeps_its_exit_code(argv, code):
     # with fd 1 closed at startup sys.stdout is None: print writes nothing,
-    # and the flush in main must not turn that into a traceback
+    # and the flush in main must not turn that into a traceback; argparse
+    # sends the help to stderr then
     run = subprocess.run(
         [sys.executable, "-m", "hkverify", *argv],
         env=_python_env(),
@@ -1053,13 +1096,14 @@ def _full_device_run(argv):
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "command",
-    [["report"], ["walls"], ["chern", "--a", "9" * 4000]],
-    ids=["report", "walls", "chern"],
+    [["report"], ["walls"], ["chern", "--a", "9" * 4000], ["-h"], ["report", "--help"]],
+    ids=["report", "walls", "chern", "help", "report-help"],
 )
 def test_cli_write_errors_exit_one_without_a_traceback(sink, flags, command):
     # unmended, report > /dev/full and chern into a closed pipe showed an
     # OSError traceback, and a buffered walls > /dev/full exited 120 with
-    # "Exception ignored" from the interpreter's last flush
+    # "Exception ignored" from the interpreter's last flush; unbuffered,
+    # argparse dropped the failed help write and -h exited 0
     run = sink([sys.executable, *flags, "-m", "hkverify", *command])
     assert run.returncode == 1, run.stderr
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
