@@ -86,7 +86,8 @@ def zeppola_integral(n: int, d0: int) -> int:
     if not (isinstance(n, int) and isinstance(d0, int)):
         raise TypeError("n and d0 must be integers")
     if n < 1 or d0 < 1:
-        raise ValueError("n and d0 must be positive integers")
+        name = "n" if n < 1 else "d0"
+        raise ValueError(f"{name} must be a positive integer")
     return (n + 1) * d0 ** n
 
 
@@ -151,7 +152,8 @@ def jh_decompositions(r: int, a: int, e: int) -> tuple[tuple[int, int, int], ...
     if not (isinstance(r, int) and isinstance(a, int) and isinstance(e, int)):
         raise TypeError("r, a and e must be integers")
     if r < 1 or e < 1:
-        raise ValueError("r and e must be positive integers")
+        name = "r" if r < 1 else "e"
+        raise ValueError(f"{name} must be a positive integer")
     shapes = []
     # m r0^2 = r g with g = gcd(r0, e) dividing r0: writing r0 = g j gives
     # r = m j r0, so r0 divides r; the divisors come in pairs {k, r // k}
@@ -182,7 +184,8 @@ def _check_slope_data(s0: int, c0: int, e: int) -> None:
     if gcd(s0, c0) != 1:
         raise ValueError("s0 and c0 must be coprime")
     if s0 < 1 or e < 1:
-        raise ValueError("s0 and e must be positive integers")
+        name = "s0" if s0 < 1 else "e"
+        raise ValueError(f"{name} must be a positive integer")
 
 
 def forced_stable(s0: int, c0: int, e: int) -> bool:

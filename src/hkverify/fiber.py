@@ -26,7 +26,8 @@ def _check_md(m: int, d: int) -> int:
     if not (isinstance(m, int) and isinstance(d, int)):
         raise TypeError("m and d must be integers")
     if m < 1 or d < 1:
-        raise ValueError("m and d must be positive integers")
+        name = "m" if m < 1 else "d"
+        raise ValueError(f"{name} must be a positive integer")
     md = m * d
     if md <= 1:
         raise ValueError("the fiber formulas need m*d > 1")
@@ -70,9 +71,9 @@ class SubsheafProfile:
     def __init__(self, r1p: int, r1pp: int, r2: int) -> None:
         if not (isinstance(r1p, int) and isinstance(r1pp, int) and isinstance(r2, int)):
             raise TypeError("r1p, r1pp and r2 must be integers")
-        for v in (r1p, r1pp, r2):
-            if not 0 <= v <= 4:
-                raise ValueError("restriction ranks must lie in 0..4")
+        if not (0 <= r1p <= 4 and 0 <= r1pp <= 4 and 0 <= r2 <= 4):
+            name = "r1p" if not 0 <= r1p <= 4 else "r1pp" if not 0 <= r1pp <= 4 else "r2"
+            raise ValueError(f"{name} must lie in 0..4")
         self.r1p = r1p
         self.r1pp = r1pp
         self.r2 = r2

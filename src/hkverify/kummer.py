@@ -149,21 +149,16 @@ def modularity_coefficient(form, model: AbelianSurfaceModel) -> int | Fraction |
     """The rational d with form(alpha, alpha) = d * q(alpha) for every degree-2
     class alpha of `model`, where `form` is a symmetric bilinear function of
     two KummerTwoClasses (such as c2_pair); tested on the three basis classes
-    and all pairwise sums, which fix a symmetric bilinear form. None when no
-    single coefficient works."""
+    and all pairwise sums, which fix a symmetric bilinear form. The
+    coefficient is read off mu(omegabar), whose square self_omega is never
+    0; None when another probe disagrees with it."""
     es = basis(model)
     probes = list(es)
     for i in range(3):
         for j in range(i + 1, 3):
             probes.append(es[i] + es[j])
     pairs = [(form(t, t), bbf(t, t)) for t in probes]
-    coeff: int | Fraction | None = None
-    for val, qv in pairs:
-        if qv != 0:
-            coeff = _quotient(val, qv)
-            break
-    if coeff is None:
-        return None
+    coeff = _quotient(*pairs[0])
     for val, qv in pairs:
         if val != coeff * qv:
             return None

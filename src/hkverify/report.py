@@ -173,7 +173,8 @@ class ReportConfig:
         if not (only is None or isinstance(only, str)):
             raise TypeError("only must be a string or None")
         if abar_max < 1 or a_max < 1 or (samples is not None and samples < 1):
-            raise ValueError("abar_max, a_max and samples must be positive")
+            name = "abar_max" if abar_max < 1 else "a_max" if a_max < 1 else "samples"
+            raise ValueError(f"{name} must be positive")
         if md_max < 9:
             raise ValueError("md_max must be at least 9")
         self.abar_max, self.a_max, self.md_max = map(int, ranges)

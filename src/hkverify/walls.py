@@ -57,39 +57,35 @@ def ample_thresholds(abar: int) -> tuple[int, int]:
     return (12 * abar + 3, 24 * abar * abar + 6 * abar)
 
 
-#: (c, coefficient of delta, allowed beta^2): the wall through h, then the
-#: separating walls by increasing c; those need m c <= 3
-_WALL_SEARCHES = ((0, 0, (-6,)), (1, -1, (0, 2)), (2, -1, (0, 2)), (3, -1, (0, 2)))
-
-
 def is_ample_h(abar: int, d: int, m: int) -> KummerTwoClass | None:
     """Decide ampleness of h = 2m * mu(omegabar) - delta on the doubled
     model with omegabar^2 = 4 abar and omegabar.gamma = d.
 
-    The search box is complete: a violating class mu(beta) - x delta has
+    The search is complete: a violating class mu(beta) - x delta has
     x = 0, beta.omegabar = 0, beta^2 = -6 (wall through h) or x = 1,
     beta.omegabar = c in {1, 2, 3} with m c <= 3, beta^2 in {0, 2}
     (separating wall), and writing beta = p omegabar + q gamma the pairing
     equation 4 abar p + q d = c pins q = (c - 4 abar p) / d, so that
-    beta^2 = 4 abar p^2 + 2 p q d = p (c + q d); |p| <= 2 suffices. Returns
-    the violating class found, or None when h is ample.
+    beta^2 = 4 abar p^2 + 2 p q d = p (2c - 4 abar p). The wall through h
+    is not searched: at c = 0, beta^2 = -4 abar p^2 is divisible by 4, so
+    never -6. A separating wall needs p in {0, 1}: beta^2 < 0 at p <= -1,
+    and at p >= 2 as well, since c <= 3 < 4 <= 2 abar p. Returns the
+    violating class found, or None when h is ample.
     """
     if not (isinstance(abar, int) and isinstance(d, int) and isinstance(m, int)):
         # h is a class only for an integral m, and AbelianSurfaceModel(4 abar, d)
         # makes the same check for abar and d, but is built only for a witness
-        raise TypeError("abar, d, m must be integers")
+        raise TypeError("abar, d and m must be integers")
     if abar < 1 or d < 1 or m < 1:
-        raise ValueError("abar, d, m must be positive integers")
+        name = "abar" if abar < 1 else "d" if d < 1 else "m"
+        raise ValueError(f"{name} must be a positive integer")
     four_abar = 4 * abar
-    for c, x, squares in _WALL_SEARCHES:
-        if m * c > 3:
-            break
-        for p in (-2, -1, 0, 1, 2):
+    # separating walls by increasing c; none once m > 3
+    for c in range(1, 3 // m + 1):
+        for p in (0, 1):
             num = c - four_abar * p  # q d
-            if num % d == 0 and p * (c + num) in squares:
-                if abs(p) == 2:
-                    raise ArithmeticError("ampleness search hit the box boundary")
-                return KummerTwoClass(AbelianSurfaceModel(four_abar, d), p, num // d, x)
+            if num % d == 0 and p * (c + num) in (0, 2):
+                return KummerTwoClass(AbelianSurfaceModel(four_abar, d), p, num // d, -1)
     return None
 
 

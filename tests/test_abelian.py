@@ -241,8 +241,10 @@ def test_forced_stable_rejects_common_factor():
 @pytest.mark.parametrize("args", [(-1, 1, 1), (-2, 1, 3), (0, 1, 1), (1, 1, 0), (2, 1, -4)])
 @pytest.mark.parametrize("path", [forced_stable, forced_stable_via_jh], ids=["gcd", "jh"])
 def test_both_stability_paths_reject_a_non_positive_rank_or_e(path, args):
-    # both paths of forced-stable-two-paths share one domain
-    with pytest.raises(ValueError, match="s0 and e must be positive integers"):
+    # both paths of forced-stable-two-paths share one domain, and the message
+    # names the first argument out of it
+    name = "s0" if args[0] < 1 else "e"
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
         path(*args)
 
 

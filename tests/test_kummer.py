@@ -199,5 +199,18 @@ def test_modularity_coefficient_probes_pairwise_sums():
     assert modularity_coefficient(form, MODEL) is None
 
 
+def test_modularity_coefficient_rejects_a_form_vanishing_on_mu_omegabar():
+    # the coefficient read off mu(omegabar) is 0, and mu(gamma) disagrees
+    def form(a, b):
+        return a.q * b.q + a.x * b.x
+
+    assert form(basis(MODEL)[0], basis(MODEL)[0]) == 0
+    assert modularity_coefficient(form, MODEL) is None
+
+
+def test_modularity_coefficient_of_the_zero_form():
+    assert modularity_coefficient(lambda a, b: 0, MODEL) == 0
+
+
 def test_modularity_coefficient_accepts_scaled_c2():
     assert modularity_coefficient(lambda a, b: Fraction(c2_pair(a, b), 3), MODEL) == 18

@@ -1,8 +1,10 @@
 """The report builder and the command line front end: record schema,
 determinism, filtering, verdict bookkeeping, and the subcommand outputs."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +22,7 @@ import hkverify.cli
 import hkverify.fiber
 import hkverify.lattice
 import hkverify.report
+from hkverify.abelian import forced_stable, jh_decompositions, zeppola_integral
 from hkverify.cli import _CHERN_TABLE, main
 from hkverify.fiber import (
     SubsheafProfile,
@@ -38,7 +41,7 @@ from hkverify.kummer import (
     riemann_roch_from_square,
 )
 from hkverify.lattice import AbelianSurfaceModel, Poly, digit_limit
-from hkverify.walls import ample_thresholds
+from hkverify.walls import ample_thresholds, is_ample_h
 from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
@@ -449,6 +452,35 @@ def test_sweep_work_is_pinned_by_call_counts(monkeypatch, claim_id, owner, names
     assert len(counted) == calls
 
 
+def test_ample_sweep_tries_only_the_candidates_that_can_be_witnesses():
+    # the loop body of is_ample_h runs once per (c, p) with c <= 3 / m and
+    # p in {0, 1}, the only candidates that can be wall classes: each of the
+    # 300 (abar, d) of the default ample-sweep tries 6 + 2 + 2 = 10 at
+    # m = 1, 2, 3, and every case is ample, so no search ends early. Also
+    # trying the wall through h (c = 0) and p in {-2, -1, 2} made it 12000
+    lines, start = inspect.getsourcelines(is_ample_h)
+    (body,) = [start + i for i, line in enumerate(lines) if "num = c - four_abar * p" in line]
+    code = is_ample_h.__code__
+    runs = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == body:
+            runs.append(None)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        (record,) = run_report(ReportConfig(only="ample-sweep")).records
+    finally:
+        sys.settrace(previous)
+    assert record.verdict == "pass"
+    assert len(runs) == 3000
+
+
 @pytest.mark.parametrize(
     "name",
     ["V_PAIR_COEFF", "V_DELTA_SQUARE", "C2_NORMAL", "C2_AMBIENT"],
@@ -848,6 +880,56 @@ def test_cli_surface_model_errors_name_the_flag(capsys, argv, name):
     # no flag
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {name} must be an integer >= 1\n"
+
+
+#: (function, valid keyword arguments, the range-checked ones, a value out of
+#: range, the end of the message)
+_RANGE_CHECKED = [
+    (is_ample_h, {"abar": 1, "d": 3, "m": 1}, ("abar", "d", "m"), 0, "be a positive integer"),
+    (fiber_degrees, {"m": 1, "d": 9}, ("m", "d"), 0, "be a positive integer"),
+    (SubsheafProfile, {"r1p": 1, "r1pp": 1, "r2": 1}, ("r1p", "r1pp", "r2"), 5, "lie in 0..4"),
+    (zeppola_integral, {"n": 1, "d0": 1}, ("n", "d0"), 0, "be a positive integer"),
+    (jh_decompositions, {"r": 4, "a": 2, "e": 3}, ("r", "e"), 0, "be a positive integer"),
+    (forced_stable, {"s0": 1, "c0": 1, "e": 1}, ("s0", "e"), 0, "be a positive integer"),
+    (
+        ReportConfig,
+        {"abar_max": 1, "a_max": 1, "samples": 1},
+        ("abar_max", "a_max", "samples"),
+        0,
+        "be positive",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "func, kwargs, message",
+    [
+        pytest.param(func, {**valid, name: bad}, f"{name} must {end}", id=f"{func.__name__}-{name}")
+        for func, valid, checked, bad, end in _RANGE_CHECKED
+        for name in checked
+    ],
+)
+def test_range_errors_name_the_argument_that_failed(func, kwargs, message):
+    # the message once named every argument the check covers ("m and d must
+    # be positive integers"), and SubsheafProfile's named none
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ample", "--abar", "1", "--d", "3", "--m", "0"], "m must be a positive integer"),
+        (["ample", "--abar", "1", "--d", "0", "--m", "1"], "d must be a positive integer"),
+        (["fiber", "--m", "1", "--d", "0"], "d must be a positive integer"),
+        (["fiber", "--m", "0", "--d", "9"], "m must be a positive integer"),
+    ],
+    ids=["ample-m", "ample-d", "fiber-d", "fiber-m"],
+)
+def test_cli_range_errors_name_the_flag(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_cli_usage_errors_exit_two():
