@@ -7,6 +7,10 @@ modularity, Chern numbers, fiber data, monodromy counts, simplicity).
 Exit status: 0 on success (expected discrepancies included), 1 on a
 failed recomputation, invalid domain input or an unwritable stdout, 2 on
 usage errors.
+
+Importing this module loads only the parser. Each subcommand, and each
+argument type, imports the modules it runs when it runs, so `--help` loads
+no math module (nor `fractions`) and a calculator loads only its own.
 """
 
 from __future__ import annotations
@@ -15,49 +19,21 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 
-from .abelian import is_simple_semihom, is_simple_via_kernel, power_or_text
-from .blowup import is_modular_bundle
-from .chern import (
-    a_invariant,
-    ch1_ch3,
-    ch1_fourth,
-    ch1sq_ch2_derived,
-    ch1sq_ch2_stated,
-    ch2_squared,
-    ch4_integral,
-    chi_bundle,
-    chi_end,
-    chi_end_traceless,
-)
-from .fiber import (
-    SubsheafProfile,
-    fiber_degrees,
-    invariant_torsion_cosets,
-    monodromy_fixed_points,
-    monodromy_group,
-    only_trivial_coset,
-    only_zero_fixed,
-    subsheaf_rank,
-)
-from .kummer import KummerTwoClass, fujiki_integral, riemann_roch, riemann_roch_from_square
-from .lattice import AbelianSurfaceModel, _number_text, digit_limit
-from .walls import ampleness_text, generate_wall_cases
-
-#: (entry, label, fn) for `chern`: `--entry` prints fn(a) of one entry, and
-#: without it every labelled row is printed in this order.
+#: (entry, label, name of its `chern` entry) for `chern`: `--entry` prints
+#: the value of one entry at a, and without it every labelled row is printed
+#: in this order. The unlabelled row is a constant, its function takes no a.
 _CHERN_TABLE = (
-    ("ch1-fourth", "ch1^4", ch1_fourth),
-    ("ch1sq-ch2-stated", "ch1^2.ch2 (stated)", ch1sq_ch2_stated),
-    ("ch1sq-ch2-derived", "ch1^2.ch2 (derived)", ch1sq_ch2_derived),
-    ("ch1-ch3", "ch1.ch3", ch1_ch3),
-    ("ch2-squared", "ch2^2", ch2_squared),
-    ("ch4", "ch4", ch4_integral),
-    ("chi", "chi", chi_bundle),
-    ("chi-end", "chi(End)", chi_end),
-    ("chi-end0", "chi(End0)", chi_end_traceless),
-    ("a-invariant", None, lambda a: a_invariant()),
+    ("ch1-fourth", "ch1^4", "ch1_fourth"),
+    ("ch1sq-ch2-stated", "ch1^2.ch2 (stated)", "ch1sq_ch2_stated"),
+    ("ch1sq-ch2-derived", "ch1^2.ch2 (derived)", "ch1sq_ch2_derived"),
+    ("ch1-ch3", "ch1.ch3", "ch1_ch3"),
+    ("ch2-squared", "ch2^2", "ch2_squared"),
+    ("ch4", "ch4", "ch4_integral"),
+    ("chi", "chi", "chi_bundle"),
+    ("chi-end", "chi(End)", "chi_end"),
+    ("chi-end0", "chi(End0)", "chi_end_traceless"),
+    ("a-invariant", None, "a_invariant"),
 )
 
 
@@ -81,11 +57,16 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError as exc:
         if _INTEGER.fullmatch(text):
+            from .lattice import digit_limit
+
             raise argparse.ArgumentTypeError(_TOO_LONG.format(digit_limit())) from exc
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    """Fraction(text) for a literal that `_RATIONAL` matches."""
+    from fractions import Fraction
+
     if not _RATIONAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
     try:
@@ -94,10 +75,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
     except ValueError as exc:
         # the grammar matched, so only the int-to-string digit limit is left
+        from .lattice import digit_limit
+
         raise argparse.ArgumentTypeError(_TOO_LONG.format(digit_limit())) from exc
 
 
-def _class_coeffs(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _class_coeffs(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -106,7 +89,9 @@ def _class_coeffs(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(_fraction(p) for p in parts)
 
 
-def _side_model(abar: int, d: int, side: str) -> AbelianSurfaceModel:
+def _side_model(abar: int, d: int, side: str):
+    from .lattice import AbelianSurfaceModel
+
     # side A carries the doubled polarization square, side B the halved one
     if abar < 1 or d < 1:
         raise ValueError(f"{'abar' if abar < 1 else 'd'} must be an integer >= 1")
@@ -191,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_report(args) -> int:
-    # imported here, so the calculator commands do not load the claim catalogue
     from .report import ReportConfig, exit_code, run_report, to_json, to_markdown
 
     report = run_report(ReportConfig(only=args.only))
@@ -201,6 +185,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_fujiki(args) -> int:
+    from .kummer import KummerTwoClass, fujiki_integral
+    from .lattice import _number_text
+
     model = _side_model(args.abar, args.d, args.side)
     cs = [KummerTwoClass(model, *coeffs) for coeffs in args.classes]
     print(_number_text(fujiki_integral(*cs)))
@@ -208,6 +195,9 @@ def _cmd_fujiki(args) -> int:
 
 
 def _cmd_rr(args) -> int:
+    from .kummer import KummerTwoClass, riemann_roch, riemann_roch_from_square
+    from .lattice import _number_text
+
     if args.q is not None:
         print(_number_text(riemann_roch_from_square(args.q)))
         return 0
@@ -219,6 +209,8 @@ def _cmd_rr(args) -> int:
 
 
 def _cmd_walls(args) -> int:
+    from .walls import generate_wall_cases
+
     cases = generate_wall_cases()
     for ss, sv, n, q, divs in cases:
         if q < 0:
@@ -231,11 +223,15 @@ def _cmd_walls(args) -> int:
 
 
 def _cmd_ample(args) -> int:
+    from .walls import ampleness_text
+
     print(ampleness_text(args.abar, args.d, args.m))
     return 0
 
 
 def _cmd_modularity(args) -> int:
+    from .blowup import is_modular_bundle
+
     model = _side_model(args.abar, args.d, "A")
     modular, coeff = is_modular_bundle(args.x - args.y, model)
     print(f"Modular (coefficient {coeff})" if modular else "NotModular")
@@ -243,19 +239,26 @@ def _cmd_modularity(args) -> int:
 
 
 def _cmd_chern(args) -> int:
+    from . import chern
+    from .lattice import _number_text
+
     if args.a < 1:
         raise ValueError("a must be an integer >= 1")
     if args.entry is None:
         print(f"a = {args.a}")
-    for entry, label, fn in _CHERN_TABLE:
+    for entry, label, name in _CHERN_TABLE:
+        fn = getattr(chern, name)
         if entry == args.entry:
-            print(_number_text(fn(args.a)))
+            print(_number_text(fn(args.a) if label else fn()))
         elif args.entry is None and label is not None:
             print(f"{label} = {_number_text(fn(args.a))}")
     return 0
 
 
 def _cmd_fiber(args) -> int:
+    from .fiber import SubsheafProfile, fiber_degrees, subsheaf_rank
+    from .lattice import _number_text
+
     ranks = (args.r1p, args.r1pp, args.r2)
     if any(v is not None for v in ranks):
         if any(v is None for v in ranks):
@@ -270,6 +273,14 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_monodromy(args) -> int:
+    from .fiber import (
+        invariant_torsion_cosets,
+        monodromy_fixed_points,
+        monodromy_group,
+        only_trivial_coset,
+        only_zero_fixed,
+    )
+
     print(f"group order on 2-torsion: {len(monodromy_group(2))}")
     fixed = monodromy_fixed_points()
     zero_only = only_zero_fixed(fixed)
@@ -284,6 +295,8 @@ def _cmd_monodromy(args) -> int:
 
 
 def _cmd_semihom(args) -> int:
+    from .abelian import is_simple_semihom, is_simple_via_kernel, power_or_text
+
     deg_f, n, d0 = args.deg_f, args.n, args.d0
     simple = is_simple_semihom(deg_f, n, d0)
     if simple != is_simple_via_kernel(deg_f, n, d0):

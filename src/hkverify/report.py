@@ -156,11 +156,11 @@ class ReportConfig:
     `a_max` and `md_max` change no record. They stay, validated and echoed
     in the JSON config block, because the benchmark sends them; `md_max`
     must still be at least 9, the first m*d of the rank certificate. A range
-    must be an int (a bool is stored as its int) and `only` a str or None,
-    else TypeError. No claim samples, but `samples` and `seed` are keyword
-    arguments accepted and dropped (`samples` is checked first), because
-    the benchmark's worker (`perfbench/child.py`) passes both for its
-    sweep-grid workload."""
+    must be an int (a bool is stored as its int), `samples` an int or None
+    and `only` a str or None, else TypeError. No claim samples, but
+    `samples` and `seed` are keyword arguments accepted and dropped
+    (`samples` is checked first), because the benchmark's worker
+    (`perfbench/child.py`) passes both for its sweep-grid workload."""
 
     __slots__ = ("abar_max", "a_max", "md_max", "only")
 
@@ -170,6 +170,8 @@ class ReportConfig:
         ranges = (abar_max, a_max, md_max)
         if not all(isinstance(v, int) for v in ranges):
             raise TypeError("abar_max, a_max and md_max must be integers")
+        if not (samples is None or isinstance(samples, int)):
+            raise TypeError("samples must be an integer or None")
         if not (only is None or isinstance(only, str)):
             raise TypeError("only must be a string or None")
         if abar_max < 1 or a_max < 1 or (samples is not None and samples < 1):

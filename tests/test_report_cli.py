@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import hkverify
+import hkverify.abelian
 import hkverify.blowup
 import hkverify.chern
 import hkverify.cli
@@ -628,12 +629,15 @@ def test_report_config_rejects_non_positive_md_max(md_max):
         {"md_max": 9.5},
         {"only": 5},
         {"only": b"chern-"},
+        {"samples": "3"},
+        {"samples": 2.5},
     ],
 )
 def test_report_config_rejects_non_int_range_and_non_str_only(kwargs):
     # rejected at construction, not later in a claim's range() or in
-    # str.startswith while run_report runs
-    with pytest.raises(TypeError):
+    # str.startswith while run_report runs, by a message naming the argument
+    (name,) = kwargs
+    with pytest.raises(TypeError, match=name):
         ReportConfig(**kwargs)
 
 
@@ -816,7 +820,7 @@ def test_cli_semihom(capsys):
 
 def test_cli_semihom_exits_one_when_the_criteria_disagree(monkeypatch, capsys):
     # at (3, 1, 1) the gcd criterion says simple, the wrong kernel one not
-    monkeypatch.setattr(hkverify.cli, "is_simple_via_kernel", _wrong_kernel_criterion)
+    monkeypatch.setattr(hkverify.abelian, "is_simple_via_kernel", _wrong_kernel_criterion)
     assert main(["semihom", "--deg-f", "3", "--n", "1", "--d0", "1"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: the two simplicity criteria disagree\n")
@@ -1015,7 +1019,7 @@ def _long_cases(k: int) -> dict:
         return [f"deg V component = {_long_str(deg_v)}", f"deg Delta component = {_long_str(deg_delta)}"]
 
     def chern():
-        rows = [(label, fn(n)) for _, label, fn in _CHERN_TABLE if label]
+        rows = [(label, getattr(hkverify.chern, name)(n)) for _, label, name in _CHERN_TABLE if label]
         return [f"a = {digits}"] + [f"{label} = {_long_str(value)}" for label, value in rows]
 
     return {
@@ -1107,12 +1111,38 @@ def test_import_loads_no_dataclasses_or_inspect(module):
     assert run.stdout == "[]\n"
 
 
-def test_cli_import_loads_no_report_or_json():
-    # only `hkverify report` reads the claim catalogue, and imports it itself
-    code = "import hkverify.cli, sys; print(sorted({'hkverify.report', 'json'} & set(sys.modules)))"
-    run = _run_python("-c", code)
+def _loaded_after(code: str) -> list[str]:
+    """The package modules, `fractions`, `decimal` and `json` that a fresh
+    interpreter has loaded after running `code`."""
+    watched = "m.startswith('hkverify') or m in ('fractions', 'decimal', 'json')"
+    script = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if {watched}))"
+    run = _run_python("-c", script)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_report_or_json():
+    # importing the command line builds nothing but the parser: each command
+    # imports the modules it runs, and only `hkverify report` the catalogue
+    assert _loaded_after("import hkverify.cli") == ["hkverify", "hkverify.cli"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["chern", "--a", "3"], ["chern", "kummer", "lattice"]),
+        (["semihom", "--deg-f", "4", "--n", "2", "--d0", "3"], ["abelian", "lattice"]),
+        (["monodromy"], ["fiber", "lattice"]),
+        (["--help"], []),
+    ],
+    ids=["chern", "semihom", "monodromy", "help"],
+)
+def test_cli_command_loads_only_the_modules_it_runs(argv, modules):
+    code = f"from hkverify.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
+    loaded = [m for m in _loaded_after(code) if m not in ("hkverify", "hkverify.cli")]
+    # every math module imports lattice, which imports fractions and decimal
+    numbers = ["decimal", "fractions"] if modules else []
+    assert loaded == numbers + [f"hkverify.{m}" for m in modules]
 
 
 def test_python_dash_m_runs_the_cli():
