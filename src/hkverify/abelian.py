@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from math import factorial, gcd, isqrt
 
-from .lattice import AbelianSurfaceModel, _number_text, digit_limit
+from .lattice import AbelianSurfaceModel, _number_text, _reject, digit_limit
 
 
 def _check_isogeny(deg_f: int, n: int, d0: int) -> None:
     """The common domain of both simplicity tests: the isogeny degree deg_f,
     the dimension n and the polarization part d0 are positive integers."""
-    if not (isinstance(deg_f, int) and isinstance(n, int) and isinstance(d0, int)):
-        raise TypeError("deg_f, n and d0 must be integers")
-    if deg_f < 1 or n < 1 or d0 < 1:
-        name = "deg_f" if deg_f < 1 else "n" if n < 1 else "d0"
-        raise ValueError(f"{name} must be a positive integer")
+    if not (isinstance(deg_f, int) and isinstance(n, int) and isinstance(d0, int)
+            and deg_f > 0 and n > 0 and d0 > 0):
+        _reject("deg_f, n and d0", deg_f, n, d0)
 
 
 def kernel_order(n: int, d0: int, modulus: int | None = None) -> int:
@@ -33,7 +31,7 @@ def kernel_order(n: int, d0: int, modulus: int | None = None) -> int:
     if not (modulus is None or isinstance(modulus, int)):
         raise TypeError("modulus must be an integer or None")
     if modulus is not None and modulus < 1:
-        raise ValueError("modulus must be a positive integer")
+        _reject("modulus", modulus)
     return pow((n + 1) * pow(d0, n, modulus), 2, modulus)
 
 
@@ -44,17 +42,18 @@ def power_or_text(coeff: int, base: int, n: int) -> int | str:
 
     With b = base.bit_length(), base^n >= 2^((b-1)n) and 2^(4L) > 10^L, so
     (b-1)n >= 4L gives the text with no power built. Otherwise base^n is 1 or
-    below 2^(bn) <= 2^(2(b-1)n) < 2^(8L), cheap to build, and the product is
-    compared with 10^L exactly."""
+    below 2^(bn) <= 2^(2(b-1)n) < 2^(8L), cheap to build. A product of at
+    most 3L bits is below 2^(3L) < 10^L; only a longer one is compared with
+    10^L exactly, so 10^L is built only then."""
     if not (isinstance(coeff, int) and isinstance(base, int) and isinstance(n, int)):
-        raise TypeError("coeff, base and n must be integers")
+        _reject("coeff, base and n", coeff, base, n)
     for name, value, least in (("coeff", coeff, 1), ("base", base, 1), ("n", n, 0)):
         if value < least:
             raise ValueError(f"{name} must be an integer >= {least}")
     limit = digit_limit()
     if (base.bit_length() - 1) * n < 4 * limit:
         value = coeff * base**n
-        if value < 10**limit:
+        if value.bit_length() <= 3 * limit or value < 10**limit:
             return value
     power = f"{_number_text(base)}^{_number_text(n)}"
     return power if coeff == 1 else f"{_number_text(coeff)}*{power}"
@@ -83,11 +82,8 @@ def is_simple_via_kernel(deg_f: int, n: int, d0: int) -> bool:
 
 def zeppola_integral(n: int, d0: int) -> int:
     """Top self-intersection count: (n+1) * d0^n."""
-    if not (isinstance(n, int) and isinstance(d0, int)):
-        raise TypeError("n and d0 must be integers")
-    if n < 1 or d0 < 1:
-        name = "n" if n < 1 else "d0"
-        raise ValueError(f"{name} must be a positive integer")
+    if not (isinstance(n, int) and isinstance(d0, int) and n > 0 and d0 > 0):
+        _reject("n and d0", n, d0)
     return (n + 1) * d0 ** n
 
 
@@ -111,11 +107,11 @@ def zeppola_oracle(n: int, d0: int) -> int:
     volume form, so the volume coefficient is divided by n!.
     """
     if not (isinstance(n, int) and isinstance(d0, int)):
-        raise TypeError("n and d0 must be integers")
+        _reject("n and d0", n, d0)
     if not 1 <= n <= 4:
         raise ValueError("the oracle is sized for 1 <= n <= 4")
     if d0 < 1:
-        raise ValueError("d0 must be a positive integer")
+        _reject("d0", d0)
     # x_i -> generator 2i, y_j -> generator 2j + 1
     form: dict[tuple[int, int], int] = {}
     for i in range(n):
@@ -149,11 +145,9 @@ def jh_decompositions(r: int, a: int, e: int) -> tuple[tuple[int, int, int], ...
     factor of rank r0 and slope data b0 coprime to r0 repeated m times, with
     m r0^2 = r g, m r0 b0 = a g for g = gcd(r0, e), by increasing r0. Only
     the divisors r0 of r can occur, and only they are tried."""
-    if not (isinstance(r, int) and isinstance(a, int) and isinstance(e, int)):
-        raise TypeError("r, a and e must be integers")
-    if r < 1 or e < 1:
-        name = "r" if r < 1 else "e"
-        raise ValueError(f"{name} must be a positive integer")
+    if not (isinstance(r, int) and isinstance(a, int) and isinstance(e, int)
+            and r > 0 and e > 0):
+        _reject("r, a and e", r, a, e, positive=("r", "e"))
     shapes = []
     # m r0^2 = r g with g = gcd(r0, e) dividing r0: writing r0 = g j gives
     # r = m j r0, so r0 divides r; the divisors come in pairs {k, r // k}
@@ -179,13 +173,11 @@ def jh_decompositions(r: int, a: int, e: int) -> tuple[tuple[int, int, int], ...
 def _check_slope_data(s0: int, c0: int, e: int) -> None:
     """The common domain of both stability tests: coprime (s0, c0) with
     s0 and e positive."""
-    if not (isinstance(s0, int) and isinstance(c0, int) and isinstance(e, int)):
-        raise TypeError("s0, c0 and e must be integers")
+    if not (isinstance(s0, int) and isinstance(c0, int) and isinstance(e, int)
+            and s0 > 0 and e > 0):
+        _reject("s0, c0 and e", s0, c0, e, positive=("s0", "e"))
     if gcd(s0, c0) != 1:
         raise ValueError("s0 and c0 must be coprime")
-    if s0 < 1 or e < 1:
-        name = "s0" if s0 < 1 else "e"
-        raise ValueError(f"{name} must be a positive integer")
 
 
 def forced_stable(s0: int, c0: int, e: int) -> bool:
@@ -206,10 +198,8 @@ def satollo_transfer(abar: int, d: int) -> tuple[AbelianSurfaceModel, tuple[int,
     """Transfer of the halved model (2 abar, d) to the saturated doubled
     model (4 abar, d); needs d odd. Returns the doubled model and the
     elementary divisors (1, 2 abar) of the transferred polarization."""
-    if not (isinstance(abar, int) and isinstance(d, int)):
-        raise TypeError("abar and d must be integers")
-    if abar < 1:
-        raise ValueError("abar must be a positive integer")
+    if not (isinstance(abar, int) and isinstance(d, int) and abar > 0):
+        _reject("abar and d", abar, d, positive=("abar",))
     if d < 1 or d % 2 == 0:
         raise ValueError("the transfer needs odd d")
     model = AbelianSurfaceModel(4 * abar, d)

@@ -16,18 +16,15 @@ from collections.abc import Iterable, Iterator
 from itertools import product
 from numbers import Rational
 
-from .lattice import GramLattice, _quotient
+from .lattice import GramLattice, _quotient, _reject
 
 GRAM_V = GramLattice(((0, 4), (4, 0)))
 GRAM_DELTA = GramLattice(((0, 1), (1, 0)))
 
 
 def _check_md(m: int, d: int) -> int:
-    if not (isinstance(m, int) and isinstance(d, int)):
-        raise TypeError("m and d must be integers")
-    if m < 1 or d < 1:
-        name = "m" if m < 1 else "d"
-        raise ValueError(f"{name} must be a positive integer")
+    if not (isinstance(m, int) and isinstance(d, int) and m > 0 and d > 0):
+        _reject("m and d", m, d)
     md = m * d
     if md <= 1:
         raise ValueError("the fiber formulas need m*d > 1")
@@ -70,10 +67,10 @@ class SubsheafProfile:
 
     def __init__(self, r1p: int, r1pp: int, r2: int) -> None:
         if not (isinstance(r1p, int) and isinstance(r1pp, int) and isinstance(r2, int)):
-            raise TypeError("r1p, r1pp and r2 must be integers")
-        if not (0 <= r1p <= 4 and 0 <= r1pp <= 4 and 0 <= r2 <= 4):
-            name = "r1p" if not 0 <= r1p <= 4 else "r1pp" if not 0 <= r1pp <= 4 else "r2"
-            raise ValueError(f"{name} must lie in 0..4")
+            _reject("r1p, r1pp and r2", r1p, r1pp, r2)
+        for name, value in zip(self.__slots__, (r1p, r1pp, r2)):
+            if not 0 <= value <= 4:
+                raise ValueError(f"{name} must lie in 0..4")
         self.r1p = r1p
         self.r1pp = r1pp
         self.r2 = r2
@@ -112,7 +109,7 @@ def rank_failures(profiles: Iterable[SubsheafProfile], md: int) -> Iterator[int]
     fiber degrees are the same for every profile of the row, so they are
     computed once."""
     if not isinstance(md, int):
-        raise TypeError("md must be an integer")
+        _reject("md", md)
     if md <= 8:
         raise ValueError("md must be an integer > 8")
     deg_v, deg_delta = fiber_degrees(1, md)
@@ -136,7 +133,7 @@ def destabilizer_margin(r2: int, r1pp: int) -> Rational:
     """Slack of the destabilizing inequality for an integer-rank profile:
     33 - 6 r2 - (12 + 6 r1pp)/r2; positive slack rules the profile out."""
     if not (isinstance(r2, int) and isinstance(r1pp, int)):
-        raise TypeError("r2 and r1pp must be integers")
+        _reject("r2 and r1pp", r2, r1pp)
     if r2 not in (1, 2, 3) or not 0 <= r1pp <= 4:
         raise ValueError("a proper destabilizer has r2 in {1, 2, 3} and r1pp in 0..4")
     return 33 - 6 * r2 - _quotient(12 + 6 * r1pp, r2)
@@ -181,7 +178,7 @@ _TWO_TORSION = tuple(product(product(range(2), repeat=2), repeat=2))
 def monodromy_group(n: int) -> frozenset:
     """Closure of the swap and shear generators in GL2(Z/n)."""
     if not isinstance(n, int):
-        raise TypeError("n must be an integer")
+        _reject("n", n)
     if n < 2:
         raise ValueError("n must be at least 2")
     identity = ((1, 0), (0, 1))

@@ -9,6 +9,11 @@ arithmetic gives, an int on integral inputs and otherwise an int or a
 Fraction. Poly, the exact polynomial type, follows the same contract; its
 one Horner loop `Poly.__call__` is the one input check of every polynomial
 value in the package (the Chern numbers, `kummer.riemann_roch_from_square`).
+The one argument rule: int arguments are checked for type, then each for its
+own range (positive, odd d, 1 <= n <= 4, ...), then for the rules that tie
+them (coprime s0 and c0, m*d > 1). `_reject` raises every TypeError for a
+non-int and every "must be a positive integer"; it runs only once an inline
+check has failed, so a valid call makes no extra function call.
 The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
 ambient lattice for all divisibility and moduli-case bookkeeping; its
@@ -62,6 +67,18 @@ def _coef(value) -> int | Fraction:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
+
+
+def _reject(names: str, *values, positive: tuple[str, ...] | None = None):
+    """The error of a failed int check on `values`, named by `names` ("abar,
+    d and m"): TypeError if one is not an int (a bool is), else ValueError
+    for the first below 1 of those named in `positive` (default: all)."""
+    if not all(isinstance(v, int) for v in values):
+        raise TypeError(f"{names} must be {'integers' if len(values) > 1 else 'an integer'}")
+    for name, value in zip(names.replace(" and ", ", ").split(", "), values):
+        if value < 1 and (positive is None or name in positive):
+            raise ValueError(f"{name} must be a positive integer")
+    raise AssertionError(f"{names}: the failed check and _reject disagree")
 
 
 class Poly:
@@ -186,7 +203,7 @@ class GramLattice:
         if len(gram) != 2 or any(len(row) != 2 for row in gram):
             raise ValueError("Gram matrix must be 2x2")
         if not all(isinstance(entry, int) for row in gram for entry in row):
-            raise TypeError("Gram matrix entries must be integers")
+            _reject("Gram matrix entries", *gram[0], *gram[1])
         (a, b), (c, d) = gram
         if b != c:
             raise ValueError("Gram matrix must be symmetric")
@@ -216,10 +233,8 @@ def nocamere_bound(d0: int, q_beta: int) -> Fraction:
     """Upper bound -2*d0/(1 + q_beta) for negative squares in a rank-2
     lattice of discriminant -d0^2 containing an isotropic class, where
     q_beta >= 0 is the square of the complementary basis vector."""
-    if not (isinstance(d0, int) and isinstance(q_beta, int)):
-        raise TypeError("d0 and q_beta must be integers")
-    if d0 < 1:
-        raise ValueError("d0 must be a positive integer")
+    if not (isinstance(d0, int) and isinstance(q_beta, int) and d0 > 0):
+        _reject("d0 and q_beta", d0, q_beta, positive=("d0",))
     if q_beta < 0:
         raise ValueError("q_beta must be nonnegative")
     return _quotient(-2 * d0, 1 + q_beta)
@@ -249,11 +264,11 @@ class AbelianSurfaceModel:
 
     def __new__(cls, self_omega: int, mixed_d: int) -> "AbelianSurfaceModel":
         if not isinstance(self_omega, int) or not isinstance(mixed_d, int):
-            raise TypeError("self_omega and mixed_d must be integers")
+            _reject("self_omega and mixed_d", self_omega, mixed_d)
         if self_omega <= 0 or self_omega % 2:
             raise ValueError("self_omega must be a positive even integer")
         if mixed_d <= 0:
-            raise ValueError("mixed_d must be a positive integer")
+            _reject("mixed_d", mixed_d)
         key = (int(self_omega), int(mixed_d))  # a bool becomes 1
         if key not in _MODELS:
             model = super().__new__(cls)
@@ -279,7 +294,7 @@ def kummer_divisibility(p: int, q: int, x: int) -> int:
     against delta contributes 6x, so div = gcd(gcd(p, q), 6x).
     """
     if not all(isinstance(v, int) for v in (p, q, x)):
-        raise TypeError("p, q and x must be integers")
+        _reject("p, q and x", p, q, x)
     if p == 0 and q == 0 and x == 0:
         raise ValueError("the zero class has no divisibility")
     return gcd(gcd(p, q), 6 * x)
@@ -289,15 +304,21 @@ def kummer_divisibility(p: int, q: int, x: int) -> int:
 _MODULI_MODULUS = {2: 8, 3: 18, 6: 72}
 
 
+def _check_case(e: int, i: int, indices: tuple[int, ...], message: str) -> None:
+    """The common domain of the moduli-case tests: a positive e and an index
+    i among `indices`, else ValueError(message), checked before e's range."""
+    if not (isinstance(e, int) and isinstance(i, int)):
+        _reject("e and i", e, i)
+    if i not in indices:
+        raise ValueError(message)
+    if e <= 0:
+        _reject("e", e)
+
+
 def classify_moduli_case(e: int, i: int) -> bool:
     """Whether the pair (e, i) lands in one of the four admissible numeric
     cases: i = 1 with e even, or i in {2, 3, 6} with e = -6 mod (8, 18, 72)."""
-    if not (isinstance(e, int) and isinstance(i, int)):
-        raise TypeError("e and i must be integers")
-    if i not in (1, 2, 3, 6):
-        raise ValueError("index i must be one of 1, 2, 3, 6")
-    if e <= 0:
-        raise ValueError("e must be a positive integer")
+    _check_case(e, i, (1, 2, 3, 6), "index i must be one of 1, 2, 3, 6")
     if i == 1:
         return e % 2 == 0
     return (e + 6) % _MODULI_MODULUS[i] == 0
@@ -309,12 +330,7 @@ def theorem_hypothesis(e: int, i: int) -> int | None:
 
     Returns abar when accepted, None when rejected.
     """
-    if not (isinstance(e, int) and isinstance(i, int)):
-        raise TypeError("e and i must be integers")
-    if i not in (2, 6):
-        raise ValueError("the hypothesis covers only i = 2 and i = 6")
-    if e <= 0:
-        raise ValueError("e must be a positive integer")
+    _check_case(e, i, (2, 6), "the hypothesis covers only i = 2 and i = 6")
     modulus = 16 if i == 2 else 144
     if (e + 6) % modulus:
         return None

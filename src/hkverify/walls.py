@@ -13,14 +13,14 @@ from __future__ import annotations
 from math import gcd
 
 from .kummer import KummerTwoClass
-from .lattice import AbelianSurfaceModel, _number_text
+from .lattice import AbelianSurfaceModel, _number_text, _reject
 
 
 def mukai_square(r: int, ell_sq: int, s: int) -> int:
     """<v, v> = -2 r s + ell^2 for the Mukai vector v = (r, ell, s); the full
     ell is not needed, only its square."""
     if not (isinstance(r, int) and isinstance(ell_sq, int) and isinstance(s, int)):
-        raise TypeError("r, ell_sq and s must be integers")
+        _reject("r, ell_sq and s", r, ell_sq, s)
     return -2 * r * s + ell_sq
 
 
@@ -50,10 +50,8 @@ def generate_wall_cases() -> tuple[tuple[int, int, int, int, frozenset[int]], ..
 def ample_thresholds(abar: int) -> tuple[int, int]:
     """(12 abar + 3, 24 abar^2 + 6 abar): the wall threshold and the
     separating threshold in d, for abar >= 1."""
-    if not isinstance(abar, int):
-        raise TypeError("abar must be an integer")
-    if abar < 1:
-        raise ValueError("abar must be a positive integer")
+    if not (isinstance(abar, int) and abar > 0):
+        _reject("abar", abar)
     return (12 * abar + 3, 24 * abar * abar + 6 * abar)
 
 
@@ -72,13 +70,11 @@ def is_ample_h(abar: int, d: int, m: int) -> KummerTwoClass | None:
     and at p >= 2 as well, since c <= 3 < 4 <= 2 abar p. Returns the
     violating class found, or None when h is ample.
     """
-    if not (isinstance(abar, int) and isinstance(d, int) and isinstance(m, int)):
-        # h is a class only for an integral m, and AbelianSurfaceModel(4 abar, d)
-        # makes the same check for abar and d, but is built only for a witness
-        raise TypeError("abar, d and m must be integers")
-    if abar < 1 or d < 1 or m < 1:
-        name = "abar" if abar < 1 else "d" if d < 1 else "m"
-        raise ValueError(f"{name} must be a positive integer")
+    # h is a class only for an integral m, and AbelianSurfaceModel(4 abar, d)
+    # makes the same check for abar and d, but is built only for a witness
+    if not (isinstance(abar, int) and isinstance(d, int) and isinstance(m, int)
+            and abar > 0 and d > 0 and m > 0):
+        _reject("abar, d and m", abar, d, m)
     four_abar = 4 * abar
     # separating walls by increasing c; none once m > 3
     for c in range(1, 3 // m + 1):

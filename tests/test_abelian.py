@@ -58,8 +58,9 @@ def test_kernel_order_rejects_a_non_positive_n_or_d0():
 def test_kernel_order_rejects_a_non_positive_modulus(modulus):
     # unchecked, modulus 0 raised pow's "pow() 3rd argument cannot be 0"
     # and -3 gave 0
-    with pytest.raises(ValueError, match="^modulus must be a positive integer$"):
+    with pytest.raises(ValueError, match="^modulus must be a positive integer$") as info:
         kernel_order(2, 3, modulus)
+    assert info.traceback[-1].name == "_reject"  # the one rule raises it
     with pytest.raises(TypeError, match="^modulus must be an integer or None$"):
         kernel_order(2, 3, modulus + 0.5)
 
@@ -86,6 +87,11 @@ def test_power_or_text_edges():
     assert power_or_text(1, 10, digit_limit() - 1) == 10 ** (digit_limit() - 1)
     assert power_or_text(1, 10, digit_limit()) == f"10^{digit_limit()}"
     assert power_or_text(3, 10, digit_limit()) == f"3*10^{digit_limit()}"
+    # 2^(3L) < 10^L: the last power of two within 3L bits takes the shortcut,
+    # the next one the exact compare with 10^L, and both are returned whole
+    three_l = 3 * digit_limit()
+    assert power_or_text(1, 2, three_l - 1) == 2 ** (three_l - 1)
+    assert power_or_text(1, 2, three_l) == 2**three_l
 
 
 def test_power_or_text_takes_exponents_past_float_range():
@@ -238,11 +244,14 @@ def test_forced_stable_rejects_common_factor():
         forced_stable(2, 4, 3)
 
 
-@pytest.mark.parametrize("args", [(-1, 1, 1), (-2, 1, 3), (0, 1, 1), (1, 1, 0), (2, 1, -4)])
+@pytest.mark.parametrize(
+    "args", [(-1, 1, 1), (-2, 1, 3), (0, 1, 1), (1, 1, 0), (2, 1, -4), (0, 2, 3)]
+)
 @pytest.mark.parametrize("path", [forced_stable, forced_stable_via_jh], ids=["gcd", "jh"])
 def test_both_stability_paths_reject_a_non_positive_rank_or_e(path, args):
     # both paths of forced-stable-two-paths share one domain, and the message
-    # names the first argument out of it
+    # names the first argument out of it, before the coprime rule: (0, 2, 3)
+    # said "s0 and c0 must be coprime"
     name = "s0" if args[0] < 1 else "e"
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
         path(*args)

@@ -4,11 +4,14 @@ gives, on integral inputs an int wherever the value is whole, and otherwise
 an int or a Fraction, equal to the plain-Fraction formula. The Chern
 numbers, Polys in a, are at an int an int or a Fraction equal to their
 closed form, and at a float a they raise TypeError. No claim value is a
-float."""
+float. Every int parameter's TypeError, and every "must be a positive
+integer" ValueError, is raised by `lattice._reject`, which valid calls never
+reach."""
 
 import ast
 import inspect
 import re
+import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
@@ -41,8 +44,8 @@ from hkverify.kummer import (
     fujiki_symmetrized,
     mu_pair,
 )
-from hkverify.lattice import AbelianSurfaceModel, _coef, _quotient
-from hkverify.report import CLAIMS, ReportConfig
+from hkverify.lattice import AbelianSurfaceModel, _coef, _quotient, _reject
+from hkverify.report import CLAIMS, ReportConfig, run_report
 
 BIG = AbelianSurfaceModel(4, 5)
 SMALL = AbelianSurfaceModel(2, 5)
@@ -429,8 +432,116 @@ def test_integer_parameters_reject_non_integers(name, positions):
             try:
                 wrong.append((call, _call(fn, call)))
             except TypeError as exc:
-                if not re.search(rf"\b{params[i]}\b", str(exc)):
+                if not (re.search(rf"\b{params[i]}\b", str(exc)) and _raised_in_reject(exc)):
                     wrong.append((call, exc))
             except Exception as exc:
                 wrong.append((call, exc))
     assert wrong == []
+
+
+def _raised_in_reject(exc: BaseException) -> bool:
+    """Whether the innermost frame of exc's traceback is `_reject`'s."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code is _reject.__code__
+
+
+#: The int parameters of INT_CALLABLES whose rule is "positive": 0 there is
+#: "<name> must be a positive integer". The other int parameters have a
+#: rule of their own (even, odd, 0..4, >= 2, > 8, ...) or none.
+POSITIVE = {
+    "nocamere_bound": {"d0"},
+    "AbelianSurfaceModel": {"mixed_d"},
+    "classify_moduli_case": {"e"},
+    "theorem_hypothesis": {"e"},
+    "ample_thresholds": {"abar"},
+    "is_ample_h": {"abar", "d", "m"},
+    "ampleness_text": {"abar", "d", "m"},
+    "restriction_c1_fiber_v": {"m", "d"},
+    "restriction_c1_fiber_delta": {"m", "d"},
+    "fiber_degrees": {"m", "d"},
+    "fiber_degrees_gram": {"m", "d"},
+    "subsheaf_rank": {"m", "d"},
+    "integer_rank_criterion": {"m", "d"},
+    "kernel_order": {"n", "d0"},
+    "is_simple_semihom": {"deg_f", "n", "d0"},
+    "is_simple_via_kernel": {"deg_f", "n", "d0"},
+    "zeppola_integral": {"n", "d0"},
+    "zeppola_oracle": {"d0"},
+    "jh_decompositions": {"r", "e"},
+    "forced_stable": {"s0", "e"},
+    "forced_stable_via_jh": {"s0", "e"},
+    "satollo_transfer": {"abar"},
+}
+
+
+def _int_parameter_cases() -> list:
+    """One case per int parameter of INT_CALLABLES, named after both."""
+    cases = []
+    for name in sorted(INT_CALLABLES):
+        fn, positions = INT_CALLABLES[name]
+        params = list(inspect.signature(fn).parameters)
+        cases += [pytest.param(name, i, id=f"{name}_{params[i]}") for i in positions]
+    return cases
+
+
+@pytest.mark.parametrize("name,position", _int_parameter_cases())
+def test_a_zero_positive_parameter_is_rejected_by_the_one_rule(name, position):
+    # 0 in a valid call: for a positive-ruled parameter the ValueError names
+    # it and comes from _reject; no other parameter gets that message, so
+    # the table above is the whole rule
+    fn = INT_CALLABLES[name][0]
+    param = list(inspect.signature(fn).parameters)[position]
+    args = VALID_INT_CALLS[name]
+    call = args[:position] + (0,) + args[position + 1 :]
+    message = f"{param} must be a positive integer"
+    if param in POSITIVE.get(name, ()):
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            _call(fn, call)
+        assert _raised_in_reject(info.value)
+    else:
+        try:
+            _call(fn, call)
+        except ValueError as exc:
+            assert str(exc) != message
+
+
+def test_reject_messages():
+    with pytest.raises(TypeError, match="^abar, d and m must be integers$"):
+        _reject("abar, d and m", 1, 2.0, 0)
+    with pytest.raises(TypeError, match="^n must be an integer$"):
+        _reject("n", 1.5)
+    with pytest.raises(ValueError, match="^e must be a positive integer$"):
+        _reject("s0, c0 and e", 1, 0, 0, positive=("s0", "e"))
+    with pytest.raises(ValueError, match="^d must be a positive integer$"):
+        _reject("abar, d and m", True, False, -1)
+    # called on arguments that pass its rule, it still raises
+    with pytest.raises(AssertionError):
+        _reject("abar and d", 1, 0, positive=("abar",))
+
+
+class _Rejected(Exception):
+    """Raised by the stand-in for `_reject`: no valid call may reach it."""
+
+
+def test_valid_calls_never_reach_reject(monkeypatch):
+    # every module's binding of _reject, swapped for one that fails; the
+    # report, at its defaults and at the sweep grid, makes only valid calls
+    def fail(*args, **kwargs):
+        raise _Rejected(args)
+
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("hkverify.")]
+    patched = [m for m in modules if getattr(m, "_reject", None) is _reject]
+    assert {m.__name__ for m in patched} >= {
+        "hkverify.lattice",
+        "hkverify.walls",
+        "hkverify.fiber",
+        "hkverify.abelian",
+    }
+    for module in patched:
+        monkeypatch.setattr(module, "_reject", fail)
+    run_report()
+    run_report(SWEEP_GRID)
+    with pytest.raises(_Rejected):  # the stand-in is the one the checks call
+        hkverify.walls.ample_thresholds(0)

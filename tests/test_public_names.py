@@ -27,7 +27,9 @@ README = SRC.parents[1] / "README.md"
 # Names exempt from the checks. `__reduce__` is the copy and pickle hook of
 # `AbelianSurfaceModel`: it sends a copy back through the constructor, so a
 # copied model is the one model; the package itself copies no model.
-ALLOWED: set[str] = {"__reduce__"}
+# `lattice._reject` runs only when an argument check fails, and
+# `test_exactness` drives it for every int parameter.
+ALLOWED: set[str] = {"__reduce__", "_reject"}
 
 # Runs in a fresh interpreter with the profiler on before the import, so code
 # that runs only at import time (decorators, module constants) counts as run.
