@@ -24,17 +24,6 @@ def _check_isogeny(deg_f: int, n: int, d0: int) -> None:
         _reject("deg_f, n and d0", deg_f, n, d0)
 
 
-def kernel_order(n: int, d0: int, modulus: int | None = None) -> int:
-    """Order of the kernel of the polarization morphism:
-    (n+1)^2 * d0^(2n), or its residue modulo `modulus` when one is given."""
-    _check_isogeny(1, n, d0)
-    if not (modulus is None or isinstance(modulus, int)):
-        raise TypeError("modulus must be an integer or None")
-    if modulus is not None and modulus < 1:
-        _reject("modulus", modulus)
-    return pow((n + 1) * pow(d0, n, modulus), 2, modulus)
-
-
 def power_or_text(coeff: int, base: int, n: int) -> int | str:
     """coeff * base^n when it is below 10^L, L the interpreter's int-to-string
     limit (its default where the limit is off, so the time stays bounded),
@@ -68,15 +57,15 @@ def is_simple_semihom(deg_f: int, n: int, d0: int) -> bool:
 
 def is_simple_via_kernel(deg_f: int, n: int, d0: int) -> bool:
     """Independent check: simplicity holds exactly when the rank deg_f^n is
-    coprime to the kernel order. deg_f has the same prime factors as deg_f^n,
-    so the kernel order is taken modulo deg_f. A prime power dividing deg_f
-    has an exponent below b = deg_f.bit_length(), so for n > b the factor
-    d0^(2n) has the same gcd with deg_f as d0^(2b). The order is therefore
-    taken as kernel_order(n, 1) = (n+1)^2 times d0^(2 min(n, b)): the same
-    gcd with deg_f, and modular powers that stay cheap however many digits
-    n has (base 1 costs nothing per bit of n)."""
+    coprime to the order (n+1)^2 * d0^(2n) of the kernel of the polarization
+    morphism. deg_f has the same prime factors as deg_f^n, so the order is
+    taken modulo deg_f. A prime power dividing deg_f has an exponent below
+    b = deg_f.bit_length(), so for n > b the factor d0^(2n) has the same gcd
+    with deg_f as d0^(2b). The order is therefore taken as (n+1)^2 times
+    d0^(2 min(n, b)), modulo deg_f: the same gcd with deg_f, and modular
+    powers whose exponents stay small however many digits n has."""
     _check_isogeny(deg_f, n, d0)
-    order = kernel_order(n, 1, deg_f) * pow(d0, 2 * min(n, deg_f.bit_length()), deg_f)
+    order = pow(n + 1, 2, deg_f) * pow(d0, 2 * min(n, deg_f.bit_length()), deg_f)
     return gcd(deg_f, order) == 1
 
 

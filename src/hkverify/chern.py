@@ -2,13 +2,17 @@
 bundle, as exact polynomials in the polarization parameter a (the halved
 model has omega^2 = 2a, so q(ch1) = 16a - 6).
 
-Every entry is a `Poly` in a, built from SYMBOL_A by the derivation its
-comment names, and its value at a is a call: `ch4_integral(7)`. The call
-(`Poly.__call__`) is the one input check: an int or a Fraction gives an
-int or a Fraction, a Poly gives the composition, and a float raises
-TypeError. The two decompositions are tuples of Polys. The stated closed
-form for int ch1^2 ch2 disagrees with the derived one, and both are exposed
-so the report can flag exactly that record.
+Every entry is a `Poly` in a, and its value at a is a call:
+`ch4_integral(7)`. The call (`Poly.__call__`) is the one input check: an
+int or a Fraction gives an int or a Fraction, a Poly gives the composition,
+and a float raises TypeError. Each entry is derived once, from the
+constants of `kummer` and the entries above it, by the derivation its
+comment names; no quantity is kept twice. Two entries are recorded literals,
+as no second derivation of them exists here: `ch1sq_ch2_stated`, the stated
+closed form for int ch1^2 ch2, which disagrees with the derived
+`ch1sq_ch2_derived` (both are exposed so the report can flag exactly that
+record), and the five summands of `gianni_decomposition`. The two
+decompositions are tuples of Polys.
 """
 
 from __future__ import annotations
@@ -50,12 +54,10 @@ gianni_decomposition = (27 - 72 * _a, Poly((Fraction(-27, 2),)), 36 * _a, -9 * _
 #: int ch1 ch3 = 24 a^2 - 45 a + 27/2, the sum of the five summands.
 ch1_ch3 = sum(gianni_decomposition)
 
-#: int ch2^2 = 36 a^2 - 54 a + 27.
-ch2_squared = 36 * _a * _a - 54 * _a + 27
-
 #: int ch2^2 via ch2 = (ch1^2 - c2)/8:
-#: (int ch1^4 - 2 * 54 q(ch1) + int c2^2) / 64, with int c2^2 = 756.
-ch2_squared_derived = (ch1_fourth - 2 * ch1sq_c2 + C2_SQUARE_VALUE) / 64
+#: (int ch1^4 - 2 * 54 q(ch1) + int c2^2) / 64 = 36 a^2 - 54 a + 27, with
+#: int c2^2 = 756.
+ch2_squared = (ch1_fourth - 2 * ch1sq_c2 + C2_SQUARE_VALUE) / 64
 
 # int ch2 . c2 via ch2 = (ch1^2 - c2)/8: (54 q(ch1) - int c2^2) / 8 = 108a - 135.
 _ch2_c2 = (ch1sq_c2 - C2_SQUARE_VALUE) / 8
@@ -63,21 +65,13 @@ _ch2_c2 = (ch1sq_c2 - C2_SQUARE_VALUE) / 8
 #: int ch2 . td2 with td2 = c2/12: int ch2 . c2 / 12 = 9a - 45/4.
 ch2_td2 = _ch2_c2 / 12
 
-#: int ch4 = (3/2) a^2 - (9/2) a + 9/4.
-ch4_integral = (6 * _a * _a - 18 * _a + 9) / 4
+#: chi of the rank-4 bundle through the line-bundle count on the halved
+#: model, where q(c1) = 2a: (3/2) a^2 + (9/2) a + 3.
+chi_bundle = riemann_roch_from_square(2 * _a)
 
-#: chi of the rank-4 bundle: (3/2) a^2 + (9/2) a + 3.
-chi_bundle = (3 * _a * _a + 9 * _a + 6) / 2
-
-#: int ch4 recovered from chi = rank * chi(O) + int ch2 td2 + int ch4.
-ch4_via_chi = chi_bundle - RANK * CHI_O - ch2_td2
-
-#: Same chi through the line-bundle count on the halved model, where
-#: q(c1) = 2a.
-chi_bundle_rr = riemann_roch_from_square(2 * _a)
-
-#: Same chi through rank * chi(O) + int ch2 td2 + int ch4.
-chi_bundle_hrr = RANK * CHI_O + ch2_td2 + ch4_integral
+#: int ch4 from chi = rank * chi(O) + int ch2 td2 + int ch4 (HRR), solved
+#: for int ch4: (3/2) a^2 - (9/2) a + 9/4.
+ch4_integral = chi_bundle - RANK * CHI_O - ch2_td2
 
 #: chi(End) = rank^2 chi(O) + (1/12) int (8 ch2 - ch1^2) c2
 #: + int (8 ch4 - 2 ch1 ch3 + ch2^2), using derived entries only: the
@@ -85,7 +79,7 @@ chi_bundle_hrr = RANK * CHI_O + ch2_td2 + ch4_integral
 chi_end_decomposition = (
     Poly((RANK * RANK * CHI_O,)),
     (8 * _ch2_c2 - ch1sq_c2) / 12,
-    8 * ch4_integral - 2 * ch1_ch3 + ch2_squared_derived,
+    8 * ch4_integral - 2 * ch1_ch3 + ch2_squared,
 )
 
 #: chi(End) = 3 = chi(O), the rigidity of the bundle.
@@ -105,15 +99,3 @@ def a_invariant() -> int | Fraction:
 
 def a_invariant_components() -> tuple[int, int, int]:
     return (RANK * RANK, C2_PAIR_COEFF, 4 * CHI_O)
-
-
-def polynomial_identities() -> dict[str, bool]:
-    """The identities in a that the numbers must satisfy, checked as exact
-    polynomial identities (not sampled): each Chern number computed along two
-    paths. The value of chi(End), the sum of ch1.ch3 and the stated ch1^2.ch2
-    are records of their own."""
-    return {
-        "ch2-squared-paths-agree": ch2_squared - ch2_squared_derived == 0,
-        "chi-paths-agree": chi_bundle - chi_bundle_rr == 0 and chi_bundle - chi_bundle_hrr == 0,
-        "ch4-paths-agree": ch4_integral - ch4_via_chi == 0,
-    }

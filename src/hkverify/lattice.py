@@ -305,14 +305,15 @@ _MODULI_MODULUS = {2: 8, 3: 18, 6: 72}
 
 
 def _check_case(e: int, i: int, indices: tuple[int, ...], message: str) -> None:
-    """The common domain of the moduli-case tests: a positive e and an index
-    i among `indices`, else ValueError(message), checked before e's range."""
+    """The common domain of the moduli-case tests: a positive e, then an
+    index i among `indices`, else ValueError(message); e is checked first,
+    as it comes first."""
     if not (isinstance(e, int) and isinstance(i, int)):
         _reject("e and i", e, i)
-    if i not in indices:
-        raise ValueError(message)
     if e <= 0:
         _reject("e", e)
+    if i not in indices:
+        raise ValueError(message)
 
 
 def classify_moduli_case(e: int, i: int) -> bool:

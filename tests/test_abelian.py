@@ -16,7 +16,6 @@ from hkverify.abelian import (
     is_simple_semihom,
     is_simple_via_kernel,
     jh_decompositions,
-    kernel_order,
     power_or_text,
     satollo_transfer,
     zeppola_integral,
@@ -25,12 +24,10 @@ from hkverify.abelian import (
 from hkverify.lattice import digit_limit
 
 
-def test_kernel_order():
-    assert kernel_order(2, 1) == 9
-    assert kernel_order(2, 3) == 9 * 81
-    assert kernel_order(1, 4) == 64
-    assert kernel_order(2, 3, 7) == 9 * 81 % 7
-    assert kernel_order(10**8, 3, 4) == 1  # (n+1)^2 d0^(2n) mod 4, no huge power
+def _kernel_order(n, d0):
+    """Order of the kernel of the polarization morphism, (n+1)^2 * d0^(2n),
+    in full: the oracle for is_simple_via_kernel."""
+    return (n + 1) ** 2 * d0 ** (2 * n)
 
 
 def test_params_validation():
@@ -46,23 +43,6 @@ def test_params_validation():
         for args, message in cases:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 fn(*args)
-
-
-def test_kernel_order_rejects_a_non_positive_n_or_d0():
-    for n, d0 in ((0, 1), (-1, 2), (2, 0)):
-        with pytest.raises(ValueError):
-            kernel_order(n, d0)
-
-
-@pytest.mark.parametrize("modulus", [0, -3])
-def test_kernel_order_rejects_a_non_positive_modulus(modulus):
-    # unchecked, modulus 0 raised pow's "pow() 3rd argument cannot be 0"
-    # and -3 gave 0
-    with pytest.raises(ValueError, match="^modulus must be a positive integer$") as info:
-        kernel_order(2, 3, modulus)
-    assert info.traceback[-1].name == "_reject"  # the one rule raises it
-    with pytest.raises(TypeError, match="^modulus must be an integer or None$"):
-        kernel_order(2, 3, modulus + 0.5)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +108,7 @@ def test_simplicity_examples():
 )
 def test_simplicity_matches_kernel_coprimality(deg_f, n, d0):
     simple = is_simple_semihom(deg_f, n, d0)
-    assert simple == (gcd(deg_f ** n, kernel_order(n, d0)) == 1)
+    assert simple == (gcd(deg_f ** n, _kernel_order(n, d0)) == 1)
     assert simple == is_simple_via_kernel(deg_f, n, d0)
     assert power_or_text(1, deg_f, n) == deg_f ** n
 
@@ -137,7 +117,7 @@ def test_kernel_criterion_past_the_exponent_cut():
     # for n > deg_f.bit_length() the kernel order's d0 power is cut to that
     # bit length; the gcd with deg_f^n must not change
     for deg_f, n, d0 in product(range(1, 41), range(1, 13), range(1, 21)):
-        expected = gcd(deg_f**n, kernel_order(n, d0)) == 1
+        expected = gcd(deg_f**n, _kernel_order(n, d0)) == 1
         assert is_simple_via_kernel(deg_f, n, d0) == expected, (deg_f, n, d0)
 
 

@@ -16,11 +16,13 @@ from hkverify.abelian import (
     is_simple_semihom,
     is_simple_via_kernel,
     jh_decompositions,
-    kernel_order,
     zeppola_integral,
     zeppola_oracle,
 )
 from hkverify.blowup import (
+    XTwoClass,
+    ch1_bundle,
+    ch2_pairing,
     delta_pairing_closed,
     exceptional_class,
     is_modular_bundle,
@@ -30,19 +32,15 @@ from hkverify.blowup import (
 )
 from hkverify.chern import (
     ch1_ch3,
+    ch1_fourth,
+    ch1sq_c2,
     ch1sq_ch2_derived,
     ch1sq_ch2_stated,
     ch2_squared,
-    ch2_squared_derived,
     ch4_integral,
-    ch4_via_chi,
-    chi_bundle,
-    chi_bundle_hrr,
-    chi_bundle_rr,
     chi_end,
     chi_end_decomposition,
     chi_end_traceless,
-    polynomial_identities,
 )
 from hkverify.fiber import (
     SubsheafProfile,
@@ -181,24 +179,24 @@ def test_criterion_blowup_quartic_calculus():
 
 
 def test_criterion_chern_number_identities_and_lone_discrepancy(default_report):
-    # the Hirzebruch combination 8 ch4 - 2 ch1.ch3 + ch2^2 equals 18,
-    # every doubly-computed Chern number agrees along both paths (as
-    # polynomial identities in a), and the recorded ch1^2.ch2 is the
-    # unique recomputation mismatch
-    identities = polynomial_identities()
-    assert identities["ch2-squared-paths-agree"]
-    assert identities["chi-paths-agree"]
-    assert identities["ch4-paths-agree"]
+    # the Hirzebruch combination 8 ch4 - 2 ch1.ch3 + ch2^2 equals 18, the
+    # Chern numbers that the intersection calculus on X also computes agree
+    # with it for h = ch1 of the bundle from pullback(mu(omegabar)) on the
+    # halved model (2a, d), and the recorded ch1^2.ch2 is the unique
+    # recomputation mismatch
     assert ch1sq_ch2_stated - ch1sq_ch2_derived != 0
     assert sympy.expand(
         8 * _in_sympy(ch4_integral) - 2 * _in_sympy(ch1_ch3) + _in_sympy(ch2_squared) - 18
     ) == 0
     for a in range(1, 51):
         assert 8 * ch4_integral(a) - 2 * ch1_ch3(a) + ch2_squared(a) == 18
-        assert ch2_squared(a) == ch2_squared_derived(a)
-        assert ch4_integral(a) == ch4_via_chi(a)
-        assert chi_bundle(a) == chi_bundle_rr(a) == chi_bundle_hrr(a)
         assert ch1sq_ch2_stated(a) != ch1sq_ch2_derived(a)
+        for d in (1, 5, 7):
+            line = XTwoClass(KummerTwoClass(AbelianSurfaceModel(2 * a, d), 1, 0, 0), 0)
+            h = ch1_bundle(line)
+            assert fujiki_integral(h, h, h, h) == ch1_fourth(a)
+            assert c2_pair(h, h) == ch1sq_c2(a)
+            assert ch2_pairing(line, h, h) == ch1sq_ch2_derived(a)
     discrepancies = [r for r in default_report.records if r.verdict == "discrepancy"]
     assert [r.claim_id for r in discrepancies] == ["chern-ch1sq-ch2"]
     assert discrepancies[0].stated == "576*a**2 - 540*a + 81"
@@ -238,7 +236,8 @@ def test_criterion_monodromy_torsion_counts():
 
 def test_criterion_semihomogeneous_arithmetic():
     # the closed count (n+1) d0^n matches the exterior-algebra oracle;
-    # the gcd simplicity criterion matches kernel-order coprimality; and
+    # the gcd simplicity criterion matches coprimality with the kernel
+    # order (n+1)^2 d0^(2n); and
     # forced stability matches the all-multiplicities-one reading of the
     # Jordan-Holder shapes
     for n in (1, 2, 3):
@@ -248,7 +247,7 @@ def test_criterion_semihomogeneous_arithmetic():
         for n in (1, 2, 3):
             for d0 in range(1, 21):
                 simple = is_simple_semihom(deg_f, n, d0)
-                assert simple == (gcd(deg_f ** n, kernel_order(n, d0)) == 1)
+                assert simple == (gcd(deg_f ** n, (n + 1) ** 2 * d0 ** (2 * n)) == 1)
                 assert simple == is_simple_via_kernel(deg_f, n, d0)
     for s0 in range(1, 7):
         for c0 in range(1, 12):

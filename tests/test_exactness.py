@@ -14,7 +14,7 @@ import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from pathlib import Path
 
@@ -260,13 +260,9 @@ CHERN_CLOSED_FORMS = {
     "gianni_decomposition": lambda a: (27 - 72 * a, Fraction(-27, 2), 36 * a, -9 * a, 24 * a * a),
     "ch1_ch3": lambda a: 24 * a * a - 45 * a + Fraction(27, 2),
     "ch2_squared": lambda a: 36 * a * a - 54 * a + 27,
-    "ch2_squared_derived": lambda a: 36 * a * a - 54 * a + 27,
     "ch2_td2": lambda a: 9 * a - Fraction(45, 4),
     "ch4_integral": lambda a: Fraction(3, 2) * a * a - Fraction(9, 2) * a + Fraction(9, 4),
-    "ch4_via_chi": lambda a: Fraction(3, 2) * a * a - Fraction(9, 2) * a + Fraction(9, 4),
     "chi_bundle": lambda a: Fraction(3, 2) * a * a + Fraction(9, 2) * a + 3,
-    "chi_bundle_rr": lambda a: Fraction(3, 2) * a * a + Fraction(9, 2) * a + 3,
-    "chi_bundle_hrr": lambda a: Fraction(3, 2) * a * a + Fraction(9, 2) * a + 3,
     "chi_end_decomposition": lambda a: (48, -63, 18),
     "chi_end": lambda a: 3,
     "chi_end_traceless": lambda a: 0,
@@ -283,9 +279,10 @@ def _at(entry, v):
     return values if isinstance(entry, tuple) else values[0]
 
 
-def test_every_chern_function_of_a_has_a_closed_form():
-    # the public names chern assigns at module level (re-exports such as
-    # SYMBOL_A are assigned elsewhere) whose value is a Poly or Polys
+def _chern_entries() -> dict:
+    """The public names chern assigns at module level (re-exports such as
+    SYMBOL_A are assigned elsewhere) whose value is a Poly or Polys, with
+    their values."""
     tree = ast.parse(inspect.getsource(hkverify.chern))
     assigned = {
         t.id
@@ -294,18 +291,30 @@ def test_every_chern_function_of_a_has_a_closed_form():
         for t in s.targets
         if isinstance(t, ast.Name) and not t.id.startswith("_")
     }
-    entries = {
-        name
-        for name in assigned
-        if all(isinstance(p, Poly) for p in _parts(getattr(hkverify.chern, name)))
+    values = {name: getattr(hkverify.chern, name) for name in assigned}
+    return {
+        name: value
+        for name, value in values.items()
+        if all(isinstance(p, Poly) for p in _parts(value))
     }
-    assert entries == set(CHERN_CLOSED_FORMS)
+
+
+def test_every_chern_function_of_a_has_a_closed_form():
+    assert set(_chern_entries()) == set(CHERN_CLOSED_FORMS)
     # and no function of a is left beside them
     assert not [
         name
         for name, fn in inspect.getmembers(hkverify.chern, inspect.isfunction)
         if "a" in inspect.signature(fn).parameters
     ]
+
+
+def test_no_two_chern_entries_are_equal():
+    # one Poly per quantity: an entry equal to another as a polynomial (or
+    # tuple of them) is a second copy of one quantity
+    entries = sorted(_chern_entries().items())
+    twins = [(m, n) for (m, p), (n, q) in combinations(entries, 2) if p == q]
+    assert twins == []
 
 
 @pytest.mark.parametrize("name", sorted(CHERN_CLOSED_FORMS))
@@ -368,7 +377,6 @@ VALID_INT_CALLS = {
     "integer_rank_criterion": (_PROFILE, 1, 9),
     "destabilizer_margin": (1, 2),
     "monodromy_group": (2,),
-    "kernel_order": (2, 1),
     "power_or_text": (1, 2, 3),
     "is_simple_semihom": (7, 2, 1),
     "is_simple_via_kernel": (7, 2, 1),
@@ -390,7 +398,7 @@ def _call(fn, args):
 
 def test_every_int_parameter_has_a_valid_call():
     assert set(VALID_INT_CALLS) == set(INT_CALLABLES)
-    assert len(INT_CALLABLES) == 29
+    assert len(INT_CALLABLES) == 28
 
 
 def _int_cases() -> list:
@@ -413,7 +421,7 @@ def test_integer_parameters_reject_non_integers(name, positions):
     # each int parameter of a valid call, swapped for float(v), 0.5 and
     # v + 0.5. Unchecked, these gave -3.0, 1.0, 12.0, (72.0, 72.0), 6.75
     # and 2/9 as a float, zeppola_oracle(2, 1.5) raised ArithmeticError,
-    # kernel_order gave 45.5625, ample_thresholds (21.0, 63.0),
+    # ample_thresholds gave (21.0, 63.0),
     # power_or_text 15.625, monodromy_group a group of float matrices,
     # classify_moduli_case True, jh_decompositions () and mukai_square 6.5;
     # is_ample_h, satollo_transfer and the stability pair checked a float's
@@ -464,7 +472,6 @@ POSITIVE = {
     "fiber_degrees_gram": {"m", "d"},
     "subsheaf_rank": {"m", "d"},
     "integer_rank_criterion": {"m", "d"},
-    "kernel_order": {"n", "d0"},
     "is_simple_semihom": {"deg_f", "n", "d0"},
     "is_simple_via_kernel": {"deg_f", "n", "d0"},
     "zeppola_integral": {"n", "d0"},

@@ -213,10 +213,24 @@ def test_moduli_case_classification():
     assert classify_moduli_case(3, 1) is False
     assert classify_moduli_case(12, 2) is False
     assert classify_moduli_case(138, 6) is True
-    with pytest.raises(ValueError):
-        classify_moduli_case(10, 4)
-    with pytest.raises(ValueError):
-        classify_moduli_case(0, 2)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (classify_moduli_case, (0, 5), "e must be a positive integer"),
+        (classify_moduli_case, (0, 2), "e must be a positive integer"),
+        (classify_moduli_case, (10, 4), "index i must be one of 1, 2, 3, 6"),
+        (theorem_hypothesis, (0, 5), "e must be a positive integer"),
+        (theorem_hypothesis, (-6, 2), "e must be a positive integer"),
+        (theorem_hypothesis, (10, 1), "the hypothesis covers only i = 2 and i = 6"),
+    ],
+)
+def test_moduli_case_messages(fn, args, message):
+    # e is the first argument and is checked first: with both e and i out
+    # of range, the message names e (classify_moduli_case(0, 5) named i)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(*args)
 
 
 def test_theorem_hypothesis_values():
@@ -224,8 +238,6 @@ def test_theorem_hypothesis_values():
     assert theorem_hypothesis(26, 2) == 2
     assert theorem_hypothesis(138, 6) == 1
     assert theorem_hypothesis(12, 2) is None
-    with pytest.raises(ValueError):
-        theorem_hypothesis(10, 1)
 
 
 @given(st.integers(min_value=1, max_value=40))

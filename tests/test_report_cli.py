@@ -21,6 +21,7 @@ import hkverify.blowup
 import hkverify.chern
 import hkverify.cli
 import hkverify.fiber
+import hkverify.kummer
 import hkverify.lattice
 import hkverify.report
 from hkverify.abelian import forced_stable, jh_decompositions, zeppola_integral
@@ -111,9 +112,9 @@ def test_json_schema(default_report):
 def test_only_prefix_filter(monkeypatch):
     # claims the prefix drops are never computed, so their primitives may fail
     def unreachable(*args):
-        raise RuntimeError("fujiki_integral is not needed for chern- claims")
+        raise RuntimeError("fujiki_symmetrized is not needed for chern- claims")
 
-    monkeypatch.setattr(hkverify.report, "fujiki_integral", unreachable)
+    monkeypatch.setattr(hkverify.report, "fujiki_symmetrized", unreachable)
     report = run_report(ReportConfig(only="chern-"))
     assert report.records
     assert all(r.claim_id.startswith("chern-") for r in report.records)
@@ -317,6 +318,36 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "chern-chi-end-sweep",
             "1 failures / 4 cases",
         ),
+        # a wrong intersection constant moves the X path, not the chern
+        # entries, which were built from the right ones at import
+        (
+            hkverify.kummer,
+            "C2_PAIR_COEFF",
+            hkverify.kummer.C2_PAIR_COEFF + 1,
+            "chern-polynomial-identities",
+            "3 failures / 3 cases",
+        ),
+        (
+            hkverify.kummer,
+            "DELTA_SQUARE",
+            hkverify.kummer.DELTA_SQUARE + 1,
+            "chern-polynomial-identities",
+            "9 failures / 3 cases",
+        ),
+        (
+            hkverify.blowup,
+            "C2_AMBIENT",
+            hkverify.blowup.C2_AMBIENT + 1,
+            "chern-polynomial-identities",
+            "3 failures / 3 cases",
+        ),
+        (
+            hkverify.blowup,
+            "V_PAIR_COEFF",
+            hkverify.blowup.V_PAIR_COEFF + 1,
+            "chern-polynomial-identities",
+            "3 failures / 3 cases",
+        ),
     ],
     ids=[
         "symmetrized-oracle",
@@ -333,6 +364,10 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
         "fiber-degree-at-md-4",
         "ch1-ch3-at-a-3",
         "ch4-cubic",
+        "c2-pair-coeff",
+        "delta-square",
+        "c2-ambient",
+        "v-pair-coeff",
     ],
 )
 def test_basis_certificates_catch_wrong_formulas(
