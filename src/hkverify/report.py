@@ -149,11 +149,14 @@ class ReportConfig:
     benchmark's sweep-grid workload and `tests/test_golden.py` use
     `abar_max=8, a_max=200, md_max=121`.
 
-    Only `ample-sweep` reads a range: `abar_max` bounds its box. The other
-    sweeps are exact certificates whose frames do not depend on the config,
-    `lattice-discriminant-sweep`, `chern-chi-end-sweep`,
-    `fiber-degrees-gram` and `fiber-rank-integrality` among them, so
-    `a_max` and `md_max` change no record. They stay, validated and echoed
+    Only `ample-sweep` reads a range: `abar_max` bounds its box. Every other
+    sweep is an exact certificate whose frame does not depend on the config:
+    the basis and affine certificates, the degree-bound frames
+    (`lattice-discriminant-sweep`, `chern-chi-end-sweep`,
+    `chern-polynomial-identities`, `fiber-degrees-gram`,
+    `fiber-rank-integrality`, `zeppola-oracle`) and the residue frames
+    (`forced-stable-two-paths`, `semihom-criteria-agree`). So `a_max` and
+    `md_max` change no record. They stay, validated and echoed
     in the JSON config block, because the benchmark sends them; `md_max`
     must still be at least 9, the first m*d of the rank certificate. A range
     must be an int (a bool is stored as its int), `samples` an int or None
@@ -282,6 +285,51 @@ _FIBER_DEGREE_FRAME = ((1, 2), (3, 1), (2, 2))
 # profiles prove both checks for every md > 8, every row of the old box
 # md = 9, 11, ..., md_max included.
 _RANK_FRAME = (9, 11, 13, 15)
+
+
+# Residue frames. A check that reads its integer inputs only through residues
+# (or through which primes divide them) takes one value per residue class, so
+# one case per class proves it for every input.
+#
+# forced-stable-two-paths: forced_stable reads e only through gcd(s0, e) and
+# never reads c0. forced_stable_via_jh reads jh_decompositions(r, a, e) with
+# r = s0^2 and a = s0 c0, and only its multiplicities m. There e enters
+# through g = gcd(r0, e) with r0 | r, so its period is s0^2; m = r g / r0^2
+# does not read c0. Adding s0 to c0 adds s0^2 g to a g, which
+# m r0 = s0^2 g / r0 divides, and adds r0 to b0, which keeps gcd(r0, b0): so
+# the shapes' m, and the verdict, have period s0 in c0. The frame, s0 <= 6,
+# c0 in 1 ... s0 coprime to s0 and e in 1 ... s0^2, proves the identity for
+# every integer c0 and every e >= 1 at s0 <= 6.
+_FORCED_STABLE_FRAME = tuple(
+    (s0, c0, e)
+    for s0 in range(1, 7)
+    for c0 in range(1, s0 + 1)
+    if gcd(s0, c0) == 1
+    for e in range(1, s0 * s0 + 1)
+)
+
+
+# semihom-criteria-agree: is_simple_semihom is gcd(f, (n + 1) d0) = 1.
+# is_simple_via_kernel takes (n + 1)^2 and d0^(2k), k >= 1, modulo f, and
+# gcd(f, x mod f) = gcd(f, x). So both read n and d0 only through the set S
+# of primes of f that divide n + 1 and the set T that divide d0. For each
+# f <= 20 the frame takes one case per pair (S, T): n + 1 the product of S
+# (rad(f) + 1, prime to f, when S is empty) and d0 the product of T, so
+# sum 4^omega(f) = 161 cases prove the identity for every n and d0 >= 1 at
+# f <= 20. The products of the subsets of f's primes are its squarefree
+# divisors, and rad(f) is the largest of them.
+def _semihom_frame() -> tuple[tuple[int, int, int], ...]:
+    frame = []
+    for f in range(1, 21):
+        divisors = [
+            k for k in range(1, f + 1) if f % k == 0 and all(k % (p * p) for p in range(2, k))
+        ]
+        for s, t in product(divisors, repeat=2):
+            frame.append((f, s - 1 if s > 1 else divisors[-1], t))
+    return tuple(frame)
+
+
+_SEMIHOM_FRAME = _semihom_frame()
 
 
 def _line(p, q, x, y) -> XTwoClass:
@@ -570,8 +618,7 @@ CLAIMS = (
     Claim(
         "semihom-criteria-agree",
         lambda cfg: _sweep(
-            is_simple_semihom(*p) != is_simple_via_kernel(*p)
-            for p in product(range(1, 21), (1, 2, 3), range(1, 21))
+            is_simple_semihom(*p) != is_simple_via_kernel(*p) for p in _SEMIHOM_FRAME
         ),
     ),
     Claim(
@@ -581,15 +628,15 @@ CLAIMS = (
     ),
     # zeppola-oracle: the oracle's 2-form at d0 is d0 times the one at d0 = 1,
     # so its n-th wedge power, and the oracle's value, is d0^n times the value
-    # at d0 = 1; so is (n + 1) d0^n. Both sides are polynomials of degree
-    # n <= 3 in d0, and the five values d0 = 1 ... 5 prove the identity for
-    # every d0 >= 1.
+    # at d0 = 1; so is (n + 1) d0^n. Both sides are polynomials of degree n
+    # in d0, and the n + 1 values d0 = 1 ... n + 1 prove the identity for
+    # every d0 >= 1, at each n <= 3.
     Claim(
         "zeppola-oracle",
         lambda cfg: _sweep(
             zeppola_oracle(n, d0) != zeppola_integral(n, d0)
             for n in (1, 2, 3)
-            for d0 in range(1, 6)
+            for d0 in range(1, n + 2)
         ),
     ),
     Claim(
@@ -600,11 +647,7 @@ CLAIMS = (
     Claim(
         "forced-stable-two-paths",
         lambda cfg: _sweep(
-            forced_stable(s0, c0, e) != forced_stable_via_jh(s0, c0, e)
-            for s0 in range(1, 7)
-            for e in range(1, 31)
-            for c0 in range(1, 12)
-            if gcd(s0, c0) == 1
+            forced_stable(*p) != forced_stable_via_jh(*p) for p in _FORCED_STABLE_FRAME
         ),
     ),
     Claim("satollo-transfer", _satollo_transfer, (4, 5, 1, 2)),

@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hkverify.abelian import (
@@ -22,6 +22,7 @@ from hkverify.abelian import (
     zeppola_oracle,
 )
 from hkverify.lattice import digit_limit
+from hkverify.report import _FORCED_STABLE_FRAME, _SEMIHOM_FRAME
 
 
 def _kernel_order(n, d0):
@@ -111,6 +112,30 @@ def test_simplicity_matches_kernel_coprimality(deg_f, n, d0):
     assert simple == (gcd(deg_f ** n, _kernel_order(n, d0)) == 1)
     assert simple == is_simple_via_kernel(deg_f, n, d0)
     assert power_or_text(1, deg_f, n) == deg_f ** n
+
+
+def _prime_pattern(deg_f, n, d0):
+    """The primes of deg_f that divide n + 1, and those that divide d0."""
+    primes = [p for p in range(2, deg_f + 1) if deg_f % p == 0 and all(p % q for q in range(2, p))]
+    return (
+        tuple(p for p in primes if (n + 1) % p == 0),
+        tuple(p for p in primes if d0 % p == 0),
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=59),
+    st.integers(min_value=1, max_value=59),
+)
+def test_simplicity_criteria_read_only_the_prime_pattern(deg_f, n, d0):
+    # the reduction behind semihom-criteria-agree's frame: exactly one frame
+    # case has deg_f and the prime pattern of (n, d0), and both criteria
+    # take the same value there
+    pattern = _prime_pattern(deg_f, n, d0)
+    (case,) = [c for c in _SEMIHOM_FRAME if c[0] == deg_f and _prime_pattern(*c) == pattern]
+    for criterion in (is_simple_semihom, is_simple_via_kernel):
+        assert criterion(deg_f, n, d0) == criterion(*case)
 
 
 def test_kernel_criterion_past_the_exponent_cut():
@@ -238,14 +263,30 @@ def test_both_stability_paths_reject_a_non_positive_rank_or_e(path, args):
 
 
 @given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=11),
-    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=400),
 )
 def test_forced_stable_two_paths_agree(s0, c0, e):
     if gcd(s0, c0) != 1:
         c0 = c0 + 1 if gcd(s0, c0 + 1) == 1 else 1
     assert forced_stable(s0, c0, e) == forced_stable_via_jh(s0, c0, e)
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=400),
+)
+def test_both_stability_paths_have_period_s0_in_c0_and_s0_squared_in_e(s0, c0, e):
+    # the reduction behind forced-stable-two-paths' frame: each path takes
+    # its value at c0 mod s0 in 1 ... s0 and (e - 1) mod s0^2 + 1, which is
+    # a frame case when s0 <= 6
+    assume(gcd(s0, c0) == 1)
+    frame_case = (s0, (c0 - 1) % s0 + 1, (e - 1) % (s0 * s0) + 1)
+    assert s0 > 6 or frame_case in _FORCED_STABLE_FRAME
+    for path in (forced_stable, forced_stable_via_jh):
+        assert path(s0, c0, e) == path(*frame_case)
 
 
 def test_satollo_transfer_examples():

@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -208,6 +208,17 @@ def _fiber_degrees_off_at_md_4(m, d):
     return (deg_v + (m * d - 2) * (m * d - 3), deg_delta)
 
 
+def _forced_stable_reading_c0(s0, c0, e):
+    # gcd(s0, e) -> gcd(s0, c0 + e): a criterion that reads c0
+    return gcd(s0, c0 + e) == 1
+
+
+def _zeppola_off_at_d0_n_plus_1(n, d0):
+    # (n + 1) d0^n gains (d0 - 1) ... (d0 - n): still degree n in d0, right
+    # at d0 = 1 ... n and wrong only at the frame's last value d0 = n + 1
+    return zeppola_integral(n, d0) + prod(d0 - k for k in range(1, n + 1))
+
+
 _a = hkverify.lattice.SYMBOL_A
 _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
 
@@ -348,6 +359,20 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "chern-polynomial-identities",
             "3 failures / 3 cases",
         ),
+        (
+            hkverify.report,
+            "forced_stable",
+            _forced_stable_reading_c0,
+            "forced-stable-two-paths",
+            "136 failures / 227 cases",
+        ),
+        (
+            hkverify.report,
+            "zeppola_integral",
+            _zeppola_off_at_d0_n_plus_1,
+            "zeppola-oracle",
+            "3 failures / 9 cases",
+        ),
     ],
     ids=[
         "symmetrized-oracle",
@@ -368,6 +393,8 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
         "delta-square",
         "c2-ambient",
         "v-pair-coeff",
+        "forced-stable-reads-c0",
+        "zeppola-at-d0-n-plus-1",
     ],
 )
 def test_basis_certificates_catch_wrong_formulas(
@@ -435,7 +462,7 @@ def test_semihom_sweep_catches_a_wrong_kernel_criterion(monkeypatch):
     monkeypatch.setattr(hkverify.report, "is_simple_via_kernel", _wrong_kernel_criterion)
     report = run_report(ReportConfig(only="semihom-criteria-agree"))
     (record,) = report.records
-    assert (record.computed, record.verdict) == ("305 failures / 1200 cases", "fail")
+    assert (record.computed, record.verdict) == ("33 failures / 161 cases", "fail")
     assert exit_code(report) == 1
 
 
@@ -462,6 +489,13 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         # coefficients of ch4, and one for the constant 27/2 of ch1 ch3; the
         # Polys with int coefficients evaluate in ints and add none
         ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 30),
+        # one per case of each residue frame: s0 <= 6, c0 in 1 ... s0 coprime
+        # to s0, e in 1 ... s0^2 (227, not the old box's 1320); one per prime
+        # pattern of n + 1 and d0 at f <= 20 (161, not 1200); d0 = 1 ... n + 1
+        # at n = 1, 2, 3 (9, not 15)
+        ("forced-stable-two-paths", hkverify.report, ("forced_stable_via_jh",), 227),
+        ("semihom-criteria-agree", hkverify.report, ("is_simple_via_kernel",), 161),
+        ("zeppola-oracle", hkverify.report, ("zeppola_oracle",), 9),
     ],
     ids=[
         "fujiki-per-delta-case",
@@ -469,6 +503,9 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         "pullbacks-per-sweep",
         "degrees-per-row",
         "fraction-ops",
+        "jh-per-stability-case",
+        "kernels-per-semihom-case",
+        "oracles-per-zeppola-case",
     ],
 )
 def test_sweep_work_is_pinned_by_call_counts(monkeypatch, claim_id, owner, names, calls):
