@@ -110,6 +110,13 @@ def fujiki_integral(
     )
 
 
+#: The 12 ordered pairs (i, j), i != j, of four factors, and the 24
+#: orderings (s1, s2, s3, s4) as the pairs ((s1, s2), (s3, s4)) that
+#: `fujiki_symmetrized` reads; tabled once at import.
+_ORDERED_PAIRS = tuple((i, j) for i in range(4) for j in range(4) if i != j)
+_ORDERINGS = tuple(((a, b), (c, d)) for a, b, c, d in permutations(range(4)))
+
+
 def fujiki_symmetrized(
     b1: KummerTwoClass, b2: KummerTwoClass, b3: KummerTwoClass, b4: KummerTwoClass
 ) -> int | Fraction:
@@ -119,10 +126,10 @@ def fujiki_symmetrized(
     symmetry of q is assumed and the full 24-term sum is kept, so the
     oracle does not reduce to fujiki_integral's three-matching formula."""
     bs = (b1, b2, b3, b4)
-    q = {(i, j): bbf(bs[i], bs[j]) for i in range(4) for j in range(4) if i != j}
+    q = {(i, j): bbf(bs[i], bs[j]) for i, j in _ORDERED_PAIRS}
     total = 0
-    for s in permutations(range(4)):
-        total += q[s[0], s[1]] * q[s[2], s[3]]
+    for first, second in _ORDERINGS:
+        total += q[first] * q[second]
     return _quotient(3 * total, 8)
 
 

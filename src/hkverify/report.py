@@ -5,9 +5,9 @@ The claim catalogue is the table `CLAIMS`, one `Claim` per record: its
 canonical id, a function that recomputes the value and the recorded value,
 if any. `run_report` keeps only the claims whose id starts with
 `ReportConfig.only` and computes just those. Nothing is sampled: every
-sweep runs over a fixed grid or is an exact certificate (on a basis, or on
-a frame of points that a degree bound makes enough), so a claim computes the
-same way alone as in the full catalogue. The config has
+sweep is an exact certificate (on a basis, on a frame of points that a
+degree bound makes enough, or on one case per residue class), so a claim
+computes the same way alone as in the full catalogue. The config has
 no sample count or seed: `samples` and `seed` are keyword arguments
 accepted and dropped by `ReportConfig`, which checks `samples` first.
 
@@ -149,11 +149,12 @@ class ReportConfig:
     benchmark's sweep-grid workload and `tests/test_golden.py` use
     `abar_max=8, a_max=200, md_max=121`.
 
-    Only `ample-sweep` reads a range: `abar_max` bounds its box. Every other
-    sweep is an exact certificate whose frame does not depend on the config:
-    the basis and affine certificates, the degree-bound frames
-    (`lattice-discriminant-sweep`, `chern-chi-end-sweep`,
-    `chern-polynomial-identities`, `fiber-degrees-gram`,
+    Every sweep is an exact certificate. Only `ample-sweep` reads a range:
+    its residue frame, one d per (abar, m), runs abar = 1 ... `abar_max`.
+    Every other frame does not depend on the config: the basis and affine
+    certificates, the degree-bound frames (`lattice-discriminant-sweep`,
+    `chern-chi-end-sweep`, `chern-polynomial-identities`,
+    `delta-pairing-two-paths`, `fiber-degrees-gram`,
     `fiber-rank-integrality`, `zeppola-oracle`) and the residue frames
     (`forced-stable-two-paths`, `semihom-criteria-agree`). So `a_max` and
     `md_max` change no record. They stay, validated and echoed
@@ -238,8 +239,12 @@ _BIG = AbelianSurfaceModel(4, 5)  # the doubled model
 # basis(_BIG) prove the identities for every rational class, with no symmetry
 # assumed. Both sides of delta-pairing-two-paths are bilinear in (alpha, beta)
 # and, as ch1_bundle and the line class of ch2_pairing are affine in (x, y),
-# of total degree <= 2 in (x, y); a polynomial of degree <= 2 in each of two
-# variables that vanishes on the 3x3 grid _GRID x _GRID is zero.
+# of total degree <= 2 in (x, y). The six points _DELTA_FRAME, the principal
+# lattice {(x, y) in {-1, 0, 1}^2 : x + y <= 0}, are unisolvent for total
+# degree 2 (the 6x6 matrix of 1, x, y, x^2, xy, y^2 on them is invertible),
+# so a polynomial of total degree <= 2 that vanishes on them is zero, and the
+# sweep proves the identity for every rational (x, y) and every ordered pair
+# of basis classes.
 #
 # blowup-ch1-paths is an affine certificate: every coefficient of ch1_bundle
 # and of ch1_bundle_via_pushforward (a pushforward, which is linear, of a
@@ -249,7 +254,7 @@ _BIG = AbelianSurfaceModel(4, 5)  # the doubled model
 # affine, and an affine map that vanishes at the origin and at the four unit
 # vectors (_AFFINE_FRAME) vanishes at every rational point.
 _BASIS = basis(_BIG)
-_GRID = (-1, 0, 1)
+_DELTA_FRAME = tuple((x, y) for x, y in product((-1, 0, 1), repeat=2) if x + y <= 0)
 _AFFINE_FRAME = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -344,7 +349,7 @@ def _ch1_paths_cases():
 
 
 def _delta_pairing_cases():
-    for x, y in product(_GRID, _GRID):
+    for x, y in _DELTA_FRAME:
         line = _line(1, 0, x, y)
         for alpha, beta in product(_BASIS, _BASIS):
             via_chern = delta_pairing_via_chern(line, alpha, beta)
@@ -358,12 +363,19 @@ def _pullback_quartic_cases():
         yield x_quartic(*xs) != 4 * fujiki_integral(*cs)
 
 
+# ample-sweep: is_ample_h reads d only through num % d == 0, with
+# num = c - 4 abar p for c in 1 ... 3 // m and p in {0, 1} (the quotient and
+# the witness's model are built only once d divides num). So
+# 0 < |num| <= max(3, 4 abar - 1): no d > max(3, 4 abar - 1) divides num, and
+# the verdict is the same at every such d. The separating threshold
+# sep = 24 abar^2 + 6 abar is at least 30 and above that bound, so the one odd
+# d = sep + 1 per (abar, m) decides every d > sep, the old box
+# sep < d <= sep + 200 included.
 def _ample_cases(cfg: ReportConfig):
     for abar in range(1, cfg.abar_max + 1):
         _, sep = ample_thresholds(abar)
         for m in (1, 2, 3):
-            for d in range(sep + 1, sep + 201, 2):
-                yield is_ample_h(abar, d, m) is not None
+            yield is_ample_h(abar, sep + 1, m) is not None
 
 
 def _chern_identity_cases():

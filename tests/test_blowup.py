@@ -41,7 +41,7 @@ from hkverify.kummer import (
     mu_pair,
 )
 from hkverify.lattice import AbelianSurfaceModel
-from hkverify.report import _BIG, _SMALL
+from hkverify.report import _BIG, _DELTA_FRAME, _SMALL
 
 BIG = AbelianSurfaceModel(4, 5)
 SMALL = AbelianSurfaceModel(2, 5)
@@ -310,15 +310,54 @@ def test_delta_pairing_via_chern_is_bilinear(x, y, a, b, c, k):
     assert pairing(c, a.scale(k)) == k * pairing(c, a)
 
 
-@given(rationals, rationals, rationals, rational_big_classes(), rational_big_classes())
-def test_delta_pairing_via_chern_has_degree_two_in_x_and_y(x, y, h, alpha, beta):
-    # the third finite difference of a polynomial of degree <= 2 vanishes
-    signs = enumerate((1, -3, 3, -1))
-    steps = [(i * h, s) for i, s in signs]
-    in_x = sum(s * delta_pairing_via_chern(line(1, 0, x + u, y), alpha, beta) for u, s in steps)
-    in_y = sum(s * delta_pairing_via_chern(line(1, 0, x, y + u), alpha, beta) for u, s in steps)
-    assert in_x == 0
-    assert in_y == 0
+@given(rationals, rationals, rationals, rationals, rational_big_classes(), rational_big_classes())
+def test_delta_pairing_via_chern_has_degree_two_in_x_and_y(x, y, h, k, alpha, beta):
+    # the third finite difference of a polynomial of degree <= 2 vanishes:
+    # along x, along y and along (h, k), the last for the total degree <= 2
+    # in (x, y) that the six-point frame of delta-pairing-two-paths needs
+    signs = list(enumerate((1, -3, 3, -1)))
+    for dx, dy in ((h, 0), (0, h), (h, k)):
+        along = sum(
+            s * delta_pairing_via_chern(line(1, 0, x + i * dx, y + i * dy), alpha, beta)
+            for i, s in signs
+        )
+        assert along == 0, (dx, dy)
+
+
+def _determinant(rows):
+    """Determinant of a square matrix by exact Fraction elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(rows)):
+        pivot = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for r in range(i + 1, len(rows)):
+            factor = rows[r][i] / rows[i][i]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[i])]
+    return det
+
+
+def test_delta_frame_is_unisolvent_for_total_degree_two():
+    # the 6x6 matrix of 1, x, y, x^2, xy, y^2 on the frame is invertible, so
+    # the only polynomial of total degree <= 2 vanishing on it is zero
+    assert len(_DELTA_FRAME) == 6
+    monomials = [(1, x, y, x * x, x * y, y * y) for x, y in _DELTA_FRAME]
+    assert _determinant(monomials) != 0
+
+
+def test_delta_pairing_two_paths_agree_past_the_frame():
+    # the identity that the frame proves, checked directly on the old 3x3
+    # grid and past it: every (x, y) in [-3, 3]^2 and ordered basis pair
+    es = basis(BIG)
+    for x, y in product(range(-3, 4), repeat=2):
+        for alpha, beta in product(es, es):
+            via_chern = delta_pairing_via_chern(line(1, 0, x, y), alpha, beta)
+            assert via_chern == delta_pairing_closed(x - y, alpha, beta), (x, y)
 
 
 def _x_quartic_unskipped(cs):

@@ -3,11 +3,12 @@
 `tests/golden/report.json` and `tests/golden/report.md` are the outputs of
 `hkverify report --format json` and `--format md` with the default
 configuration; `tests/golden/report-sweep-grid.json` is the JSON report at
-the benchmark's wide grid, where `ample-sweep` decides ampleness for every
-abar up to 8. Only `ample-sweep` reads a range of the config, so the two
-JSON reports differ in that record and in the echoed config block alone:
-`a_max` and `md_max` change no record and stay only because the benchmark
-sends them. The certificates (among them `lattice-discriminant-sweep`,
+the benchmark's wide grid, where `ample-sweep`'s residue frame (one d per
+(abar, m)) runs every abar up to 8. Only `ample-sweep` reads a range of the
+config, so the two JSON reports differ in that record and in the echoed
+config block alone: `a_max` and `md_max` change no record and stay only
+because the benchmark sends them. The other certificates (among them
+`lattice-discriminant-sweep`, `delta-pairing-two-paths`,
 `chern-chi-end-sweep`, `fiber-degrees-gram` and `fiber-rank-integrality`)
 run the same fixed frames at both. A change that alters a single byte of any
 of them fails here; regenerating the fixtures is a deliberate act that

@@ -219,6 +219,25 @@ def _zeppola_off_at_d0_n_plus_1(n, d0):
     return zeppola_integral(n, d0) + prod(d0 - k for k in range(1, n + 1))
 
 
+def _thresholds_with_separating_zero(abar):
+    # a separating threshold of 0 puts the frame at d = 1, which divides
+    # every num, so the c = 1, p = 0 candidate is a witness
+    wall_thr, _ = ample_thresholds(abar)
+    return (wall_thr, 0)
+
+
+def _is_ample_h_without_divisibility_guard(abar, d, m):
+    # is_ample_h with `num % d == 0 and` dropped: num // d is then a floor,
+    # not a solution q of 4 abar p + q d = c
+    four_abar = 4 * abar
+    for c in range(1, 3 // m + 1):
+        for p in (0, 1):
+            num = c - four_abar * p
+            if p * (c + num) in (0, 2):
+                return KummerTwoClass(AbelianSurfaceModel(four_abar, d), p, num // d, -1)
+    return None
+
+
 _a = hkverify.lattice.SYMBOL_A
 _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
 
@@ -238,7 +257,7 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "delta_pairing_closed",
             _closed_with_wrong_linear_term,
             "delta-pairing-two-paths",
-            "18 failures / 81 cases",
+            "12 failures / 54 cases",
         ),
         (
             hkverify.report,
@@ -373,6 +392,20 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "zeppola-oracle",
             "3 failures / 9 cases",
         ),
+        (
+            hkverify.report,
+            "ample_thresholds",
+            _thresholds_with_separating_zero,
+            "ample-sweep",
+            "9 failures / 9 cases",
+        ),
+        (
+            hkverify.report,
+            "is_ample_h",
+            _is_ample_h_without_divisibility_guard,
+            "ample-sweep",
+            "9 failures / 9 cases",
+        ),
     ],
     ids=[
         "symmetrized-oracle",
@@ -395,6 +428,8 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
         "v-pair-coeff",
         "forced-stable-reads-c0",
         "zeppola-at-d0-n-plus-1",
+        "ample-frame-at-d-1",
+        "ample-without-divisibility",
     ],
 )
 def test_basis_certificates_catch_wrong_formulas(
@@ -472,10 +507,13 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 @pytest.mark.parametrize(
     ("claim_id", "owner", "names", "calls"),
     [
+        # one per case of the six-point twist frame and ordered basis pair
+        # (54, not the old 3x3 grid's 81)
+        ("delta-pairing-two-paths", hkverify.report, ("delta_pairing_via_chern",), 54),
         # two per case: ch1^2 in delta_pairing_via_chern and the one k = 0
         # term of x_quartic(line, line, u, v); the other two quartics of
         # ch2_pairing have an exceptional factor with a zero base
-        ("delta-pairing-two-paths", hkverify.blowup, ("fujiki_integral",), 162),
+        ("delta-pairing-two-paths", hkverify.blowup, ("fujiki_integral",), 108),
         # none: there is one model object per (omegabar^2, d), so every
         # model check is `is` and no two models are compared by value (an
         # `==` or `!=` between models would call __eq__, counted here)
@@ -498,6 +536,7 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         ("zeppola-oracle", hkverify.report, ("zeppola_oracle",), 9),
     ],
     ids=[
+        "delta-pairings-per-sweep",
         "fujiki-per-delta-case",
         "model-checks-per-delta-case",
         "pullbacks-per-sweep",
@@ -525,12 +564,29 @@ def test_sweep_work_is_pinned_by_call_counts(monkeypatch, claim_id, owner, names
     assert len(counted) == calls
 
 
+@pytest.mark.parametrize(("abar_max", "calls"), [(3, 9), (8, 24)], ids=["default", "sweep-grid"])
+def test_ample_sweep_decides_one_d_per_abar_and_m(monkeypatch, abar_max, calls):
+    # the residue frame calls is_ample_h once per (abar, m), abar <= abar_max
+    # and m in {1, 2, 3} (9 and 24, not the old box's 900 and 2400)
+    counted = []
+
+    def counting(*args):
+        counted.append(None)
+        return is_ample_h(*args)
+
+    monkeypatch.setattr(hkverify.report, "is_ample_h", counting)
+    (record,) = run_report(ReportConfig(abar_max=abar_max, only="ample-sweep")).records
+    assert record.verdict == "pass"
+    assert len(counted) == calls
+
+
 def test_ample_sweep_tries_only_the_candidates_that_can_be_witnesses():
     # the loop body of is_ample_h runs once per (c, p) with c <= 3 / m and
-    # p in {0, 1}, the only candidates that can be wall classes: each of the
-    # 300 (abar, d) of the default ample-sweep tries 6 + 2 + 2 = 10 at
-    # m = 1, 2, 3, and every case is ample, so no search ends early. Also
-    # trying the wall through h (c = 0) and p in {-2, -1, 2} made it 12000
+    # p in {0, 1}, the only candidates that can be wall classes: the frame's
+    # one d per (abar, m) at abar = 1, 2, 3 tries 6 + 2 + 2 = 10 per abar at
+    # m = 1, 2, 3, and every case is ample, so no search ends early. The old
+    # box's 100 d per (abar, m) made it 3000; also trying the wall through h
+    # (c = 0) and p in {-2, -1, 2} made that 12000
     lines, start = inspect.getsourcelines(is_ample_h)
     (body,) = [start + i for i, line in enumerate(lines) if "num = c - four_abar * p" in line]
     code = is_ample_h.__code__
@@ -551,7 +607,7 @@ def test_ample_sweep_tries_only_the_candidates_that_can_be_witnesses():
     finally:
         sys.settrace(previous)
     assert record.verdict == "pass"
-    assert len(runs) == 3000
+    assert len(runs) == 30
 
 
 @pytest.mark.parametrize(

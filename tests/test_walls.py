@@ -194,8 +194,12 @@ def test_ampleness_search_stays_inside_box(abar, d, m):
             assert beta_sq in (0, 2)
 
 
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
-def test_large_odd_d_is_ample(abar, m):
-    _, sep = ample_thresholds(abar)
-    for d in range(sep + 1, sep + 20, 2):
-        assert is_ample_h(abar, d, m) is None
+def test_large_odd_d_is_ample():
+    # ample-sweep checks one d = sep + 1 per (abar, m); the verdict it reads
+    # there holds at every odd d from 4 abar + 1 on, the old box
+    # sep < d <= sep + 200 included, here up to sep + 400
+    for abar in range(1, 9):
+        _, sep = ample_thresholds(abar)
+        for m in (1, 2, 3):
+            for d in range(4 * abar + 1, sep + 401, 2):
+                assert is_ample_h(abar, d, m) is None, (abar, d, m)
