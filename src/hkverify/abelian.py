@@ -76,17 +76,6 @@ def zeppola_integral(n: int, d0: int) -> int:
     return (n + 1) * d0 ** n
 
 
-def _wedge_insert(mono: tuple, g: int) -> tuple[tuple, int] | None:
-    """Insert an odd generator into a sorted monomial, or None if repeated."""
-    if g in mono:
-        return None
-    pos = 0
-    while pos < len(mono) and mono[pos] < g:
-        pos += 1
-    sign = -1 if (len(mono) - pos) % 2 else 1
-    return (mono[:pos] + (g,) + mono[pos:], sign)
-
-
 def zeppola_oracle(n: int, d0: int) -> int:
     """Exterior-algebra oracle for zeppola_integral, for n <= 4.
 
@@ -94,6 +83,10 @@ def zeppola_oracle(n: int, d0: int) -> int:
     int x_i y_i = 1; the 2-form is d0 * sum_i x_i (y_1 + ... + 2 y_i + ...
     + y_n). Its n-th power is n! times the Gram determinant times the
     volume form, so the volume coefficient is divided by n!.
+
+    A monomial is the int bitmask of its generators, in increasing order.
+    Wedging a generator g on the right of a monomial moves it past every
+    generator above g, so the sign is -1 to the number of bits above g.
     """
     if not (isinstance(n, int) and isinstance(d0, int)):
         _reject("n and d0", n, d0)
@@ -102,27 +95,22 @@ def zeppola_oracle(n: int, d0: int) -> int:
     if d0 < 1:
         _reject("d0", d0)
     # x_i -> generator 2i, y_j -> generator 2j + 1
-    form: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(n):
-            form[(2 * i, 2 * j + 1)] = d0 * (2 if i == j else 1)
-    acc: dict[tuple, int] = {(): 1}
+    form = [
+        (2 * i, 2 * j + 1, d0 * (2 if i == j else 1)) for i in range(n) for j in range(n)
+    ]
+    acc: dict[int, int] = {0: 1}
     for _ in range(n):
-        nxt: dict[tuple, int] = {}
+        nxt: dict[int, int] = {}
         for mono, ca in acc.items():
-            for (g1, g2), cb in form.items():
-                step1 = _wedge_insert(mono, g1)
-                if step1 is None:
+            for g1, g2, cb in form:
+                if (mono >> g1) & 1 or (mono >> g2) & 1:
                     continue
-                m1, s1 = step1
-                step2 = _wedge_insert(m1, g2)
-                if step2 is None:
-                    continue
-                m2, s2 = step2
-                nxt[m2] = nxt.get(m2, 0) + ca * cb * s1 * s2
+                m1 = mono | (1 << g1)
+                above = (mono >> (g1 + 1)).bit_count() + (m1 >> (g2 + 1)).bit_count()
+                m2 = m1 | (1 << g2)
+                nxt[m2] = nxt.get(m2, 0) + (-ca * cb if above & 1 else ca * cb)
         acc = {k: v for k, v in nxt.items() if v}
-    volume = tuple(range(2 * n))
-    coeff = acc.get(volume, 0)
+    coeff = acc.get((1 << 2 * n) - 1, 0)
     quotient, remainder = divmod(coeff, factorial(n))
     if remainder:
         raise ArithmeticError("volume coefficient is not divisible by n!")

@@ -46,9 +46,11 @@ class KummerTwoClass:
 
     def __init__(self, model: AbelianSurfaceModel, p, q, x) -> None:
         self.model = model
-        self.p = _coef(p)
-        self.q = _coef(q)
-        self.x = _coef(x)
+        # an exact int needs no normalising; _coef turns a bool into an int
+        # and refuses a float
+        self.p = p if p.__class__ is int else _coef(p)
+        self.q = q if q.__class__ is int else _coef(q)
+        self.x = x if x.__class__ is int else _coef(x)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -104,10 +106,25 @@ def fujiki_integral(
 ) -> int | Fraction:
     """Integral of a product of four degree-2 classes:
     3 * sum of q-products over the three perfect matchings of {1,2,3,4}.
-    It is also the k = 0 term of blowup.x_quartic."""
-    return 3 * (
-        bbf(b1, b2) * bbf(b3, b4) + bbf(b1, b3) * bbf(b2, b4) + bbf(b1, b4) * bbf(b2, b3)
-    )
+    It is also the k = 0 term of blowup.x_quartic. The four models are
+    checked once and the six pairings q(bi, bj) are written out as `bbf`
+    computes them, self_omega*p*p' + mixed_d*(p*q' + q*p') + DELTA_SQUARE*x*x',
+    with no call per pairing; `fujiki_symmetrized`, its oracle, calls `bbf`."""
+    m = b1.model
+    if b2.model is not m or b3.model is not m or b4.model is not m:
+        raise ValueError("classes live in different surface models")
+    w, d, s = m.self_omega, m.mixed_d, DELTA_SQUARE
+    p1, q1, x1 = b1.p, b1.q, b1.x
+    p2, q2, x2 = b2.p, b2.q, b2.x
+    p3, q3, x3 = b3.p, b3.q, b3.x
+    p4, q4, x4 = b4.p, b4.q, b4.x
+    q12 = w * p1 * p2 + d * (p1 * q2 + q1 * p2) + s * x1 * x2
+    q34 = w * p3 * p4 + d * (p3 * q4 + q3 * p4) + s * x3 * x4
+    q13 = w * p1 * p3 + d * (p1 * q3 + q1 * p3) + s * x1 * x3
+    q24 = w * p2 * p4 + d * (p2 * q4 + q2 * p4) + s * x2 * x4
+    q14 = w * p1 * p4 + d * (p1 * q4 + q1 * p4) + s * x1 * x4
+    q23 = w * p2 * p3 + d * (p2 * q3 + q2 * p3) + s * x2 * x3
+    return 3 * (q12 * q34 + q13 * q24 + q14 * q23)
 
 
 #: The 12 ordered pairs (i, j), i != j, of four factors, and the 24

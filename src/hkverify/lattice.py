@@ -2,7 +2,8 @@
 
 The package's one number contract lives here: coefficients go through
 `_coef` (an int where integral, a Fraction otherwise, never a float), every
-division through `_quotient`, every printed number through `_number_text`
+division through `_quotient` (an exact int quotient of two ints directly,
+every other one through `_coef`), every printed number through `_number_text`
 (in full, however long), every literal is read within the interpreter's
 int-to-string limit `digit_limit`, and every public form returns what that exact
 arithmetic gives, an int on integral inputs and otherwise an int or a
@@ -19,8 +20,9 @@ two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
 ambient lattice for all divisibility and moduli-case bookkeeping; its
 pairing is `kummer.mu_pair`, with `gram().pair` as the oracle. There is one
 model object per pair (omegabar^2, d), so every check that two classes live
-on the same model is `is`; the constructor validates its arguments before it
-looks the pair up, so a float that hashes like an int is still refused.
+on the same model is `is`; the constructor looks up a pair of exact ints
+first and validates any other arguments before the lookup, so a float that
+hashes like an int is still refused.
 
 The package's value classes are plain `__slots__` classes with one
 hand-written constructor, not dataclasses: importing `dataclasses` and
@@ -37,10 +39,13 @@ from math import gcd
 
 
 def _quotient(x, k: int | Fraction):
-    """x / k exactly: Fraction(x, k) through `_coef` on an int or a Fraction
-    x, since int / int is a float, so an integral quotient is an int; x / k
-    on a Poly, whose coefficients divide this way."""
-    return _coef(Fraction(x, k)) if isinstance(x, (int, Fraction)) else x / k
+    """x / k exactly, since int / int is a float: x // k when x and k are
+    exact ints (not bools) and k divides x, x / k on a Poly, whose
+    coefficients divide this way, else Fraction(x, k) through `_coef`, so an
+    integral quotient is an int either way and a float raises TypeError."""
+    if x.__class__ is int and k.__class__ is int and k and not x % k:
+        return x // k
+    return x / k if isinstance(x, Poly) else _coef(Fraction(x, k))
 
 
 def _number_text(value: int | Fraction) -> str:
@@ -253,8 +258,11 @@ class AbelianSurfaceModel:
 
     There is one model per pair of numbers: the constructor returns the
     model already built with them, so two models are the same model exactly
-    when they are the same object. It checks its arguments before the
-    lookup, since 4.0 hashes like 4 and would otherwise find the int model.
+    when they are the same object. A pair of exact ints (`__class__ is
+    int`, so no bool) is looked up first: every stored model was validated
+    when it was stored. Any other arguments, and a pair not yet stored, are
+    checked before the lookup, since 4.0 hashes like 4 and would otherwise
+    find the int model.
     A new model is stored with setdefault, so two threads that build one
     pair get one model, and `__reduce__` sends a copy or an unpickled model
     through the constructor, so it is the same object again.
@@ -263,6 +271,10 @@ class AbelianSurfaceModel:
     __slots__ = ("self_omega", "mixed_d")
 
     def __new__(cls, self_omega: int, mixed_d: int) -> "AbelianSurfaceModel":
+        if self_omega.__class__ is int and mixed_d.__class__ is int:
+            model = _MODELS.get((self_omega, mixed_d))
+            if model is not None:
+                return model
         if not isinstance(self_omega, int) or not isinstance(mixed_d, int):
             _reject("self_omega and mixed_d", self_omega, mixed_d)
         if self_omega <= 0 or self_omega % 2:

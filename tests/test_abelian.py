@@ -4,7 +4,7 @@ shapes, and the saturated-model transfer."""
 
 import time
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given
@@ -166,6 +166,48 @@ def test_zeppola_oracle_agrees():
     for n in (1, 2, 3):
         for d0 in range(1, 6):
             assert zeppola_oracle(n, d0) == zeppola_integral(n, d0)
+
+
+def _wedge_insert(mono: tuple, g: int) -> tuple[tuple, int] | None:
+    """Insert an odd generator into a sorted monomial, or None if repeated."""
+    if g in mono:
+        return None
+    pos = 0
+    while pos < len(mono) and mono[pos] < g:
+        pos += 1
+    sign = -1 if (len(mono) - pos) % 2 else 1
+    return (mono[:pos] + (g,) + mono[pos:], sign)
+
+
+def _zeppola_by_tuples(n: int, d0: int) -> int:
+    """zeppola_oracle's expansion with each monomial a sorted tuple of
+    generators and each sign counted by walking the tuple, not by bit
+    counts on an int bitmask."""
+    form = {(2 * i, 2 * j + 1): d0 * (2 if i == j else 1) for i in range(n) for j in range(n)}
+    acc: dict[tuple, int] = {(): 1}
+    for _ in range(n):
+        nxt: dict[tuple, int] = {}
+        for mono, ca in acc.items():
+            for (g1, g2), cb in form.items():
+                step1 = _wedge_insert(mono, g1)
+                if step1 is None:
+                    continue
+                m1, s1 = step1
+                step2 = _wedge_insert(m1, g2)
+                if step2 is None:
+                    continue
+                m2, s2 = step2
+                nxt[m2] = nxt.get(m2, 0) + ca * cb * s1 * s2
+        acc = {k: v for k, v in nxt.items() if v}
+    quotient, remainder = divmod(acc.get(tuple(range(2 * n)), 0), factorial(n))
+    assert remainder == 0
+    return quotient
+
+
+def test_zeppola_bitmask_oracle_matches_the_tuple_expansion():
+    for n in range(1, 5):
+        for d0 in range(1, 7):
+            assert zeppola_oracle(n, d0) == _zeppola_by_tuples(n, d0)
 
 
 def test_zeppola_oracle_n4():

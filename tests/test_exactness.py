@@ -217,8 +217,9 @@ def test_integral_inputs_give_ints():
 
 
 def test_exact_quotients_are_ints_where_integral():
-    # _quotient sends its result through _coef, so a division that comes
-    # out integral gives an int, as a coefficient does
+    # _quotient divides two ints exactly as //, and sends every other
+    # quotient through _coef, so a division that comes out integral gives
+    # an int either way, as a coefficient does
     e = KummerTwoClass(BIG, 0, 0, 1)
     line = XTwoClass(KummerTwoClass(SMALL, 1, 0, 0), 0)
     assert ch2_pairing(line, e, e) == 45 and type(ch2_pairing(line, e, e)) is int
@@ -228,6 +229,59 @@ def test_exact_quotients_are_ints_where_integral():
     # a Poly's value and a Gram pairing pass through _coef the same way
     assert type(hkverify.chern.chi_bundle(1)) is int
     assert [type(v) for v in fiber_degrees_gram(1, 10)] == [int, int]
+
+
+# The int fast paths accept and refuse exactly what the slow paths do.
+
+
+@given(st.integers(), st.integers().filter(bool))
+def test_quotient_of_ints_is_the_fraction_quotient(x, k):
+    # x * k takes the int path, x most often the Fraction one
+    for n in (x, x * k):
+        value, expected = _quotient(n, k), _coef(Fraction(n, k))
+        assert value == expected and type(value) is type(expected)
+
+
+def test_quotient_fast_path_keeps_the_slow_paths_errors_and_types():
+    for x in (0, 6, -7, True):
+        with pytest.raises(ZeroDivisionError):
+            _quotient(x, 0)
+    with pytest.raises(ZeroDivisionError):
+        _quotient(6, False)
+    # a bool is not an exact int: it takes the Fraction path and comes out
+    # an int all the same
+    assert [type(_quotient(*a)) for a in ((True, 1), (4, True), (False, 3))] == [int] * 3
+    # a float is no exact value, on either side
+    for args in ((6.0, 3), (6, 3.0), (0.5, 1)):
+        with pytest.raises(TypeError):
+            _quotient(*args)
+
+
+def test_class_coefficients_take_ints_as_they_are_and_bools_as_ints():
+    c = KummerTwoClass(BIG, True, 0, 0)
+    assert c.p == 1 and type(c.p) is int
+    assert [type(v) for v in KummerTwoClass(BIG, False, True, False).coeffs()] == [int] * 3
+    t = XTwoClass(KummerTwoClass(SMALL, 0, 0, 0), True).t
+    assert t == 1 and type(t) is int
+    for p, q, x in ((1.0, 0, 0), (0, 2.0, 0), (0, 0, 0.5)):
+        with pytest.raises(TypeError):
+            KummerTwoClass(BIG, p, q, x)
+    for t in (1.0, 0.5):
+        with pytest.raises(TypeError):
+            XTwoClass(KummerTwoClass(SMALL, 0, 0, 0), t)
+
+
+def test_a_stored_model_is_found_only_by_exact_ints():
+    # (4, 5) is stored (BIG); 4.0 and 5.0 hash like 4 and 5, and are still
+    # refused before the lookup
+    assert AbelianSurfaceModel(4, 5) is BIG
+    for args in ((4.0, 5), (4, 5.0), (4.0, 5.0)):
+        with pytest.raises(TypeError):
+            AbelianSurfaceModel(*args)
+    # a bool is checked, then stored and found as its int
+    assert AbelianSurfaceModel(2, True) is AbelianSurfaceModel(2, 1)
+    with pytest.raises(ValueError):
+        AbelianSurfaceModel(True, 5)
 
 
 # The fact the blowup-ch1-paths certificate relies on: both ch1 paths are

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hkverify.kummer
 from hkverify.kummer import (
     C2_PAIR_COEFF,
     C2_SQUARE_VALUE,
@@ -111,6 +112,39 @@ def test_fujiki_square_of_square():
 @given(classes(), classes(), classes(), classes())
 def test_fujiki_matches_symmetrized_oracle(b1, b2, b3, b4):
     assert fujiki_integral(b1, b2, b3, b4) == fujiki_symmetrized(b1, b2, b3, b4)
+
+
+def _fujiki_by_bbf(b1, b2, b3, b4):
+    """fujiki_integral's formula with each pairing a bbf call: 3 * sum over
+    the three matchings of products of bbf."""
+    return 3 * (
+        bbf(b1, b2) * bbf(b3, b4) + bbf(b1, b3) * bbf(b2, b4) + bbf(b1, b4) * bbf(b2, b3)
+    )
+
+
+MODELS = [AbelianSurfaceModel(w, d) for w, d in ((2, 1), (2, 5), (4, 5), (8, 3), (12, 7))]
+
+
+@given(st.sampled_from(MODELS).flatmap(lambda model: st.tuples(*[classes(model)] * 4)))
+def test_fujiki_integral_is_three_matchings_of_bbf(bs):
+    value, expected = fujiki_integral(*bs), _fujiki_by_bbf(*bs)
+    assert value == expected and type(value) is type(expected)
+
+
+def test_fujiki_integral_reads_delta_square_at_call_time(monkeypatch):
+    # the constant is patched in tests; a value bound at import would miss it
+    bs = [KummerTwoClass(MODEL, 1, 2, 3), KummerTwoClass(MODEL, 0, 1, -1)] * 2
+    before = fujiki_integral(*bs)
+    monkeypatch.setattr(hkverify.kummer, "DELTA_SQUARE", -5)
+    assert fujiki_integral(*bs) == _fujiki_by_bbf(*bs) != before
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_fujiki_integral_rejects_mixed_models(position):
+    bs = [KummerTwoClass(MODEL, 1, 2, 3)] * 4
+    bs[position] = KummerTwoClass(AbelianSurfaceModel(2, 5), 1, 2, 3)
+    with pytest.raises(ValueError, match="different surface models"):
+        fujiki_integral(*bs)
 
 
 @given(classes(), classes(), classes(), classes())

@@ -48,6 +48,7 @@ from hkverify.report import (
     CLAIMS,
     EXPECTED_DISCREPANCIES,
     ClaimRecord,
+    Report,
     ReportConfig,
     exit_code,
     run_report,
@@ -107,6 +108,66 @@ def test_json_schema(default_report):
         "chern-ch1sq-ch2: recorded value 576*a**2 - 540*a + 81"
         " differs from recomputed 288*a**2 - 324*a + 81"
     ]
+
+
+def _json_dumps(report) -> str:
+    """The report through json.dumps: the payload `to_json` writes by hand,
+    built as a dict, with every config and record field."""
+    cfg = report.config
+    payload = {
+        "version": hkverify.__version__,
+        "config": {
+            "abar_max": cfg.abar_max,
+            "a_max": cfg.a_max,
+            "md_max": cfg.md_max,
+            "only": cfg.only,
+        },
+        "records": [
+            {name: getattr(r, name) for name in ClaimRecord.__slots__} for r in report.records
+        ],
+        "summary": report.summary,
+        "warnings": [
+            f"{r.claim_id}: recorded value {r.stated} differs from recomputed {r.computed}"
+            for r in report.records
+            if r.verdict == "discrepancy"
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ReportConfig(),
+        ReportConfig(abar_max=8, a_max=200, md_max=121),
+        # one prefix per claim family; all but chern- hold no discrepancy,
+        # so their warnings are []
+        *(
+            ReportConfig(only=prefix)
+            for prefix in (
+                "lattice-", "fujiki-", "blowup-", "delta-", "chern-", "ample-", "fiber-", "semihom-"
+            )
+        ),
+    ],
+    ids=lambda cfg: cfg.only or f"abar_max={cfg.abar_max}",
+)
+def test_to_json_writes_the_bytes_of_json_dumps(config):
+    report = run_report(config)
+    assert to_json(report) == _json_dumps(report)
+
+
+def test_to_json_escapes_strings_as_json_dumps_does():
+    # a prefix no claim has, so the report is built by hand around real
+    # records: quotes, backslashes, control and non-ASCII characters are
+    # escaped the way json.dumps escapes them, with ensure_ascii
+    records = run_report(ReportConfig(only="fujiki-")).records
+    record = ClaimRecord('q"\\\n', "\u00e9\t", "\U0001f600", "pass", "stated")
+    config = ReportConfig(only='fujiki-"\\\u00e9\n')
+    summary = {"pass": 3, "fail": 0, "discrepancy": 0, "skipped": 0}
+    report = Report(config, (*records, record), summary)
+    assert to_json(report) == _json_dumps(report)
+    empty = Report(config, (), dict.fromkeys(summary, 0))
+    assert to_json(empty) == _json_dumps(empty)
 
 
 def test_only_prefix_filter(monkeypatch):
@@ -238,6 +299,13 @@ def _is_ample_h_without_divisibility_guard(abar, d, m):
     return None
 
 
+def _bbf_with_delta_square_minus_5(a, b):
+    # q(delta) = -6 -> -5, in the oracle's pairings only: fujiki_integral
+    # writes its own pairings out, so fujiki-symmetrization compares two
+    # separately written formulas
+    return mu_pair(a, b) - 5 * a.x * b.x
+
+
 _a = hkverify.lattice.SYMBOL_A
 _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
 
@@ -251,6 +319,13 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             _symmetrized_missing_one_ordering,
             "fujiki-symmetrization",
             "16 failures / 81 cases",
+        ),
+        (
+            hkverify.kummer,
+            "bbf",
+            _bbf_with_delta_square_minus_5,
+            "fujiki-symmetrization",
+            "19 failures / 81 cases",
         ),
         (
             hkverify.report,
@@ -409,6 +484,7 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
     ],
     ids=[
         "symmetrized-oracle",
+        "bbf-in-the-oracle",
         "delta-closed-form",
         "x-quartic",
         "ch1-constant",
@@ -527,6 +603,11 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         # coefficients of ch4, and one for the constant 27/2 of ch1 ch3; the
         # Polys with int coefficients evaluate in ints and add none
         ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 30),
+        # none: every quotient of these two sweeps is an exact int, 3 * total
+        # / 8 in fujiki_symmetrized and twelve_times / 12 in ch2_pairing, and
+        # _quotient divides two ints with no Fraction (81 and 54 were built)
+        ("fujiki-symmetrization", Fraction, ("__new__",), 0),
+        ("delta-pairing-two-paths", Fraction, ("__new__",), 0),
         # one per case of each residue frame: s0 <= 6, c0 in 1 ... s0 coprime
         # to s0, e in 1 ... s0^2 (227, not the old box's 1320); one per prime
         # pattern of n + 1 and d0 at f <= 20 (161, not 1200); d0 = 1 ... n + 1
@@ -542,6 +623,8 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         "pullbacks-per-sweep",
         "degrees-per-row",
         "fraction-ops",
+        "fractions-per-fujiki-sweep",
+        "fractions-per-delta-sweep",
         "jh-per-stability-case",
         "kernels-per-semihom-case",
         "oracles-per-zeppola-case",
@@ -549,19 +632,54 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 )
 def test_sweep_work_is_pinned_by_call_counts(monkeypatch, claim_id, owner, names, calls):
     # call counts repeat exactly where timings do not, so a kernel that goes
-    # back to per-case row work or to Fraction arithmetic fails here
+    # back to per-case row work or to Fraction arithmetic fails here. A
+    # constructor is counted by its frames under a profile hook, not patched
     counted = []
+    constructors = set()
     for name in names:
         original = getattr(owner, name)
+        if name == "__new__":
+            constructors.add(original.__code__)
+            continue
 
         def counting(*args, _original=original, **kwargs):
             counted.append(None)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
-    (record,) = run_report(ReportConfig(only=claim_id)).records
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in constructors:
+            counted.append(None)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        (record,) = run_report(ReportConfig(only=claim_id)).records
+    finally:
+        sys.setprofile(previous)
     assert record.verdict == "pass"
     assert len(counted) == calls
+
+
+def test_fujiki_symmetrization_pairs_only_in_the_oracle(monkeypatch):
+    # fujiki_symmetrized calls bbf once per ordered pair, 12 per case of the
+    # 81; fujiki_integral writes its six pairings out and calls none
+    oracle = hkverify.kummer.fujiki_symmetrized.__code__
+    callers = []
+
+    def counting(a, b):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not oracle:
+            frame = frame.f_back
+        callers.append(frame is not None)
+        return bbf(a, b)
+
+    monkeypatch.setattr(hkverify.kummer, "bbf", counting)
+    (record,) = run_report(ReportConfig(only="fujiki-symmetrization")).records
+    assert record.verdict == "pass"
+    assert len(callers) == 81 * 12
+    assert all(callers)
 
 
 @pytest.mark.parametrize(("abar_max", "calls"), [(3, 9), (8, 24)], ids=["default", "sweep-grid"])
