@@ -120,9 +120,8 @@ def x_quartic(
 
 
 def halved_model(model: AbelianSurfaceModel) -> AbelianSurfaceModel:
-    if model.self_omega % 4:
-        raise ValueError("doubled-side model must have omegabar^2 divisible by 4")
-    return AbelianSurfaceModel(model.self_omega // 2, model.mixed_d)
+    """Half of omegabar^2; the constructor refuses an odd half (ValueError)."""
+    return AbelianSurfaceModel(_quotient(model.self_omega, 2), model.mixed_d)
 
 
 def doubled_model(model: AbelianSurfaceModel) -> AbelianSurfaceModel:

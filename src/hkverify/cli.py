@@ -90,11 +90,11 @@ def _class_coeffs(text: str) -> tuple:
 
 
 def _side_model(abar: int, d: int, side: str):
-    from .lattice import AbelianSurfaceModel
+    from .lattice import AbelianSurfaceModel, _reject
 
     # side A carries the doubled polarization square, side B the halved one
     if abar < 1 or d < 1:
-        raise ValueError(f"{'abar' if abar < 1 else 'd'} must be an integer >= 1")
+        _reject("abar and d", abar, d)
     return AbelianSurfaceModel(4 * abar if side == "A" else 2 * abar, d)
 
 
@@ -240,10 +240,10 @@ def _cmd_modularity(args) -> int:
 
 def _cmd_chern(args) -> int:
     from . import chern
-    from .lattice import _number_text
+    from .lattice import _number_text, _reject
 
     if args.a < 1:
-        raise ValueError("a must be an integer >= 1")
+        _reject("a", args.a)
     if args.entry is None:
         print(f"a = {args.a}")
     for entry, label, name in _CHERN_TABLE:

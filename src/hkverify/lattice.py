@@ -22,7 +22,9 @@ pairing is `kummer.mu_pair`, with `gram().pair` as the oracle. There is one
 model object per pair (omegabar^2, d), so every check that two classes live
 on the same model is `is`; the constructor looks up a pair of exact ints
 first and validates any other arguments before the lookup, so a float that
-hashes like an int is still refused.
+hashes like an int is still refused. omegabar^2 may also be the Poly k*a
+(k a positive even int): on that symbolic model the exact kernels return
+Polys in a, so an identity in a is checked once, as an identity of Polys.
 
 The package's value classes are plain `__slots__` classes with one
 hand-written constructor, not dataclasses: importing `dataclasses` and
@@ -139,6 +141,8 @@ class Poly:
         return other - self
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            return Poly(tuple(c * other for c in self.coeffs))
         other = self._lift(other)
         if other is None:
             return NotImplemented
@@ -245,8 +249,8 @@ def nocamere_bound(d0: int, q_beta: int) -> Fraction:
     return _quotient(-2 * d0, 1 + q_beta)
 
 
-#: The models built so far, one per (self_omega, mixed_d).
-_MODELS: dict[tuple[int, int], "AbelianSurfaceModel"] = {}
+#: The models built so far, one per (self_omega, mixed_d); k*a is keyed (0, k).
+_MODELS: dict[tuple[int | tuple[int, int], int], "AbelianSurfaceModel"] = {}
 
 
 class AbelianSurfaceModel:
@@ -254,7 +258,9 @@ class AbelianSurfaceModel:
     omegabar.gamma = mixed_d and gamma isotropic (discriminant -mixed_d^2).
 
     The same shape serves both sides of the degree-2 isogeny: self_omega is
-    2*abar on the small side and 4*abar on the big one.
+    2*abar on the small side and 4*abar on the big one. self_omega may also
+    be the Poly k*a (k a positive even int), keyed (self_omega.coeffs,
+    mixed_d) apart from the int model k; the kernels on it return Polys in a.
 
     There is one model per pair of numbers: the constructor returns the
     model already built with them, so two models are the same model exactly
@@ -275,16 +281,19 @@ class AbelianSurfaceModel:
             model = _MODELS.get((self_omega, mixed_d))
             if model is not None:
                 return model
-        if not isinstance(self_omega, int) or not isinstance(mixed_d, int):
-            _reject("self_omega and mixed_d", self_omega, mixed_d)
-        if self_omega <= 0 or self_omega % 2:
+        # k*a is checked as its k and stored under its coefficients (0, k)
+        symbolic = isinstance(self_omega, Poly) and self_omega == self_omega(1) * SYMBOL_A
+        k = self_omega(1) if symbolic else self_omega
+        if not isinstance(k, int) or not isinstance(mixed_d, int):
+            _reject("self_omega and mixed_d", k, mixed_d)
+        if k <= 0 or k % 2:
             raise ValueError("self_omega must be a positive even integer")
         if mixed_d <= 0:
             _reject("mixed_d", mixed_d)
-        key = (int(self_omega), int(mixed_d))  # a bool becomes 1
+        key = (self_omega.coeffs if symbolic else int(k), int(mixed_d))  # a bool becomes 1
         if key not in _MODELS:
             model = super().__new__(cls)
-            model.self_omega, model.mixed_d = key
+            model.self_omega, model.mixed_d = self_omega if symbolic else key[0], key[1]
             _MODELS.setdefault(key, model)
         return _MODELS[key]
 

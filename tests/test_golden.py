@@ -9,8 +9,9 @@ config, so the two JSON reports differ in that record and in the echoed
 config block alone: `a_max` and `md_max` change no record and stay only
 because the benchmark sends them. The other certificates (among them
 `lattice-discriminant-sweep`, `delta-pairing-two-paths`,
-`chern-chi-end-sweep`, `fiber-degrees-gram` and `fiber-rank-integrality`)
-run the same fixed frames at both. A change that alters a single byte of any
+`fiber-degrees-gram` and `fiber-rank-integrality`) run the same fixed
+frames at both, and the two polynomial identities in a
+(`chern-polynomial-identities`, `chern-chi-end-sweep`) the same one case. A change that alters a single byte of any
 of them fails here; regenerating the fixtures is a deliberate act that
 CHANGES.md records.
 """

@@ -11,9 +11,12 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hkverify.blowup import doubled_model, halved_model
 from hkverify.lattice import (
+    SYMBOL_A,
     AbelianSurfaceModel,
     GramLattice,
+    Poly,
     classify_moduli_case,
     kummer_divisibility,
     nocamere_bound,
@@ -162,6 +165,74 @@ def test_surface_model_stores_ints():
     model = AbelianSurfaceModel(4, True)
     assert type(model.mixed_d) is int and model.mixed_d == 1
     assert model is AbelianSurfaceModel(4, 1)
+
+
+def test_symbolic_model_is_one_object_per_value():
+    model = AbelianSurfaceModel(2 * SYMBOL_A, 5)
+    assert model is AbelianSurfaceModel(2 * SYMBOL_A, 5)
+    assert model is AbelianSurfaceModel(Poly((0, Fraction(4, 2))), 5)
+    assert model.self_omega == 2 * SYMBOL_A and model.mixed_d == 5
+    assert model is not AbelianSurfaceModel(2 * SYMBOL_A, 7)
+    assert model is not AbelianSurfaceModel(2, 5)
+    assert copy.deepcopy(model) is model
+    assert pickle.loads(pickle.dumps(model)) is model
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_symbolic_models_halve_and_double(d):
+    small = AbelianSurfaceModel(2 * SYMBOL_A, d)
+    big = AbelianSurfaceModel(4 * SYMBOL_A, d)
+    assert doubled_model(small) is big
+    assert halved_model(big) is small
+    with pytest.raises(ValueError):
+        halved_model(small)  # a is not k*a with k even
+
+
+@pytest.mark.parametrize(
+    "self_omega",
+    [
+        2 * SYMBOL_A + 2,
+        -2 * SYMBOL_A,
+        3 * SYMBOL_A,
+        2 * SYMBOL_A * SYMBOL_A,
+        Poly((4,)),  # not a second model for 4
+        Poly(()),
+        Poly((0, Fraction(5, 2))),
+        Poly((Fraction(1, 2), 2)),
+    ],
+    ids=["2a+2", "-2a", "3a", "2a^2", "constant-4", "zero", "5a/2", "1/2+2a"],
+)
+def test_symbolic_model_accepts_only_an_even_multiple_of_a(self_omega):
+    # k*a is checked as its k: a negative or odd k is a ValueError, any other
+    # Poly (a constant, a Fraction k) is not an int and a TypeError
+    AbelianSurfaceModel(4, 5)
+    with pytest.raises((TypeError, ValueError), match=r"^self_omega "):
+        AbelianSurfaceModel(self_omega, 5)
+
+
+@pytest.mark.parametrize(
+    "mixed_d, error, message",
+    [(0, ValueError, "mixed_d must be a positive integer"), (5.0, TypeError, "must be integers")],
+    ids=["zero", "float"],
+)
+def test_symbolic_model_checks_mixed_d(mixed_d, error, message):
+    with pytest.raises(error, match=message):
+        AbelianSurfaceModel(2 * SYMBOL_A, mixed_d)
+
+
+small_polys = st.lists(
+    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4)), max_size=4
+).map(Poly)
+
+
+@given(small_polys, st.integers(-9, 9))
+def test_poly_times_an_int_is_the_product_with_the_constant_poly(p, k):
+    # the exact-int branch of Poly.__mul__ against the general product
+    general = p * Poly((k,))
+    for scaled in (p * k, k * p):
+        assert scaled.coeffs == general.coeffs
+        assert list(map(type, scaled.coeffs)) == list(map(type, general.coeffs))
+    assert (p * 0).coeffs == ()
 
 
 def test_max_negative_square_small_box():

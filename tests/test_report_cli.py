@@ -374,7 +374,7 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "chi_end_traceless",
             hkverify.chern.chi_end_traceless + 1,
             "chern-chi-end-sweep",
-            "3 failures / 3 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.report,
@@ -407,21 +407,32 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "fiber-degrees-gram",
             "1 failures / 3 cases",
         ),
+        # the polynomial identities in a: each wrong entry agrees with the
+        # right one at a = 1, 2 (and 3), and differs from it as a Poly
         (
             hkverify.report,
             "ch1_ch3",
             hkverify.chern.ch1_ch3 + (_a - 1) * (_a - 2),
             "chern-chi-end-sweep",
-            "1 failures / 3 cases",
+            "1 failures / 1 cases",
         ),
-        # degree 3: the frame widens to a = 1 ... 4 and the wrong entry fails
-        # at a = 4, where a fixed three-point frame would have passed it
+        # degree 3: a sample frame read off the degree of the entries must
+        # widen to a = 1 ... 4 to catch it; a comparison of Polys needs none
         (
             hkverify.report,
             "ch4_integral",
             hkverify.chern.ch4_integral + (_a - 1) * (_a - 2) * (_a - 3),
             "chern-chi-end-sweep",
-            "1 failures / 4 cases",
+            "1 failures / 1 cases",
+        ),
+        # degree 3 on the chern side only: a frame a = 1, 2, 3 bounded by the
+        # degree of the X side passed it
+        (
+            hkverify.report,
+            "ch1_fourth",
+            hkverify.chern.ch1_fourth + (_a - 1) * (_a - 2) * (_a - 3),
+            "chern-polynomial-identities",
+            "1 failures / 1 cases",
         ),
         # a wrong intersection constant moves the X path, not the chern
         # entries, which were built from the right ones at import
@@ -430,28 +441,28 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "C2_PAIR_COEFF",
             hkverify.kummer.C2_PAIR_COEFF + 1,
             "chern-polynomial-identities",
-            "3 failures / 3 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.kummer,
             "DELTA_SQUARE",
             hkverify.kummer.DELTA_SQUARE + 1,
             "chern-polynomial-identities",
-            "9 failures / 3 cases",
+            "3 failures / 1 cases",
         ),
         (
             hkverify.blowup,
             "C2_AMBIENT",
             hkverify.blowup.C2_AMBIENT + 1,
             "chern-polynomial-identities",
-            "3 failures / 3 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.blowup,
             "V_PAIR_COEFF",
             hkverify.blowup.V_PAIR_COEFF + 1,
             "chern-polynomial-identities",
-            "3 failures / 3 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.report,
@@ -498,6 +509,7 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
         "fiber-degree-at-md-4",
         "ch1-ch3-at-a-3",
         "ch4-cubic",
+        "ch1-fourth-cubic",
         "c2-pair-coeff",
         "delta-square",
         "c2-ambient",
@@ -598,11 +610,13 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         ("blowup-pullback-quartic", hkverify.report, ("pullback_correspondence",), 3),
         # one per md row of the frame (m d = 9, 11, 13, 15), not one per profile
         ("fiber-rank-integrality", hkverify.fiber, ("fiber_degrees",), 4),
-        # ten per case of the frame a = 1, 2, 3: four for the claim's own
-        # 8 ch4 - 2 ch1 ch3 + ch2^2, five for Horner's rule on the Fraction
-        # coefficients of ch4, and one for the constant 27/2 of ch1 ch3; the
-        # Polys with int coefficients evaluate in ints and add none
-        ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 30),
+        # four in the one Poly comparison: three for 8 times the Fraction
+        # coefficients of ch4 and one for 2 times the constant 27/2 of
+        # ch1 ch3; every other coefficient is an int, and nothing is
+        # evaluated at a sample a
+        ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 4),
+        # one: the X side is computed once, on the symbolic model
+        ("chern-polynomial-identities", hkverify.report, ("ch2_pairing",), 1),
         # none: every quotient of these two sweeps is an exact int, 3 * total
         # / 8 in fujiki_symmetrized and twelve_times / 12 in ch2_pairing, and
         # _quotient divides two ints with no Fraction (81 and 54 were built)
@@ -623,6 +637,7 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         "pullbacks-per-sweep",
         "degrees-per-row",
         "fraction-ops",
+        "x-paths-per-chern-sweep",
         "fractions-per-fujiki-sweep",
         "fractions-per-delta-sweep",
         "jh-per-stability-case",
@@ -789,7 +804,7 @@ def test_provenance_follows_from_the_claim_kind(default_report):
         derived = claim.stated is None
         assert by_id[claim.claim_id].provenance == ("derived" if derived else "stated")
     record = by_id["chern-polynomial-identities"]
-    assert (record.computed, record.stated) == ("0 failures / 3 cases",) * 2
+    assert (record.computed, record.stated) == ("0 failures / 1 cases",) * 2
     provenances = [r.provenance for r in default_report.records]
     assert (provenances.count("derived"), provenances.count("stated")) == (14, 47)
 
@@ -973,7 +988,7 @@ def test_cli_chern_rejects_a_below_one(capsys, a, entry):
     assert main(["chern", "--a", a, *entry]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "a must be an integer >= 1" in captured.err
+    assert "a must be a positive integer" in captured.err
 
 
 def test_cli_rr(capsys):
@@ -1129,7 +1144,7 @@ def test_cli_surface_model_errors_name_the_flag(capsys, argv, name):
     # a positive even integer" or "mixed pairing d must be ...", which names
     # no flag
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {name} must be an integer >= 1\n"
+    assert capsys.readouterr().err == f"error: {name} must be a positive integer\n"
 
 
 #: (function, valid keyword arguments, the range-checked ones, a value out of
