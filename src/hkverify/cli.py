@@ -8,14 +8,18 @@ Exit status: 0 on success (expected discrepancies included), 1 on a
 failed recomputation, invalid domain input or an unwritable stdout, 2 on
 usage errors.
 
-Importing this module loads only the parser. Each subcommand, and each
-argument type, imports the modules it runs when it runs, so `--help` loads
-no math module (nor `fractions`) and a calculator loads only its own.
+Importing this module loads only the parser and compiles no pattern. Each
+subcommand, and each argument type, imports the modules it runs when it
+runs, so `--help` loads no math module (nor `fractions`), a calculator loads
+only its own and `report` loads `json` only for `--format json`. `main` has
+no side effect beyond its output; `main_entry`, the console script, ends the
+process and leaves its objects out of the interpreter's shutdown collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -40,11 +44,11 @@ _CHERN_TABLE = (
 #: An integer (-3), a quotient of integers (1/2) or a decimal (-0.5, .5, 2.),
 #: with an optional sign and surrounding blanks. Fraction itself also reads
 #: exponents, and 1e10000000 would build a ten-million-digit integer.
-_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+_RATIONAL = r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*"
 
 #: An integer as int() reads it: sign, blanks and single underscores
 #: between digits.
-_INTEGER = re.compile(r"\s*[+-]?\d(_?\d)*\s*")
+_INTEGER = r"\s*[+-]?\d(_?\d)*\s*"
 
 #: The usage error for a well-formed literal that only the int-to-string
 #: digit limit refuses; it names the limit instead of echoing the digits.
@@ -56,7 +60,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
-        if _INTEGER.fullmatch(text):
+        if re.fullmatch(_INTEGER, text):
             from .lattice import digit_limit
 
             raise argparse.ArgumentTypeError(_TOO_LONG.format(digit_limit())) from exc
@@ -67,7 +71,7 @@ def _fraction(text: str):
     """Fraction(text) for a literal that `_RATIONAL` matches."""
     from fractions import Fraction
 
-    if not _RATIONAL.fullmatch(text):
+    if not re.fullmatch(_RATIONAL, text):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
     try:
         return Fraction(text)
@@ -346,7 +350,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """Run `main` and exit with its status. The process is ending and `main`
+    has flushed stdout, so every object is frozen on the way out (0, 1 and 2
+    alike): interpreter shutdown then leaves them out of its cyclic
+    collections, and the module graph is neither traced nor torn down.
+    atexit handlers and the interpreter's last flush still run."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -276,7 +276,7 @@ class AbelianSurfaceModel:
 
     __slots__ = ("self_omega", "mixed_d")
 
-    def __new__(cls, self_omega: int, mixed_d: int) -> "AbelianSurfaceModel":
+    def __new__(cls, self_omega: int | Poly, mixed_d: int) -> "AbelianSurfaceModel":
         if self_omega.__class__ is int and mixed_d.__class__ is int:
             model = _MODELS.get((self_omega, mixed_d))
             if model is not None:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import chain, product
-from json.encoder import encode_basestring_ascii as _json_text
 from math import gcd
 
 from . import __version__
@@ -725,7 +724,11 @@ def to_json(report: Report) -> str:
     and each record every field of its ClaimRecord. The fixed schema is
     written out by hand, keys in sorted order, with every string through
     json's C string encoder: json.dumps with an indent runs json's
-    pure-Python encoder, about 4x slower on this report."""
+    pure-Python encoder, about 4x slower on this report. The encoder is
+    imported here, so a process that renders only markdown never loads the
+    json package."""
+    from json.encoder import encode_basestring_ascii as _json_text
+
     cfg = report.config
     records = [
         _RECORD_JSON

@@ -1388,22 +1388,29 @@ def test_cli_import_loads_no_report_or_json():
     assert _loaded_after("import hkverify.cli") == ["hkverify", "hkverify.cli"]
 
 
+#: Every math module: the catalogue imports them all.
+_REPORT_MODULES = ["abelian", "blowup", "chern", "fiber", "kummer", "lattice", "report", "walls"]
+
+
 @pytest.mark.parametrize(
-    "argv, modules",
+    "argv, modules, json_loaded",
     [
-        (["chern", "--a", "3"], ["chern", "kummer", "lattice"]),
-        (["semihom", "--deg-f", "4", "--n", "2", "--d0", "3"], ["abelian", "lattice"]),
-        (["monodromy"], ["fiber", "lattice"]),
-        (["--help"], []),
+        (["chern", "--a", "3"], ["chern", "kummer", "lattice"], False),
+        (["semihom", "--deg-f", "4", "--n", "2", "--d0", "3"], ["abelian", "lattice"], False),
+        (["monodromy"], ["fiber", "lattice"], False),
+        (["--help"], [], False),
+        (["report", "--format", "md"], _REPORT_MODULES, False),
+        (["report", "--format", "json"], _REPORT_MODULES, True),
     ],
-    ids=["chern", "semihom", "monodromy", "help"],
+    ids=["chern", "semihom", "monodromy", "help", "report-md", "report-json"],
 )
-def test_cli_command_loads_only_the_modules_it_runs(argv, modules):
+def test_cli_command_loads_only_the_modules_it_runs(argv, modules, json_loaded):
     code = f"from hkverify.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
     loaded = [m for m in _loaded_after(code) if m not in ("hkverify", "hkverify.cli")]
-    # every math module imports lattice, which imports fractions and decimal
+    # every math module imports lattice, which imports fractions and decimal;
+    # only the JSON renderer imports json's string encoder
     numbers = ["decimal", "fractions"] if modules else []
-    assert loaded == numbers + [f"hkverify.{m}" for m in modules]
+    assert loaded == numbers + [f"hkverify.{m}" for m in modules] + ["json"] * json_loaded
 
 
 def test_python_dash_m_runs_the_cli():
@@ -1411,6 +1418,48 @@ def test_python_dash_m_runs_the_cli():
     assert run.returncode == 0, run.stderr
     row = "| chern-ch4 | 3*a**2/2 - 9*a/2 + 9/4 | 3*a**2/2 - 9*a/2 + 9/4 | pass | stated |"
     assert row in run.stdout.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_console_report_prints_the_golden_bytes(fmt):
+    # the console path (python -m hkverify, main_entry, a fresh process) and
+    # not only the in-process renderers give the committed fixture
+    run = subprocess.run(
+        [sys.executable, "-m", "hkverify", "report", "--format", fmt],
+        env=_python_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    golden = Path(__file__).parent / "golden" / f"report.{fmt}"
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == golden.read_bytes()
+
+
+#: Prints the freeze count from an atexit handler, so after main_entry has
+#: raised SystemExit, on stderr's last line.
+_FREEZE_PROBE = """
+import atexit, gc, sys
+assert gc.get_freeze_count() == 0
+atexit.register(lambda: print("frozen:", gc.get_freeze_count(), file=sys.stderr))
+from hkverify.cli import main_entry
+main_entry()
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["report", "--format", "md"], 0),
+        (["report", "--only", "zz"], 1),
+        (["report", "--format", "xml"], 2),
+    ],
+    ids=["pass", "domain-error", "usage-error"],
+)
+def test_main_entry_keeps_its_exit_code_and_freezes_on_the_way_out(argv, code):
+    run = _run_python("-c", _FREEZE_PROBE, *argv)
+    assert run.returncode == code, run.stderr
+    frozen = run.stderr.splitlines()[-1]
+    assert frozen.startswith("frozen: ") and int(frozen.split()[1]) > 0, run.stderr
 
 
 def _closed_pipe_run(argv):
