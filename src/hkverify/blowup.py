@@ -75,7 +75,7 @@ class XTwoClass:
 
     def __init__(self, base: KummerTwoClass, t) -> None:
         self.base = base
-        self.t = t if t.__class__ is int else _coef(t)
+        self.t = _coef(t)
 
     @property
     def model(self) -> AbelianSurfaceModel:

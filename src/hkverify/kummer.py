@@ -46,11 +46,7 @@ class KummerTwoClass:
 
     def __init__(self, model: AbelianSurfaceModel, p, q, x) -> None:
         self.model = model
-        # an exact int needs no normalising; _coef turns a bool into an int
-        # and refuses a float
-        self.p = p if p.__class__ is int else _coef(p)
-        self.q = q if q.__class__ is int else _coef(q)
-        self.x = x if x.__class__ is int else _coef(x)
+        self.p, self.q, self.x = _coef(p), _coef(q), _coef(x)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

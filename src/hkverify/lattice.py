@@ -7,9 +7,10 @@ every other one through `_coef`), every printed number through `_number_text`
 (in full, however long), every literal is read within the interpreter's
 int-to-string limit `digit_limit`, and every public form returns what that exact
 arithmetic gives, an int on integral inputs and otherwise an int or a
-Fraction. Poly, the exact polynomial type, follows the same contract; its
-one Horner loop `Poly.__call__` is the one input check of every polynomial
-value in the package (the Chern numbers, `kummer.riemann_roch_from_square`).
+Fraction. Poly, the one polynomial type (sparse, in a and more variables),
+follows it too; `_coef` keeps a Poly as a class coefficient, so the kernels
+run on symbolic classes, and `Poly.__call__`, Horner's rule in a, is the one
+input check of the Chern numbers and `kummer.riemann_roch_from_square`.
 The one argument rule: int arguments are checked for type, then each for its
 own range (positive, odd d, 1 <= n <= 4, ...), then for the rules that tie
 them (coprime s0 and c0, m*d > 1). `_reject` raises every TypeError for a
@@ -23,8 +24,7 @@ model object per pair (omegabar^2, d), so every check that two classes live
 on the same model is `is`; the constructor looks up a pair of exact ints
 first and validates any other arguments before the lookup, so a float that
 hashes like an int is still refused. omegabar^2 may also be the Poly k*a
-(k a positive even int): on that symbolic model the exact kernels return
-Polys in a, so an identity in a is checked once, as an identity of Polys.
+(k a positive even int); the kernels then return Polys in a.
 
 The package's value classes are plain `__slots__` classes with one
 hand-written constructor, not dataclasses: importing `dataclasses` and
@@ -36,7 +36,6 @@ from __future__ import annotations
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd
 
 
@@ -65,14 +64,17 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
-def _coef(value) -> int | Fraction:
+def _coef(value) -> "int | Fraction | Poly":
     """A class coefficient: an int or an integral Fraction becomes an int,
-    any other Fraction is kept, and anything else raises TypeError. Integral
+    any other Fraction is kept, a Poly is kept unless it is a constant, which
+    becomes its number, and anything else raises TypeError. Integral
     coefficients then pair in int arithmetic, with no gcd per operation."""
     if isinstance(value, int):
-        return int(value)  # a bool becomes 0 or 1
+        return value if value.__class__ is int else int(value)  # a bool becomes 0 or 1
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Poly):
+        return value if value.terms.keys() - {0} else value(0)
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
@@ -88,114 +90,133 @@ def _reject(names: str, *values, positive: tuple[str, ...] | None = None):
     raise AssertionError(f"{names}: the failed check and _reject disagree")
 
 
+#: Bits per exponent in a packed monomial, variable i from bit _BITS*i: the
+#: product of two monomials is the sum of their ints while exponents < 2**_BITS.
+_BITS = 32
+
+
+def _poly(terms: dict) -> "Poly":
+    """The Poly with these terms, whose coefficients are already nonzero and
+    ints where integral (`_coef`): each operation keeps them so as it goes."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
+
+
+def _lift(value) -> "Poly | None":
+    """A Poly for an int, a Fraction or a Poly; None for anything else."""
+    if isinstance(value, (int, Fraction)):
+        return Poly((value,))
+    return value if isinstance(value, Poly) else None
+
+
 class Poly:
-    """Polynomial in one variable (printed as a) with exact coefficients,
-    ints where integral (`_coef`), lowest degree first and trailing zeros
-    trimmed, so the zero polynomial has no coefficients. A coefficient that
-    is not an int or a Fraction, a float included, raises TypeError.
+    """Sparse polynomial in several variables with exact coefficients, ints
+    where integral (`_coef`): `terms` maps each packed monomial to its
+    nonzero coefficient. Poly(coeffs, var) is sum coeffs[k] * v**k in
+    variable `var` (0 is a); any coefficient but an int or a Fraction (a
+    float, a Poly) raises TypeError.
 
     Mixes with ints and Fractions on either side of +, - and *, divides by
-    a scalar, compares by coefficients (Poly((3,)) == 3), and evaluates by
-    calling: p(x).
+    a scalar, compares by terms (Poly((3,)) == 3), is false exactly when
+    zero, and, in a alone, evaluates by calling: p(x).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs=()) -> None:
+    def __init__(self, coeffs=(), var=0) -> None:
         coeffs = [_coef(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        if Poly in map(type, coeffs):
+            raise TypeError("a coefficient must be an integer or Fraction")
+        self.terms = {k << _BITS * var: c for k, c in enumerate(coeffs) if c}
 
     def __call__(self, x):
-        """The value at x by Horner's rule: at an int or a Fraction (through
+        """The value at a = x by Horner's rule: at an int or a Fraction (via
         `_coef`, so a float raises TypeError) an int where the value is
-        integral, at a Poly the composition."""
-        composing = isinstance(x, Poly)
-        value, x = (Poly(), x) if composing else (0, _coef(x))
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value if composing else _coef(value)
+        integral, at a Poly the composition; ValueError in another variable."""
+        degree = max(self.terms, default=0)
+        if degree >> _BITS:
+            raise ValueError("not a polynomial in a alone")
+        value, x = 0, _coef(x)
+        for k in range(degree, -1, -1):
+            value = value * x + self.terms.get(k, 0)
+        return _coef(value)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __add__(self, other):
-        other = self._lift(other)
+        other = _lift(other)
         if other is None:
             return NotImplemented
-        return Poly(tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+        terms = self.terms.copy()
+        for m, c in other.terms.items():
+            c += terms.get(m, 0)
+            if c:
+                terms[m] = _coef(c)
+            else:
+                del terms[m]
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return self * -1
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
         return self + -other
 
     def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
-        if other.__class__ is int:
-            return Poly(tuple(c * other for c in self.coeffs))
-        other = self._lift(other)
+        if other.__class__ is int:  # a nonzero int keeps every coefficient nonzero
+            items = self.terms.items() if other else ()
+            return _poly(
+                {m: c * other if c.__class__ is int else _coef(c * other) for m, c in items}
+            )
+        other = _lift(other)
         if other is None:
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return Poly(tuple(out))
+        terms, pairs = {}, other.terms.items()
+        for m, c in self.terms.items():
+            for n, d in pairs:
+                n += m
+                d = c * d + terms.pop(n, 0)
+                if d:
+                    terms[n] = d if d.__class__ is int else _coef(d)
+        return _poly(terms)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return Poly(tuple(_quotient(c, other) for c in self.coeffs))
+        return _poly({m: _quotient(c, other) for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        other = _lift(other)
+        return NotImplemented if other is None else self.terms == other.terms
 
     def __str__(self) -> str:
         """The string sympy prints for the expanded polynomial: terms by
         descending degree, except that a positive constant plus one negative
-        monomial prints the constant first (27 - 72*a)."""
-        terms = [(k, c) for k, c in enumerate(self.coeffs) if c][::-1]
-        if not terms:
-            return "0"
+        monomial prints the constant first (27 - 72*a). Variable 0 prints as
+        a, variable i > 0 as vi."""
+        terms = sorted(self.terms.items(), reverse=True)
         if len(terms) == 2 and terms[1][0] == 0 and terms[1][1] > 0 > terms[0][1]:
             terms.reverse()
-        text = "".join((" - " if c < 0 else " + ") + self._term(k, abs(c)) for k, c in terms)
-        return text[3:] if text.startswith(" + ") else "-" + text[3:]
-
-    @staticmethod
-    def _term(degree: int, coeff: int | Fraction) -> str:
-        """sympy's string for coeff * a**degree with coeff > 0."""
-        if degree == 0:
-            return str(coeff)
-        text = "a" if degree == 1 else f"a**{degree}"
-        if coeff.numerator != 1:
-            text = f"{coeff.numerator}*{text}"
-        if coeff.denominator != 1:
-            text = f"{text}/{coeff.denominator}"
-        return text
-
-    @staticmethod
-    def _lift(value) -> "Poly | None":
-        if isinstance(value, Poly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Poly((value,))
-        return None
+        text = ""
+        for m, c in terms:
+            factors = [
+                (f"v{i}" if i else "a") + (f"**{e}" if e > 1 else "")
+                for i in range(m.bit_length() // _BITS + 1)
+                if (e := m >> _BITS * i & (1 << _BITS) - 1)
+            ]
+            if abs(c.numerator) != 1 or not factors:
+                factors.insert(0, str(abs(c.numerator)))
+            text += (" - " if c < 0 else " + ") + "*".join(factors)
+            if c.denominator != 1:
+                text += f"/{c.denominator}"
+        return "-" + text[3:] if text.startswith(" - ") else text[3:] or "0"
 
 
 #: The polynomial variable: the parameter a of the Chern numbers, or q(c1)
@@ -259,8 +280,8 @@ class AbelianSurfaceModel:
 
     The same shape serves both sides of the degree-2 isogeny: self_omega is
     2*abar on the small side and 4*abar on the big one. self_omega may also
-    be the Poly k*a (k a positive even int), keyed (self_omega.coeffs,
-    mixed_d) apart from the int model k; the kernels on it return Polys in a.
+    be the Poly k*a (k a positive even int), keyed ((0, k), mixed_d) apart
+    from the int model k; the kernels on it return Polys in a.
 
     There is one model per pair of numbers: the constructor returns the
     model already built with them, so two models are the same model exactly
@@ -281,16 +302,16 @@ class AbelianSurfaceModel:
             model = _MODELS.get((self_omega, mixed_d))
             if model is not None:
                 return model
-        # k*a is checked as its k and stored under its coefficients (0, k)
-        symbolic = isinstance(self_omega, Poly) and self_omega == self_omega(1) * SYMBOL_A
-        k = self_omega(1) if symbolic else self_omega
+        # k*a is checked as its k and stored under the key (0, k)
+        symbolic = isinstance(self_omega, Poly) and self_omega.terms.keys() == {1}
+        k = self_omega.terms[1] if symbolic else self_omega
         if not isinstance(k, int) or not isinstance(mixed_d, int):
             _reject("self_omega and mixed_d", k, mixed_d)
         if k <= 0 or k % 2:
             raise ValueError("self_omega must be a positive even integer")
         if mixed_d <= 0:
             _reject("mixed_d", mixed_d)
-        key = (self_omega.coeffs if symbolic else int(k), int(mixed_d))  # a bool becomes 1
+        key = ((0, k) if symbolic else int(k), int(mixed_d))  # a bool becomes 1
         if key not in _MODELS:
             model = super().__new__(cls)
             model.self_omega, model.mixed_d = self_omega if symbolic else key[0], key[1]

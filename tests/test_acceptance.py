@@ -72,7 +72,7 @@ def _in_sympy(poly):
     """A Chern entry as a sympy polynomial in a, so that combinations of
     entries are expanded by sympy, not by Poly."""
     a = sympy.symbols("a")
-    return sum(sympy.Rational(c.numerator, c.denominator) * a**k for k, c in enumerate(poly.coeffs))
+    return sum(sympy.Rational(c.numerator, c.denominator) * a**k for k, c in poly.terms.items())
 
 
 def _random_class(rng, model):

@@ -40,8 +40,8 @@ from hkverify.kummer import (
     fujiki_integral,
     mu_pair,
 )
-from hkverify.lattice import AbelianSurfaceModel
-from hkverify.report import _BIG, _DELTA_FRAME, _SMALL
+from hkverify.lattice import SYMBOL_A, AbelianSurfaceModel
+from hkverify.report import _BIG, _SMALL
 
 BIG = AbelianSurfaceModel(4, 5)
 SMALL = AbelianSurfaceModel(2, 5)
@@ -102,6 +102,23 @@ def test_quartic_chain():
     chain = quartic_chain(SMALL)
     assert chain == (81, Fraction(243, 2), 81, Fraction(81, 2))
     assert sum(chain) == 324
+
+
+def test_x_quartic_with_a_zero_poly_base_is_the_int_result(monkeypatch):
+    # the base is set to zero Polys directly, as the constructor would store
+    # the int 0; the fujiki term is skipped for it as for the int zero base
+    zero = SYMBOL_A - SYMBOL_A
+    ints = XTwoClass(KummerTwoClass(SMALL, 0, 0, 0), 2)
+    polys = XTwoClass(KummerTwoClass(SMALL, 0, 0, 0), 2)
+    polys.base.p = polys.base.q = polys.base.x = zero
+    other = line(1, 2, 3, 1)
+    calls = []
+    monkeypatch.setattr(
+        "hkverify.blowup.fujiki_integral", lambda *bs: calls.append(bs) or fujiki_integral(*bs)
+    )
+    for cs in ((ints, ints, ints, ints), (polys, other, other, other)):
+        assert x_quartic(*cs) == x_quartic(*(ints if c is polys else c for c in cs))
+    assert calls == []
 
 
 def test_x_quartic_rejects_mixed_models():
@@ -252,9 +269,10 @@ def test_modular_discriminant_matches_c2_on_basis():
             assert delta_pairing_closed(t, a, b) == c2_pair(a, b)
 
 
-# The facts the report's basis certificates rely on: x_quartic composed with
-# the pullback is multilinear, and the Delta pairing through ch1^2 - 8 ch2 is
-# bilinear in (alpha, beta) and of degree <= 2 in each of x and y.
+# Shapes of the kernels, checked at sampled points apart from the report's
+# symbolic identities: x_quartic composed with the pullback is multilinear,
+# and the Delta pairing through ch1^2 - 8 ch2 is bilinear in (alpha, beta)
+# and of degree <= 2 in each of x and y.
 
 rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(1, 3))
 
@@ -314,7 +332,7 @@ def test_delta_pairing_via_chern_is_bilinear(x, y, a, b, c, k):
 def test_delta_pairing_via_chern_has_degree_two_in_x_and_y(x, y, h, k, alpha, beta):
     # the third finite difference of a polynomial of degree <= 2 vanishes:
     # along x, along y and along (h, k), the last for the total degree <= 2
-    # in (x, y) that the six-point frame of delta-pairing-two-paths needs
+    # in (x, y) of the closed form delta_pairing_closed
     signs = list(enumerate((1, -3, 3, -1)))
     for dx, dy in ((h, 0), (0, h), (h, k)):
         along = sum(
@@ -324,35 +342,9 @@ def test_delta_pairing_via_chern_has_degree_two_in_x_and_y(x, y, h, k, alpha, be
         assert along == 0, (dx, dy)
 
 
-def _determinant(rows):
-    """Determinant of a square matrix by exact Fraction elimination."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for i in range(len(rows)):
-        pivot = next((r for r in range(i, len(rows)) if rows[r][i]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != i:
-            rows[i], rows[pivot] = rows[pivot], rows[i]
-            det = -det
-        det *= rows[i][i]
-        for r in range(i + 1, len(rows)):
-            factor = rows[r][i] / rows[i][i]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[i])]
-    return det
-
-
-def test_delta_frame_is_unisolvent_for_total_degree_two():
-    # the 6x6 matrix of 1, x, y, x^2, xy, y^2 on the frame is invertible, so
-    # the only polynomial of total degree <= 2 vanishing on it is zero
-    assert len(_DELTA_FRAME) == 6
-    monomials = [(1, x, y, x * x, x * y, y * y) for x, y in _DELTA_FRAME]
-    assert _determinant(monomials) != 0
-
-
 def test_delta_pairing_two_paths_agree_past_the_frame():
-    # the identity that the frame proves, checked directly on the old 3x3
-    # grid and past it: every (x, y) in [-3, 3]^2 and ordered basis pair
+    # the identity that delta-pairing-two-paths proves symbolically, checked
+    # at points: every (x, y) in [-3, 3]^2 and ordered basis pair
     es = basis(BIG)
     for x, y in product(range(-3, 4), repeat=2):
         for alpha, beta in product(es, es):

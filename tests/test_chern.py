@@ -51,7 +51,7 @@ def _rational(x):
 
 def _to_sympy(poly):
     a = sympy.symbols("a")
-    return sympy.expand(sum(_rational(c) * a**k for k, c in enumerate(poly.coeffs)))
+    return sympy.expand(sum(_rational(c) * a**k for k, c in poly.terms.items()))
 
 
 def _at(parts, a):
@@ -193,12 +193,10 @@ def test_poly_call_matches_sympy(p, n, x, q):
     assert str(p(q)) == str(sympy.expand(expr.subs(a, _to_sympy(q))))
 
 
-def _horner_in_fractions(poly, x):
-    # the value by Horner's rule in plain Fraction arithmetic
-    value = Fraction(0)
-    for c in reversed(poly.coeffs):
-        value = value * x + c
-    return value
+def _value_in_fractions(poly, x):
+    # the value as a sum of powers in plain Fraction arithmetic; a term's
+    # monomial in a alone is its degree
+    return sum((c * Fraction(x) ** k for k, c in poly.terms.items()), Fraction(0))
 
 
 @pytest.mark.parametrize(
@@ -211,7 +209,7 @@ def _horner_in_fractions(poly, x):
 )
 def test_poly_call_matches_fraction_horner(poly, x):
     value = poly(x)
-    expected = _horner_in_fractions(poly, x)
+    expected = _value_in_fractions(poly, x)
     assert value == expected
     # an int exactly where the value is integral
     assert type(value) is (int if expected.denominator == 1 else Fraction)
@@ -277,7 +275,28 @@ def test_poly_compares_with_scalars():
     assert Poly((1, 2, 0)) == Poly((1, 2))
 
 
-@pytest.mark.parametrize("coeffs", [(0.5, 1), (1, 0.0), (Fraction(1, 2), "1")])
+def test_a_poly_is_false_exactly_when_zero():
+    # without __bool__ every Poly was true, the zero one included
+    a = SYMBOL_A
+    assert not Poly(()) and not (a - a) and not Poly((0, 0), 3)
+    assert a and Poly((Fraction(1, 2),)) and Poly((0, 1), 2)
+
+
+def test_polys_in_several_variables():
+    # variable i is Poly((0, 1), i); a product of monomials adds exponents
+    a, v1, v2 = SYMBOL_A, Poly((0, 1), 1), Poly((0, 1), 2)
+    p = (a + v1) * (a - v1) * v2 / 2
+    assert p == v2 * a * a / 2 - v2 * v1 * v1 / 2 and p != v1 * a * a / 2
+    assert str(p) == "-v1**2*v2/2 + a**2*v2/2"
+    assert str(Poly((0, 0, -3), 12) * a + 1) == "1 - 3*a*v12**2"
+    # a value is a value in a: the other variables have none
+    with pytest.raises(ValueError, match="not a polynomial in a alone"):
+        p(1)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(0.5, 1), (1, 0.0), (Fraction(1, 2), "1"), (1, SYMBOL_A)]
+)
 def test_poly_rejects_inexact_coefficients(coeffs):
     with pytest.raises(TypeError):
         Poly(coeffs)

@@ -44,7 +44,7 @@ from hkverify.kummer import (
     fujiki_symmetrized,
     mu_pair,
 )
-from hkverify.lattice import AbelianSurfaceModel, _coef, _quotient, _reject
+from hkverify.lattice import SYMBOL_A, AbelianSurfaceModel, _coef, _quotient, _reject
 from hkverify.report import CLAIMS, ReportConfig, run_report
 
 BIG = AbelianSurfaceModel(4, 5)
@@ -76,7 +76,7 @@ def _floats(value, path="value"):
     if isinstance(value, (tuple, list)):
         return [f for i, v in enumerate(value) for f in _floats(v, f"{path}[{i}]")]
     if isinstance(value, Poly):
-        return _floats(value.coeffs, f"{path}.coeffs")
+        return _floats(tuple(value.terms.values()), f"{path}.terms")
     return []
 
 
@@ -119,6 +119,14 @@ def test_coefficients_are_ints_where_integral():
         _coef(0.5)
     c = XTwoClass(KummerTwoClass(SMALL, Fraction(4, 2), 3, Fraction(-1, 3)), Fraction(5))
     assert [type(v) for v in (*c.base.coeffs(), c.t)] == [int, int, Fraction, int]
+    # a Poly is kept, and a constant one is its number, so it takes the int path
+    assert _coef(SYMBOL_A) is SYMBOL_A
+    assert [_coef(p) for p in (Poly((6,)), Poly((Fraction(1, 2),)), SYMBOL_A - SYMBOL_A)] == [
+        6,
+        Fraction(1, 2),
+        0,
+    ]
+    assert [type(_coef(p)) for p in (Poly((Fraction(6, 3),)), Poly(()))] == [int, int]
 
 
 # The plain-Fraction formulas, written out with no int path.
@@ -284,9 +292,9 @@ def test_a_stored_model_is_found_only_by_exact_ints():
         AbelianSurfaceModel(True, 5)
 
 
-# The fact the blowup-ch1-paths certificate relies on: both ch1 paths are
-# affine in (p, q, x, y). A map on Q^4 that respects every affine
-# combination of two points is affine.
+# Both ch1 paths are affine in (p, q, x, y), checked at sampled points apart
+# from the symbolic blowup-ch1-paths identity. A map on Q^4 that respects
+# every affine combination of two points is affine.
 
 points = st.tuples(rationals, rationals, rationals, rationals)
 

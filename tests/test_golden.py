@@ -7,13 +7,13 @@ the benchmark's wide grid, where `ample-sweep`'s residue frame (one d per
 (abar, m)) runs every abar up to 8. Only `ample-sweep` reads a range of the
 config, so the two JSON reports differ in that record and in the echoed
 config block alone: `a_max` and `md_max` change no record and stay only
-because the benchmark sends them. The other certificates (among them
-`lattice-discriminant-sweep`, `delta-pairing-two-paths`,
-`fiber-degrees-gram` and `fiber-rank-integrality`) run the same fixed
-frames at both, and the two polynomial identities in a
-(`chern-polynomial-identities`, `chern-chi-end-sweep`) the same one case. A change that alters a single byte of any
-of them fails here; regenerating the fixtures is a deliberate act that
-CHANGES.md records.
+because the benchmark sends them. The other certificates run the same
+fixed frames at both (among them `lattice-discriminant-sweep`,
+`fiber-degrees-gram` and `fiber-rank-integrality`), and every polynomial
+identity (`delta-pairing-two-paths` and the other two-path records on
+symbolic classes, `chern-polynomial-identities`, `chern-chi-end-sweep`) the
+same one case. A change that alters a single byte of any of them fails
+here; regenerating the fixtures is a deliberate act that CHANGES.md records.
 """
 
 from pathlib import Path

@@ -230,9 +230,9 @@ def test_poly_times_an_int_is_the_product_with_the_constant_poly(p, k):
     # the exact-int branch of Poly.__mul__ against the general product
     general = p * Poly((k,))
     for scaled in (p * k, k * p):
-        assert scaled.coeffs == general.coeffs
-        assert list(map(type, scaled.coeffs)) == list(map(type, general.coeffs))
-    assert (p * 0).coeffs == ()
+        assert scaled.terms == general.terms
+        assert list(map(type, scaled.terms.values())) == list(map(type, general.terms.values()))
+    assert (p * 0).terms == {}
 
 
 def test_max_negative_square_small_box():

@@ -207,7 +207,6 @@ def _symmetrized_missing_one_ordering(*bs):
 
 def _closed_with_wrong_linear_term(t, alpha, beta):
     # 4t -> 5t in the mu-mu coefficient 18 * (4t^2 + 4t + 3)
-    t = Fraction(t)
     mu_mu = 18 * (4 * t * t + 5 * t + 3) * mu_pair(alpha, beta)
     return mu_mu + hkverify.blowup.delta_pairing_delta_delta(t) * alpha.x * beta.x
 
@@ -227,6 +226,40 @@ def _ch1_with_wrong_gamma_coefficient(line):
     # 4q -> 3q in the gamma coefficient: wrong only where q != 0
     true = hkverify.blowup.ch1_bundle(line)
     return true - KummerTwoClass(true.model, 0, line.base.q, 0)
+
+
+# Wrong formulas of higher degree, each zero on the basis classes or at the
+# frame points that the two-path records once took (p, t in {0, 1},
+# y in {-1, 0, 1}): a frame read them as right, the symbolic identity does
+# not.
+
+
+def _symmetrized_plus_p_squared(*bs):
+    # not multilinear: p^2 - p in the first class
+    return hkverify.kummer.fujiki_symmetrized(*bs) + bs[0].p * (bs[0].p - 1)
+
+
+def _x_quartic_plus_t_squared(c1, c2, c3, c4):
+    # not multilinear: t^2 - t in the first exceptional coefficient
+    return hkverify.blowup.x_quartic(c1, c2, c3, c4) + c1.t * (c1.t - 1)
+
+
+def _pushforward_plus_p_squared(c):
+    # the delta coefficient gains p^2 - 2p of the pulled-back base
+    true = hkverify.blowup.pushforward_correspondence(c)
+    return true + KummerTwoClass(true.model, 0, 0, c.base.p * (c.base.p - 2))
+
+
+def _ch1_plus_p_squared(line):
+    # the delta coefficient 2x + 2y - 1 gains p^2 - p
+    true = hkverify.blowup.ch1_bundle(line)
+    return true + KummerTwoClass(true.model, 0, 0, line.base.p * (line.base.p - 1))
+
+
+def _delta_via_chern_plus_y_cubed(line, alpha, beta):
+    # + 7 (y^3 - y) in the exceptional coefficient y of the line class
+    y = line.t
+    return hkverify.blowup.delta_pairing_via_chern(line, alpha, beta) + 7 * (y * y * y - y)
 
 
 def _delta_closed_as_c2(t, alpha, beta):
@@ -318,42 +351,77 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "fujiki_symmetrized",
             _symmetrized_missing_one_ordering,
             "fujiki-symmetrization",
-            "16 failures / 81 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.kummer,
             "bbf",
             _bbf_with_delta_square_minus_5,
             "fujiki-symmetrization",
-            "19 failures / 81 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.report,
             "delta_pairing_closed",
             _closed_with_wrong_linear_term,
             "delta-pairing-two-paths",
-            "12 failures / 54 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.report,
             "x_quartic",
             _x_quartic_with_extra_term,
             "blowup-pullback-quartic",
-            "1 failures / 81 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.report,
             "ch1_bundle",
             _ch1_with_constant_plus_one,
             "blowup-ch1-paths",
-            "5 failures / 5 cases",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.report,
             "ch1_bundle",
             _ch1_with_wrong_gamma_coefficient,
             "blowup-ch1-paths",
-            "1 failures / 5 cases",
+            "1 failures / 1 cases",
+        ),
+        (
+            hkverify.report,
+            "fujiki_symmetrized",
+            _symmetrized_plus_p_squared,
+            "fujiki-symmetrization",
+            "1 failures / 1 cases",
+        ),
+        (
+            hkverify.report,
+            "x_quartic",
+            _x_quartic_plus_t_squared,
+            "blowup-pullback-quartic",
+            "1 failures / 1 cases",
+        ),
+        (
+            hkverify.report,
+            "pushforward_correspondence",
+            _pushforward_plus_p_squared,
+            "blowup-pushpull-degree",
+            "1 failures / 1 cases",
+        ),
+        (
+            hkverify.report,
+            "ch1_bundle",
+            _ch1_plus_p_squared,
+            "blowup-ch1-paths",
+            "1 failures / 1 cases",
+        ),
+        (
+            hkverify.report,
+            "delta_pairing_via_chern",
+            _delta_via_chern_plus_y_cubed,
+            "delta-pairing-two-paths",
+            "1 failures / 1 cases",
         ),
         (
             hkverify.blowup,
@@ -500,6 +568,11 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
         "x-quartic",
         "ch1-constant",
         "ch1-gamma",
+        "symmetrized-p-squared",
+        "x-quartic-t-squared",
+        "pushforward-p-squared",
+        "ch1-p-squared",
+        "delta-via-chern-y-cubed",
         "modularity-window",
         "cross-zero",
         "chi-end-traceless",
@@ -595,19 +668,19 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 @pytest.mark.parametrize(
     ("claim_id", "owner", "names", "calls"),
     [
-        # one per case of the six-point twist frame and ordered basis pair
-        # (54, not the old 3x3 grid's 81)
-        ("delta-pairing-two-paths", hkverify.report, ("delta_pairing_via_chern",), 54),
-        # two per case: ch1^2 in delta_pairing_via_chern and the one k = 0
-        # term of x_quartic(line, line, u, v); the other two quartics of
-        # ch2_pairing have an exceptional factor with a zero base
-        ("delta-pairing-two-paths", hkverify.blowup, ("fujiki_integral",), 108),
+        # one: the identity is computed once, with the twist and both
+        # classes symbolic
+        ("delta-pairing-two-paths", hkverify.report, ("delta_pairing_via_chern",), 1),
+        # two: ch1^2 in delta_pairing_via_chern and the one k = 0 term of
+        # x_quartic(line, line, u, v); the other two quartics of ch2_pairing
+        # have an exceptional factor with a zero base
+        ("delta-pairing-two-paths", hkverify.blowup, ("fujiki_integral",), 2),
         # none: there is one model object per (omegabar^2, d), so every
         # model check is `is` and no two models are compared by value (an
         # `==` or `!=` between models would call __eq__, counted here)
         ("delta-pairing-two-paths", AbelianSurfaceModel, ("__eq__",), 0),
-        # one per basis class, not one per factor of each of the 81 cases
-        ("blowup-pullback-quartic", hkverify.report, ("pullback_correspondence",), 3),
+        # one per generic class of the one symbolic case
+        ("blowup-pullback-quartic", hkverify.report, ("pullback_correspondence",), 4),
         # one per md row of the frame (m d = 9, 11, 13, 15), not one per profile
         ("fiber-rank-integrality", hkverify.fiber, ("fiber_degrees",), 4),
         # four in the one Poly comparison: three for 8 times the Fraction
@@ -617,11 +690,14 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         ("chern-chi-end-sweep", Fraction, _FRACTION_ARITHMETIC, 4),
         # one: the X side is computed once, on the symbolic model
         ("chern-polynomial-identities", hkverify.report, ("ch2_pairing",), 1),
-        # none: every quotient of these two sweeps is an exact int, 3 * total
-        # / 8 in fujiki_symmetrized and twelve_times / 12 in ch2_pairing, and
-        # _quotient divides two ints with no Fraction (81 and 54 were built)
+        # none: every coefficient of 3 * total in fujiki_symmetrized is a
+        # multiple of 8, and _quotient divides two ints with no Fraction
         ("fujiki-symmetrization", Fraction, ("__new__",), 0),
-        ("delta-pairing-two-paths", Fraction, ("__new__",), 0),
+        # eight: the symbolic ch2_pairing has four half-integral coefficients
+        # (405/2 at x^2 and at y^2, -243/2 at x and -405/2 at y, each times
+        # x_alpha x_beta), each built once by the quotient by 12 and once by
+        # 8 * ch2
+        ("delta-pairing-two-paths", Fraction, ("__new__",), 8),
         # one per case of each residue frame: s0 <= 6, c0 in 1 ... s0 coprime
         # to s0, e in 1 ... s0^2 (227, not the old box's 1320); one per prime
         # pattern of n + 1 and d0 at f <= 20 (161, not 1200); d0 = 1 ... n + 1
@@ -678,8 +754,8 @@ def test_sweep_work_is_pinned_by_call_counts(monkeypatch, claim_id, owner, names
 
 
 def test_fujiki_symmetrization_pairs_only_in_the_oracle(monkeypatch):
-    # fujiki_symmetrized calls bbf once per ordered pair, 12 per case of the
-    # 81; fujiki_integral writes its six pairings out and calls none
+    # fujiki_symmetrized calls bbf once per ordered pair, 12 in the one
+    # symbolic case; fujiki_integral writes its six pairings out and calls none
     oracle = hkverify.kummer.fujiki_symmetrized.__code__
     callers = []
 
@@ -693,7 +769,7 @@ def test_fujiki_symmetrization_pairs_only_in_the_oracle(monkeypatch):
     monkeypatch.setattr(hkverify.kummer, "bbf", counting)
     (record,) = run_report(ReportConfig(only="fujiki-symmetrization")).records
     assert record.verdict == "pass"
-    assert len(callers) == 81 * 12
+    assert len(callers) == 12
     assert all(callers)
 
 
