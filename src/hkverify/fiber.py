@@ -12,7 +12,6 @@ monodromy acts by left multiplication.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from itertools import product
 from numbers import Rational
 
@@ -31,32 +30,34 @@ def _check_md(m: int, d: int) -> int:
     return md
 
 
-def restriction_c1_fiber_v(m: int, d: int) -> tuple[Rational, int]:
-    """Coefficients of the polarization restricted to the V component in the
-    (Sigma, Gamma) basis: ((md - 1)/2, 3 m d)."""
-    md = _check_md(m, d)
-    return (_quotient(md - 1, 2), 3 * md)
+# The fiber formulas read (m, d) only through md = m d. Each kernel below
+# takes md, an int > 1 that the caller has checked or a Poly, and computes
+# with +, - and * and `_quotient` alone, so on a symbolic md it returns
+# Polys and the report checks each identity once for every md.
 
 
-def restriction_c1_fiber_delta(m: int, d: int) -> tuple[int, int]:
-    """Coefficients on the Delta component in the (Sigma, Lambda) basis."""
-    md = _check_md(m, d)
-    return (1, 12 * md)
+def _restrictions(md):
+    """The polarization restricted to the two components: ((md - 1)/2, 3 md)
+    on V in the (Sigma, Gamma) basis, (1, 12 md) on Delta in the (Sigma,
+    Lambda) basis."""
+    return ((_quotient(md - 1, 2), 3 * md), (1, 12 * md))
+
+
+def _degrees(md):
+    """Degrees of the two fiber components: (12 md (md - 1), 24 md)."""
+    return (12 * md * (md - 1), 24 * md)
+
+
+def _gram_degrees(md):
+    """The same degrees recomputed as the lattice squares of the restricted
+    polarization classes."""
+    v, delta = _restrictions(md)
+    return (GRAM_V.square(v), GRAM_DELTA.square(delta))
 
 
 def fiber_degrees(m: int, d: int) -> tuple[int, int]:
     """Degrees of the two fiber components: (12 m d (m d - 1), 24 m d)."""
-    md = _check_md(m, d)
-    return (12 * md * (md - 1), 24 * md)
-
-
-def fiber_degrees_gram(m: int, d: int) -> tuple[Rational, int]:
-    """Same degrees recomputed as lattice squares of the restricted
-    polarization classes."""
-    return (
-        GRAM_V.square(restriction_c1_fiber_v(m, d)),
-        GRAM_DELTA.square(restriction_c1_fiber_delta(m, d)),
-    )
+    return _degrees(_check_md(m, d))
 
 
 class SubsheafProfile:
@@ -79,45 +80,21 @@ class SubsheafProfile:
 def subsheaf_rank(profile: SubsheafProfile, m: int, d: int) -> Rational:
     """Generic rank forced by the degree bookkeeping:
     (r1' + r1'')/2 - (r1' + r1'' - 2 r2)/(2 m d)."""
-    return _quotient(*_subsheaf_rank_raw(profile, _check_md(m, d)))
-
-
-def _subsheaf_rank_raw(profile: SubsheafProfile, md: int) -> tuple[int, int]:
-    """subsheaf_rank as (numerator, denominator), md = m d > 1 checked by the
-    caller; the denominator 2 m d is positive and the pair is not reduced."""
     s = profile.r1p + profile.r1pp
-    return (s * md - (s - 2 * profile.r2), 2 * md)
+    return _quotient(*_subsheaf_rank_raw(s, profile.r2, _check_md(m, d)))
 
 
-def _subsheaf_rank_weighted_raw(
-    profile: SubsheafProfile, deg_v: int, deg_delta: int
-) -> tuple[int, int]:
+def _subsheaf_rank_raw(s, r2, md):
+    """The rank at s = r1' + r1'' as (numerator, denominator), unreduced:
+    (s md - (s - 2 r2), 2 md)."""
+    return (s * md - (s - 2 * r2), 2 * md)
+
+
+def _subsheaf_rank_weighted_raw(s, r2, deg_v, deg_delta):
     """The same rank as the degree-weighted average over the fiber
-    components of degrees (deg_v, deg_delta) = `fiber_degrees(m, d)`, as
-    (numerator, denominator) with a positive denominator:
-    (r1' + r1'') deg V + r2 deg Delta over 2 deg V + deg Delta."""
-    s = profile.r1p + profile.r1pp
-    return (s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta)
-
-
-def rank_failures(profiles: Iterable[SubsheafProfile], md: int) -> Iterator[int]:
-    """Failed checks for each profile at m = 1, d = md > 8: whether
-    integer_rank_criterion matches the integrality of the rank, and whether
-    the two rank kernels agree. Both are (numerator, positive denominator)
-    pairs, so the rank is integral iff the denominator divides the
-    numerator, and the kernels agree iff the cross products are equal. The
-    fiber degrees are the same for every profile of the row, so they are
-    computed once."""
-    if not isinstance(md, int):
-        _reject("md", md)
-    if md <= 8:
-        raise ValueError("md must be an integer > 8")
-    deg_v, deg_delta = fiber_degrees(1, md)
-    for profile in profiles:
-        num, den = _subsheaf_rank_raw(profile, md)
-        criterion_wrong = integer_rank_criterion(profile, 1, md) != (num % den == 0)
-        w_num, w_den = _subsheaf_rank_weighted_raw(profile, deg_v, deg_delta)
-        yield criterion_wrong + (w_num * den != num * w_den)
+    components of degrees (deg_v, deg_delta) = `_degrees(md)`, as
+    (numerator, denominator): (s deg V + r2 deg Delta, 2 deg V + deg Delta)."""
+    return (s * deg_v + r2 * deg_delta, 2 * deg_v + deg_delta)
 
 
 def integer_rank_criterion(profile: SubsheafProfile, m: int, d: int) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .lattice import SYMBOL_A, AbelianSurfaceModel, _coef, _number_text, _quotient
+from .lattice import SYMBOL_A, AbelianSurfaceModel, Poly, _coef, _number_text, _quotient
 
 #: q(delta) on every generalized Kummer fourfold in this family.
 DELTA_SQUARE = -6
@@ -75,8 +75,10 @@ class KummerTwoClass:
 def mu_pair(a: KummerTwoClass, b: KummerTwoClass) -> int | Fraction:
     """The surface pairing of the mu-parts of a and b,
     self_omega*p*p' + mixed_d*(p*q' + q*p'), computed directly;
-    model.gram().pair is its oracle. Both classes must live on the same
-    model object, of which there is one per pair of numbers."""
+    model.gram().pair is its oracle on int models only, as a GramLattice
+    takes int entries and the symbolic model has no gram(). Both classes
+    must live on the same model object, of which there is one per pair of
+    numbers."""
     m = a.model
     if m is not b.model:
         raise ValueError("classes live in different surface models")
@@ -158,8 +160,11 @@ riemann_roch_from_square = 3 * (SYMBOL_A + 4) * (SYMBOL_A + 2) / 8
 
 def riemann_roch(c1: KummerTwoClass) -> int | Fraction:
     """chi of the line bundle with first Chern class c1; q(c1) must be an
-    even integer or the input is rejected."""
-    q = bbf(c1, c1)
+    even integer or the input is rejected: ValueError for any other number,
+    TypeError for a polynomial (a symbolic c1 or model)."""
+    q = _coef(bbf(c1, c1))
+    if isinstance(q, Poly):
+        raise TypeError(f"c1 must have a number q(c1), not the polynomial {q}")
     if q.denominator != 1 or q.numerator % 2:
         raise ValueError(f"q(c1) = {_number_text(q)} is not an even integer")
     return riemann_roch_from_square(q)
@@ -171,7 +176,8 @@ def modularity_coefficient(form, model: AbelianSurfaceModel) -> int | Fraction |
     two KummerTwoClasses (such as c2_pair); tested on the three basis classes
     and all pairwise sums, which fix a symmetric bilinear form. The
     coefficient is read off mu(omegabar), whose square self_omega is never
-    0; None when another probe disagrees with it."""
+    0; None when another probe disagrees with it. The probes stay int
+    classes: one generic class of Polys made modularity-window 3x slower."""
     es = basis(model)
     probes = list(es)
     for i in range(3):

@@ -19,7 +19,9 @@ check has failed, so a valid call makes no extra function call.
 The basic object is a Gram matrix; on top of that sits the
 two-generator Neron-Severi model {omegabar, gamma} with gamma isotropic, the
 ambient lattice for all divisibility and moduli-case bookkeeping; its
-pairing is `kummer.mu_pair`, with `gram().pair` as the oracle. There is one
+pairing is `kummer.mu_pair`, with `gram().pair` as the oracle on int models
+only (a GramLattice takes int entries, so the symbolic model has no
+`gram()` and no `discriminant()`). There is one
 model object per pair (omegabar^2, d), so every check that two classes live
 on the same model is `is`; the constructor looks up a pair of exact ints
 first and validates any other arguments before the lookup, so a float that

@@ -6,11 +6,11 @@ canonical id, a function that recomputes the value and the recorded value,
 if any. `run_report` keeps only the claims whose id starts with
 `ReportConfig.only` and computes just those. Nothing is sampled: every
 sweep is an exact certificate, one identity of Polys on symbolic inputs or,
-where the inputs are int parameters, a frame that a degree bound or the
-residue classes make enough, so a claim computes the same way alone as in
-the full catalogue. The config has no sample count or seed: `samples` and
-`seed` are keyword arguments accepted and dropped by `ReportConfig`, which
-checks `samples` first.
+where the inputs are int parameters, a frame that a degree bound, a size
+bound or the residue classes make enough, so a claim computes the same way
+alone as in the full catalogue. The config has no sample count or seed:
+`samples` and `seed` are keyword arguments accepted and dropped by
+`ReportConfig`, which checks `samples` first.
 
 Each record carries the claim id, the recomputed value, the recorded value,
 a verdict, and the provenance tag, which follows from the catalogue entry:
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd
 
 from . import __version__
@@ -81,17 +81,20 @@ from .chern import (
 )
 from .fiber import (
     SubsheafProfile,
+    _degrees,
+    _gram_degrees,
+    _subsheaf_rank_raw,
+    _subsheaf_rank_weighted_raw,
     destabilizer_margin,
     destabilizer_profiles,
     fiber_degrees,
-    fiber_degrees_gram,
+    integer_rank_criterion,
     invariant_torsion_cosets,
     minimum_destabilizer_margin,
     monodromy_fixed_points,
     monodromy_group,
     only_trivial_coset,
     only_zero_fixed,
-    rank_failures,
     subsheaf_rank,
 )
 from .kummer import (
@@ -154,13 +157,14 @@ class ReportConfig:
     its residue frame, one d per (abar, m), runs abar = 1 ... `abar_max`.
     Nothing else depends on the config: the identities of Polys (the five
     two-path records on symbolic classes, `chern-polynomial-identities`,
-    `chern-chi-end-sweep`), the degree-bound frames
-    (`lattice-discriminant-sweep`, `fiber-degrees-gram`,
-    `fiber-rank-integrality`, `zeppola-oracle`) and the residue frames
-    (`forced-stable-two-paths`, `semihom-criteria-agree`). So `a_max` and
-    `md_max` change no record. They stay, validated and echoed in the JSON
-    config block, because the benchmark sends them; `md_max` must still be
-    at least 9, the first m*d of the rank certificate. A range must be an
+    `chern-chi-end-sweep`, `fiber-degrees-gram` and
+    `fiber-rank-integrality`, whose integrality half runs at m*d = 9), the
+    degree-bound frames (`lattice-discriminant-sweep`, `zeppola-oracle`)
+    and the residue frames (`forced-stable-two-paths`,
+    `semihom-criteria-agree`). So `a_max` and `md_max` change no record.
+    They stay, validated and echoed in the JSON config block, because the
+    benchmark sends them; `md_max` must still be at least 9, the m*d at
+    which the rank integrality is decided. A range must be an
     int (a bool is stored as its int), `samples` an int or None and `only` a
     str or None, else TypeError. No claim samples, but `samples` and `seed`
     are keyword arguments accepted and dropped (`samples` is checked first),
@@ -239,41 +243,36 @@ _VARIABLES = tuple(Poly((0, 1), i) for i in range(15))  # a, then 14 others
 _GENERIC = tuple(KummerTwoClass(_BIG, *_VARIABLES[i : i + 3]) for i in (1, 4, 7, 10))
 
 
-# Degree-bound certificates. A polynomial of degree <= n in one variable that
-# vanishes at n + 1 distinct points is zero, and one of degree <= n1 in x and
-# <= n2 in y that vanishes on an (n1 + 1) x (n2 + 1) grid is zero. So each
-# frame below proves its identity for every value of the variables. These
-# keep their frames: their inputs are int parameters (omegabar^2 and d of a
-# model, m and d of a fiber), which take no Poly.
-#
-# lattice-discriminant-sweep: the determinant of [[x, d], [d, 0]],
-# x = omegabar^2, has degree <= 1 in x and <= 2 in d, and so has -d^2. Their
-# difference vanishes on the 2x3 grid {2, 4} x {1, 2, 3}, so it vanishes at
-# every x = k*abar (k in {2, 4}) and d of the old box.
-_DISCRIMINANT_FRAME = tuple(product((2, 4), (1, 2, 3)))
-
-# fiber-degrees-gram: both fiber_degrees and fiber_degrees_gram read (m, d)
-# only through md = m*d (`fiber._check_md`), and both have degree <= 2 in md:
-# 12 md (md - 1) and 24 md, against the Gram squares
-# 2 * 4 * ((md - 1)/2) * 3 md and 2 * 12 md. So three values of md, here 2, 3
-# and 4 (an integral and a half-integral V coefficient), prove the identity
-# at every m*d > 1, the old box m in {1, 2, 3}, d <= 13 included.
-_FIBER_DEGREE_FRAME = ((1, 2), (3, 1), (2, 2))
-
-# fiber-rank-integrality: write s = r1' + r1'' and e = s - 2 r2, so |e| <= 8.
-# The rank is (s md - e)/(2 md). For md > 8 it is an integer exactly when
-# e = 0: an integer k gives e = (s - 2k) md, a multiple of md smaller than md
-# in size. So integer_rank_criterion (e = 0) and the integrality of the rank
-# do not depend on md, and one md > 8 decides the criterion check. The
-# weighted rank is (s deg V + r2 deg Delta)/(2 deg V + deg Delta) with
-# deg V = 12 md (md - 1) and deg Delta = 24 md, so both cross products of
-# the kernel comparison have degree <= 3 in md and agree at every md once
-# they agree at four values. The four rows md = 9, 11, 13, 15 of all 125
-# profiles prove both checks for every md > 8, every row of the old box
-# md = 9, 11, ..., md_max included.
-_RANK_FRAME = (9, 11, 13, 15)
+# Symbolic md: every fiber kernel reads (m, d) only through md = m*d and
+# takes a Poly md, so fiber-degrees-gram is one identity in md, and the two
+# rank kernels of fiber-rank-integrality agree once their cross products
+# agree as Polys in (s, r2, md), s = r1' + r1''.
+_S, _R2, _MD = _VARIABLES[1:4]
 # the 125 profiles (r1', r1'', r2) in 0 ... 4, built once at import
 _RANK_PROFILES = tuple(SubsheafProfile(*ranks) for ranks in product(range(5), repeat=3))
+
+
+def _rank_cases():
+    num, den = _subsheaf_rank_raw(_S, _R2, _MD)
+    w_num, w_den = _subsheaf_rank_weighted_raw(_S, _R2, *_degrees(_MD))
+    yield w_num * den != num * w_den
+    # The integrality half: with e = s - 2 r2, |e| <= 8, the rank is
+    # (s md - e)/(2 md). For md > 8 it is an integer exactly when e = 0: an
+    # integer k gives e = (s - 2k) md, a multiple of md smaller than md in
+    # size. So neither integer_rank_criterion (e = 0) nor the integrality of
+    # the rank depends on md > 8, and md = 9 decides each profile.
+    for p in _RANK_PROFILES:
+        num, den = _subsheaf_rank_raw(p.r1p + p.r1pp, p.r2, 9)
+        yield integer_rank_criterion(p, 1, 9) != (num % den == 0)
+
+
+# Degree-bound frame. lattice-discriminant-sweep keeps one because the
+# model's omegabar^2 and d are int parameters. The determinant of
+# [[x, d], [d, 0]], x = omegabar^2, has degree <= 1 in x and <= 2 in d, and
+# so has -d^2; their difference vanishes on the 2x3 grid {2, 4} x {1, 2, 3},
+# so it vanishes at every x and d (a polynomial of degree <= n1 in x and
+# <= n2 in d that vanishes on an (n1 + 1) x (n2 + 1) grid is zero).
+_DISCRIMINANT_FRAME = tuple(product((2, 4), (1, 2, 3)))
 
 
 # Residue frames. A check that reads its integer inputs only through residues
@@ -357,11 +356,6 @@ def _chern_identity_cases():
         + (c2_pair(h, h) != ch1sq_c2)
         + (ch2_pairing(line, h, h) != ch1sq_ch2_derived)
     )
-
-
-def _rank_integrality_sweep(cfg: ReportConfig) -> tuple[int, int]:
-    rows = (rank_failures(_RANK_PROFILES, md) for md in _RANK_FRAME)
-    return _sweep(chain.from_iterable(rows))
 
 
 def _monodromy_fixed_point(cfg: ReportConfig) -> str:
@@ -573,16 +567,14 @@ CLAIMS = (
     Claim("fiber-degrees-example", lambda cfg: fiber_degrees(1, 9), (864, 216)),
     Claim(
         "fiber-degrees-gram",
-        lambda cfg: _sweep(
-            fiber_degrees(m, d) != fiber_degrees_gram(m, d) for m, d in _FIBER_DEGREE_FRAME
-        ),
+        lambda cfg: _sweep((_degrees(_MD) != _gram_degrees(_MD),)),
     ),
     Claim(
         "fiber-rank-example",
         lambda cfg: subsheaf_rank(SubsheafProfile(1, 2, 1), 1, 9),
         Fraction(13, 9),
     ),
-    Claim("fiber-rank-integrality", _rank_integrality_sweep),
+    Claim("fiber-rank-integrality", lambda cfg: _sweep(_rank_cases())),
     Claim(
         "fiber-margin-table",
         lambda cfg: tuple(destabilizer_margin(p.r2, p.r1pp) for p in destabilizer_profiles()),
@@ -609,11 +601,12 @@ CLAIMS = (
         lambda cfg: tuple(zeppola_integral(*p) for p in ((1, 5), (2, 1), (3, 2))),
         (10, 3, 32),
     ),
-    # zeppola-oracle: the oracle's 2-form at d0 is d0 times the one at d0 = 1,
-    # so its n-th wedge power, and the oracle's value, is d0^n times the value
-    # at d0 = 1; so is (n + 1) d0^n. Both sides are polynomials of degree n
-    # in d0, and the n + 1 values d0 = 1 ... n + 1 prove the identity for
-    # every d0 >= 1, at each n <= 3.
+    # zeppola-oracle keeps a frame because its oracle divides an int by n!.
+    # The oracle's 2-form at d0 is d0 times the one at d0 = 1, so its n-th
+    # wedge power, and the oracle's value, is d0^n times the value at
+    # d0 = 1; so is (n + 1) d0^n. Both sides are polynomials of degree n in
+    # d0, and the n + 1 values d0 = 1 ... n + 1 prove the identity for every
+    # d0 >= 1, at each n <= 3.
     Claim(
         "zeppola-oracle",
         lambda cfg: _sweep(

@@ -12,7 +12,6 @@ import ast
 import inspect
 import re
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -35,7 +34,7 @@ from hkverify.blowup import (
     x_quartic,
 )
 from hkverify.chern import Poly
-from hkverify.fiber import SubsheafProfile, fiber_degrees_gram
+from hkverify.fiber import SubsheafProfile, _gram_degrees
 from hkverify.kummer import (
     KummerTwoClass,
     bbf,
@@ -236,7 +235,7 @@ def test_exact_quotients_are_ints_where_integral():
     assert _quotient(Poly((2, 4)), 2) == Poly((1, 2))
     # a Poly's value and a Gram pairing pass through _coef the same way
     assert type(hkverify.chern.chi_bundle(1)) is int
-    assert [type(v) for v in fiber_degrees_gram(1, 10)] == [int, int]
+    assert [type(v) for v in _gram_degrees(10)] == [int, int]
 
 
 # The int fast paths accept and refuse exactly what the slow paths do.
@@ -435,13 +434,9 @@ VALID_INT_CALLS = {
     "ample_thresholds": (1,),
     "is_ample_h": (1, 3, 1),
     "ampleness_text": (1, 3, 1),
-    "restriction_c1_fiber_v": (1, 2),
-    "restriction_c1_fiber_delta": (1, 2),
     "fiber_degrees": (1, 2),
-    "fiber_degrees_gram": (1, 2),
     "SubsheafProfile": (0, 0, 0),
     "subsheaf_rank": (_PROFILE, 1, 9),
-    "rank_failures": ([_PROFILE], 9),
     "integer_rank_criterion": (_PROFILE, 1, 9),
     "destabilizer_margin": (1, 2),
     "monodromy_group": (2,),
@@ -457,13 +452,6 @@ VALID_INT_CALLS = {
 }
 
 
-def _call(fn, args):
-    result = fn(*args)
-    if isinstance(result, Iterator):
-        list(result)  # a generator checks its arguments when consumed
-    return result
-
-
 #: The int parameters of INT_CALLABLES, by name. Pinned in full, so that a
 #: changed annotation cannot drop a parameter from the cases below unseen.
 INT_PARAMETERS = {
@@ -474,7 +462,6 @@ INT_PARAMETERS = {
     "classify_moduli_case": ("e", "i"),
     "destabilizer_margin": ("r2", "r1pp"),
     "fiber_degrees": ("m", "d"),
-    "fiber_degrees_gram": ("m", "d"),
     "forced_stable": ("s0", "c0", "e"),
     "forced_stable_via_jh": ("s0", "c0", "e"),
     "integer_rank_criterion": ("m", "d"),
@@ -487,9 +474,6 @@ INT_PARAMETERS = {
     "mukai_square": ("r", "ell_sq", "s"),
     "nocamere_bound": ("d0", "q_beta"),
     "power_or_text": ("coeff", "base", "n"),
-    "rank_failures": ("md",),
-    "restriction_c1_fiber_delta": ("m", "d"),
-    "restriction_c1_fiber_v": ("m", "d"),
     "satollo_transfer": ("abar", "d"),
     "subsheaf_rank": ("m", "d"),
     "theorem_hypothesis": ("e", "i"),
@@ -532,19 +516,18 @@ def test_integer_parameters_reject_non_integers(name, positions):
     # classify_moduli_case True, jh_decompositions () and mukai_square 6.5;
     # is_ample_h, satollo_transfer and the stability pair checked a float's
     # range first and raised ValueError. The TypeError must name the
-    # parameter the caller passed: rank_failures said "m and d",
-    # AbelianSurfaceModel "omegabar^2 and d", and kummer_divisibility and
-    # SubsheafProfile named no argument
+    # parameter the caller passed: AbelianSurfaceModel said "omegabar^2
+    # and d", and kummer_divisibility and SubsheafProfile named no argument
     fn = INT_CALLABLES[name][0]
     params = list(inspect.signature(fn).parameters)
     args = VALID_INT_CALLS[name]
-    _call(fn, args)
+    fn(*args)
     wrong = []
     for i in positions:
         for bad in (float(args[i]), 0.5, args[i] + 0.5):
             call = args[:i] + (bad,) + args[i + 1 :]
             try:
-                wrong.append((call, _call(fn, call)))
+                wrong.append((call, fn(*call)))
             except TypeError as exc:
                 if not (re.search(rf"\b{params[i]}\b", str(exc)) and _raised_in_reject(exc)):
                     wrong.append((call, exc))
@@ -572,10 +555,7 @@ POSITIVE = {
     "ample_thresholds": {"abar"},
     "is_ample_h": {"abar", "d", "m"},
     "ampleness_text": {"abar", "d", "m"},
-    "restriction_c1_fiber_v": {"m", "d"},
-    "restriction_c1_fiber_delta": {"m", "d"},
     "fiber_degrees": {"m", "d"},
-    "fiber_degrees_gram": {"m", "d"},
     "subsheaf_rank": {"m", "d"},
     "integer_rank_criterion": {"m", "d"},
     "is_simple_semihom": {"deg_f", "n", "d0"},
@@ -611,11 +591,11 @@ def test_a_zero_positive_parameter_is_rejected_by_the_one_rule(name, position):
     message = f"{param} must be a positive integer"
     if param in POSITIVE.get(name, ()):
         with pytest.raises(ValueError, match=f"^{message}$") as info:
-            _call(fn, call)
+            fn(*call)
         assert _raised_in_reject(info.value)
     else:
         try:
-            _call(fn, call)
+            fn(*call)
         except ValueError as exc:
             assert str(exc) != message
 

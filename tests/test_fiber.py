@@ -16,20 +16,20 @@ from hkverify.fiber import (
     destabilizer_margin,
     destabilizer_profiles,
     fiber_degrees,
-    fiber_degrees_gram,
     integer_rank_criterion,
     invariant_torsion_cosets,
     minimum_destabilizer_margin,
     monodromy_fixed_points,
     monodromy_group,
-    rank_failures,
-    restriction_c1_fiber_delta,
-    restriction_c1_fiber_v,
     subsheaf_rank,
     trivial_torsion_coset,
+    _degrees,
+    _gram_degrees,
+    _restrictions,
     _subsheaf_rank_raw,
     _subsheaf_rank_weighted_raw,
 )
+from hkverify.lattice import Poly
 
 small_md = st.tuples(
     st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=12)
@@ -43,8 +43,8 @@ def test_component_degrees():
 
 
 def test_restriction_coefficients():
-    assert restriction_c1_fiber_v(1, 9) == (4, 27)
-    assert restriction_c1_fiber_delta(1, 9) == (1, 108)
+    assert _restrictions(9) == ((4, 27), (1, 108))
+    assert _restrictions(10) == ((Fraction(9, 2), 30), (1, 120))
 
 
 def test_gram_matrices():
@@ -55,7 +55,36 @@ def test_gram_matrices():
 @given(small_md)
 def test_degrees_match_gram_squares(md_pair):
     m, d = md_pair
-    assert fiber_degrees(m, d) == fiber_degrees_gram(m, d)
+    assert fiber_degrees(m, d) == _degrees(m * d) == _gram_degrees(m * d)
+
+
+_MD = Poly((0, 1))
+
+#: Each md kernel as a function of md alone; the ranks at s = 3, r2 = 1.
+_MD_KERNELS = {
+    "restrictions": _restrictions,
+    "degrees": _degrees,
+    "gram_degrees": _gram_degrees,
+    "rank": lambda md: _subsheaf_rank_raw(3, 1, md),
+    "weighted_rank": lambda md: _subsheaf_rank_weighted_raw(3, 1, *_degrees(md)),
+}
+
+
+def _flat(value):
+    return [w for v in value for w in _flat(v)] if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("name", sorted(_MD_KERNELS))
+def test_md_kernels_are_poly_safe(name):
+    # on a symbolic md each kernel returns Polys in md (or ints where md does
+    # not enter), and they evaluate to its values at int md
+    kernel = _MD_KERNELS[name]
+    symbolic = _flat(kernel(_MD))
+    assert {type(v) for v in symbolic} <= {int, Poly}
+    assert Poly in map(type, symbolic)
+    for md in (2, 3, 9, 10, 121):
+        values = [v(md) if isinstance(v, Poly) else v for v in symbolic]
+        assert values == _flat(kernel(md)), md
 
 
 def test_degree_validation():
@@ -68,8 +97,8 @@ def test_degree_validation():
 def test_subsheaf_rank_example():
     profile = SubsheafProfile(1, 2, 1)
     assert subsheaf_rank(profile, 1, 9) == Fraction(13, 9)
-    assert _subsheaf_rank_raw(profile, 9) == (26, 18)
-    assert Fraction(*_subsheaf_rank_weighted_raw(profile, *fiber_degrees(1, 9))) == Fraction(13, 9)
+    assert _subsheaf_rank_raw(3, 1, 9) == (26, 18)
+    assert Fraction(*_subsheaf_rank_weighted_raw(3, 1, *fiber_degrees(1, 9))) == Fraction(13, 9)
 
 
 def test_profile_validation():
@@ -86,8 +115,8 @@ def test_profile_validation():
 def test_subsheaf_rank_two_paths_agree(r1p, r1pp, r2, md_pair):
     m, d = md_pair
     profile = SubsheafProfile(r1p, r1pp, r2)
-    num, den = _subsheaf_rank_raw(profile, m * d)
-    w_num, w_den = _subsheaf_rank_weighted_raw(profile, *fiber_degrees(m, d))
+    num, den = _subsheaf_rank_raw(r1p + r1pp, r2, m * d)
+    w_num, w_den = _subsheaf_rank_weighted_raw(r1p + r1pp, r2, *fiber_degrees(m, d))
     assert den > 0 and w_den > 0
     assert subsheaf_rank(profile, m, d) == Fraction(num, den) == Fraction(w_num, w_den)
 
@@ -185,13 +214,3 @@ def test_invariant_cosets_unique():
     assert len(cosets) == 1
     assert cosets[0] == trivial_torsion_coset()
     assert len(cosets[0]) == 16
-
-
-@pytest.mark.parametrize("profiles", [[SubsheafProfile(1, 2, 1)], []], ids=["one", "none"])
-@pytest.mark.parametrize("md", [0, -3, 1, 8])
-def test_rank_failures_names_md(md, profiles):
-    # unchecked, md 0 and -3 said "m and d must be positive integers", 1
-    # "the fiber formulas need m*d > 1", 8 "the integrality criterion needs
-    # m*d > 8" and, with no profiles, 2 ... 8 passed
-    with pytest.raises(ValueError, match=r"^md must be an integer > 8$"):
-        list(rank_failures(profiles, md))

@@ -8,11 +8,12 @@ the benchmark's wide grid, where `ample-sweep`'s residue frame (one d per
 config, so the two JSON reports differ in that record and in the echoed
 config block alone: `a_max` and `md_max` change no record and stay only
 because the benchmark sends them. The other certificates run the same
-fixed frames at both (among them `lattice-discriminant-sweep`,
-`fiber-degrees-gram` and `fiber-rank-integrality`), and every polynomial
-identity (`delta-pairing-two-paths` and the other two-path records on
-symbolic classes, `chern-polynomial-identities`, `chern-chi-end-sweep`) the
-same one case. A change that alters a single byte of any of them fails
+fixed frames at both (among them `lattice-discriminant-sweep` and
+`zeppola-oracle`), and every polynomial identity (`delta-pairing-two-paths`
+and the other two-path records on symbolic classes,
+`chern-polynomial-identities`, `chern-chi-end-sweep`, `fiber-degrees-gram`
+and the kernel half of `fiber-rank-integrality`) the same one case. A
+change that alters a single byte of any of them fails
 here; regenerating the fixtures is a deliberate act that CHANGES.md records.
 """
 

@@ -3,7 +3,7 @@ the quartic integral and its symmetrized oracle, c2 pairings, and the
 Riemann-Roch polynomial."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -25,7 +25,7 @@ from hkverify.kummer import (
     riemann_roch,
     riemann_roch_from_square,
 )
-from hkverify.lattice import AbelianSurfaceModel
+from hkverify.lattice import SYMBOL_A, AbelianSurfaceModel, Poly
 
 MODEL = AbelianSurfaceModel(4, 5)
 
@@ -74,6 +74,22 @@ def test_ns_pair_matches_gram_oracle(half_w, d, u, v, x, y):
     value = mu_pair(KummerTwoClass(model, *u, x), KummerTwoClass(model, *v, y))
     assert type(value) in (int, Fraction)
     assert value == model.gram().pair(u, v)
+
+
+@pytest.mark.parametrize("d", [1, 5, 7])
+def test_symbolic_ns_pair_matches_the_gram_oracle_at_each_a(d):
+    # the oracle exists on int models only: a GramLattice takes int entries,
+    # so the symbolic model (2a, d) has no gram(). mu_pair on it, at each
+    # a = 1 ... 5, is the pairing of the int model (2a, d) on the basis pairs
+    model = AbelianSurfaceModel(2 * SYMBOL_A, d)
+    with pytest.raises(TypeError):
+        model.gram()
+    classes = basis(model)
+    for a in range(1, 6):
+        gram = AbelianSurfaceModel(2 * a, d).gram()
+        for b, c in product(classes, repeat=2):
+            expected = gram.pair((b.p, b.q), (c.p, c.q))
+            assert mu_pair(b, c)(a) == expected, (a, b.coeffs(), c.coeffs())
 
 
 def test_ns_pair_input_errors():
@@ -204,6 +220,24 @@ def test_riemann_roch_rejects_non_even_square():
     # q of this class is 4*(1/2)^2 = 1, odd
     with pytest.raises(ValueError):
         riemann_roch(KummerTwoClass(MODEL, Fraction(1, 2), 0, 0))
+
+
+@pytest.mark.parametrize(
+    "c1",
+    [
+        KummerTwoClass(MODEL, Poly((0, 1), 1), 0, 0),
+        KummerTwoClass(MODEL, 1, Poly((0, 1), 1), 0),
+        KummerTwoClass(MODEL, 0, 0, Poly((0, 1), 1)),
+        KummerTwoClass(AbelianSurfaceModel(2 * SYMBOL_A, 5), 1, 0, 0),
+    ],
+    ids=["p", "q", "x", "symbolic-model"],
+)
+def test_riemann_roch_rejects_a_polynomial_square(c1):
+    # a symbolic coefficient or model makes q(c1) a Poly, which is no even
+    # integer; before, it raised AttributeError ('Poly' object has no
+    # attribute 'denominator')
+    with pytest.raises(TypeError, match=r"^c1 must have a number q\(c1\)"):
+        riemann_roch(c1)
 
 
 @given(st.integers(min_value=-6, max_value=20))

@@ -26,13 +26,7 @@ import hkverify.lattice
 import hkverify.report
 from hkverify.abelian import forced_stable, jh_decompositions, zeppola_integral
 from hkverify.cli import _CHERN_TABLE, main
-from hkverify.fiber import (
-    SubsheafProfile,
-    fiber_degrees,
-    integer_rank_criterion,
-    rank_failures,
-    subsheaf_rank,
-)
+from hkverify.fiber import SubsheafProfile, fiber_degrees, subsheaf_rank
 from hkverify.kummer import (
     C2_PAIR_COEFF,
     KummerTwoClass,
@@ -276,16 +270,39 @@ def _ch2_with_mu_delta_cross_term(line, alpha, beta):
     return true + alpha.p * beta.x + alpha.x * beta.p
 
 
+_subsheaf_rank_raw = hkverify.fiber._subsheaf_rank_raw
 _subsheaf_rank_weighted_raw = hkverify.fiber._subsheaf_rank_weighted_raw
+_degrees = hkverify.fiber._degrees
+_restrictions = hkverify.fiber._restrictions
 
 
-def _weighted_rank_off_beyond_md_11(profile, deg_v, deg_delta):
-    # the numerator gains r2 (md - 9)(md - 11), with md = deg Delta / 24: a
-    # wrong kernel whose cross products keep degree <= 3 in md, right at the
-    # frame's first two rows and wrong at its last two
-    num, den = _subsheaf_rank_weighted_raw(profile, deg_v, deg_delta)
-    md = deg_delta // 24
-    return (num + profile.r2 * (md - 9) * (md - 11), den)
+def _weighted_rank_off_beyond_md_11(s, r2, deg_v, deg_delta):
+    # the numerator gains r2 (md - 9)(md - 11), with md = deg Delta / 24:
+    # cross products of degree <= 3 in md, right at md = 9 and 11, so the
+    # old frame md = 9, 11, 13, 15 caught it on its last two rows
+    num, den = _subsheaf_rank_weighted_raw(s, r2, deg_v, deg_delta)
+    md = deg_delta / 24
+    return (num + r2 * (md - 9) * (md - 11), den)
+
+
+def _weighted_rank_off_beyond_md_15(s, r2, deg_v, deg_delta):
+    # + r2 (md - 9)(md - 11)(md - 13)(md - 15): degree 5 cross products,
+    # right on every row of the old frame, which read 0 failures / 500 cases
+    num, den = _subsheaf_rank_weighted_raw(s, r2, deg_v, deg_delta)
+    md = deg_delta / 24
+    return (num + r2 * (md - 9) * (md - 11) * (md - 13) * (md - 15), den)
+
+
+def _rank_off_beyond_md_9(s, r2, md):
+    # the numerator gains (md - 9)(s - 2 r2): right at md = 9, where the
+    # integrality half reads the kernel, and wrong at every other md
+    num, den = _subsheaf_rank_raw(s, r2, md)
+    return (num + (md - 9) * (s - 2 * r2), den)
+
+
+def _criterion_without_r2(profile, m, d):
+    # r1' + r1'' = 2 r2 -> r1' = r1'': wrong wherever r2 differs from r1'
+    return profile.r1p == profile.r1pp
 
 
 def _discriminant_off_at_d_3(model):
@@ -295,11 +312,24 @@ def _discriminant_off_at_d_3(model):
     return true + model.self_omega * (model.mixed_d - 1) * (model.mixed_d - 2) // 2
 
 
-def _fiber_degrees_off_at_md_4(m, d):
+def _degrees_off_at_md_4(md):
     # the V degree gains (md - 2)(md - 3): still degree 2 in md, right at
-    # md = 2, 3
-    deg_v, deg_delta = fiber_degrees(m, d)
-    return (deg_v + (m * d - 2) * (m * d - 3), deg_delta)
+    # md = 2, 3, so the old frame md = 2, 3, 4 caught it at md = 4
+    deg_v, deg_delta = _degrees(md)
+    return (deg_v + (md - 2) * (md - 3), deg_delta)
+
+
+def _degrees_off_beyond_md_4(md):
+    # + (md - 2)(md - 3)(md - 4): degree 3, right on the whole old frame,
+    # which read 0 failures / 3 cases
+    deg_v, deg_delta = _degrees(md)
+    return (deg_v + (md - 2) * (md - 3) * (md - 4), deg_delta)
+
+
+def _restrictions_off_beyond_md_4(md):
+    # the V restriction's Gamma coefficient 3 md gains (md - 2)(md - 3)(md - 4)
+    (v_sigma, v_gamma), delta = _restrictions(md)
+    return ((v_sigma, v_gamma + (md - 2) * (md - 3) * (md - 4)), delta)
 
 
 def _forced_stable_reading_c0(s0, c0, e):
@@ -451,29 +481,67 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
             "chern-chi-end-decomposition",
             "(48, -63, 19)",
         ),
-        # the degree-bound certificates: each wrong formula stays inside the
-        # certificate's degree bound and agrees with the right one on part
-        # of the frame
+        # the fiber records on a symbolic md: each wrong md kernel agrees
+        # with the right one at some md (the higher-degree ones on every md
+        # of the old degree-bound frames); the wrong criterion is caught by
+        # the integrality cases at md = 9
         (
-            hkverify.fiber,
+            hkverify.report,
             "_subsheaf_rank_weighted_raw",
             _weighted_rank_off_beyond_md_11,
             "fiber-rank-integrality",
-            "200 failures / 500 cases",
+            "1 failures / 126 cases",
         ),
+        (
+            hkverify.report,
+            "_subsheaf_rank_weighted_raw",
+            _weighted_rank_off_beyond_md_15,
+            "fiber-rank-integrality",
+            "1 failures / 126 cases",
+        ),
+        (
+            hkverify.report,
+            "_subsheaf_rank_raw",
+            _rank_off_beyond_md_9,
+            "fiber-rank-integrality",
+            "1 failures / 126 cases",
+        ),
+        (
+            hkverify.report,
+            "integer_rank_criterion",
+            _criterion_without_r2,
+            "fiber-rank-integrality",
+            "28 failures / 126 cases",
+        ),
+        (
+            hkverify.report,
+            "_degrees",
+            _degrees_off_at_md_4,
+            "fiber-degrees-gram",
+            "1 failures / 1 cases",
+        ),
+        (
+            hkverify.report,
+            "_degrees",
+            _degrees_off_beyond_md_4,
+            "fiber-degrees-gram",
+            "1 failures / 1 cases",
+        ),
+        (
+            hkverify.fiber,
+            "_restrictions",
+            _restrictions_off_beyond_md_4,
+            "fiber-degrees-gram",
+            "1 failures / 1 cases",
+        ),
+        # the degree-bound frame: the wrong formula stays inside the
+        # frame's degree bound and agrees with the right one on part of it
         (
             AbelianSurfaceModel,
             "discriminant",
             _discriminant_off_at_d_3,
             "lattice-discriminant-sweep",
             "2 failures / 6 cases",
-        ),
-        (
-            hkverify.report,
-            "fiber_degrees",
-            _fiber_degrees_off_at_md_4,
-            "fiber-degrees-gram",
-            "1 failures / 3 cases",
         ),
         # the polynomial identities in a: each wrong entry agrees with the
         # right one at a = 1, 2 (and 3), and differs from it as a Poly
@@ -578,8 +646,13 @@ _CHI_END_PARTS = hkverify.chern.chi_end_decomposition
         "chi-end-traceless",
         "chi-end-third-summand",
         "rank-beyond-md-11",
-        "discriminant-at-d-3",
+        "rank-beyond-md-15",
+        "rank-kernel-beyond-md-9",
+        "criterion-without-r2",
         "fiber-degree-at-md-4",
+        "fiber-degree-beyond-md-4",
+        "restriction-beyond-md-4",
+        "discriminant-at-d-3",
         "ch1-ch3-at-a-3",
         "ch4-cubic",
         "ch1-fourth-cubic",
@@ -603,38 +676,34 @@ def test_basis_certificates_catch_wrong_formulas(
     assert exit_code(report) == 1
 
 
-def _rank_failures_in_fractions(profile, md):
-    # the rank sweep's checks written with plain Fractions, no int kernel
-    s = profile.r1p + profile.r1pp
-    rank = Fraction(s, 2) - Fraction(s - 2 * profile.r2, 2 * md)
-    criterion_wrong = integer_rank_criterion(profile, 1, md) != (rank.denominator == 1)
-    deg_v, deg_delta = fiber_degrees(1, md)
-    weighted = Fraction(s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta)
-    return criterion_wrong + (weighted != rank)
+def test_rank_integrality_at_md_9_decides_every_md_up_to_121():
+    # fiber-rank-integrality decides the integrality of the rank at md = 9
+    # alone, by the argument that an integral (s md - e)/(2 md) with
+    # |e| <= 8 < md has e = 0. Checked here with plain Fractions, no kernel,
+    # for every profile at every md of the sweep-grid range, odd and even
+    for r1p, r1pp, r2 in product(range(5), repeat=3):
+        s = r1p + r1pp
+        integral = [
+            (Fraction(s, 2) - Fraction(s - 2 * r2, 2 * md)).denominator == 1
+            for md in range(9, 122)
+        ]
+        assert integral == integral[:1] * len(integral), (r1p, r1pp, r2)
 
 
-def test_rank_failures_match_the_fraction_checks():
-    # every profile at every md of the sweep-grid range, odd and even
-    profiles = [SubsheafProfile(*ranks) for ranks in product(range(5), repeat=3)]
-    for md in range(9, 122):
-        expected = [_rank_failures_in_fractions(profile, md) for profile in profiles]
-        assert list(rank_failures(profiles, md)) == expected, md
-
-
-def _weighted_rank_with_wrong_denominator(profile, deg_v, deg_delta):
+def _weighted_rank_with_wrong_denominator(s, r2, deg_v, deg_delta):
     # 2 deg V + deg Delta -> 2 deg V + deg Delta + 1
-    s = profile.r1p + profile.r1pp
-    return (s * deg_v + profile.r2 * deg_delta, 2 * deg_v + deg_delta + 1)
+    return (s * deg_v + r2 * deg_delta, 2 * deg_v + deg_delta + 1)
 
 
 def test_rank_sweep_catches_a_wrong_weighted_rank(monkeypatch):
-    # only the zero profile (rank 0 either way) survives, once per md
+    # the one symbolic comparison fails; the 125 integrality cases do not
+    # read the weighted rank
     monkeypatch.setattr(
-        hkverify.fiber, "_subsheaf_rank_weighted_raw", _weighted_rank_with_wrong_denominator
+        hkverify.report, "_subsheaf_rank_weighted_raw", _weighted_rank_with_wrong_denominator
     )
     report = run_report(ReportConfig(only="fiber-rank-integrality"))
     (record,) = report.records
-    assert (record.computed, record.verdict) == ("496 failures / 500 cases", "fail")
+    assert (record.computed, record.verdict) == ("1 failures / 126 cases", "fail")
     assert exit_code(report) == 1
 
 
@@ -681,8 +750,12 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         ("delta-pairing-two-paths", AbelianSurfaceModel, ("__eq__",), 0),
         # one per generic class of the one symbolic case
         ("blowup-pullback-quartic", hkverify.report, ("pullback_correspondence",), 4),
-        # one per md row of the frame (m d = 9, 11, 13, 15), not one per profile
-        ("fiber-rank-integrality", hkverify.fiber, ("fiber_degrees",), 4),
+        # one: the degrees enter only the symbolic comparison; and one
+        # integrality criterion per profile at m d = 9, none through the
+        # public subsheaf_rank
+        ("fiber-rank-integrality", hkverify.report, ("_degrees",), 1),
+        ("fiber-rank-integrality", hkverify.report, ("integer_rank_criterion",), 125),
+        ("fiber-rank-integrality", hkverify.fiber, ("subsheaf_rank",), 0),
         # four in the one Poly comparison: three for 8 times the Fraction
         # coefficients of ch4 and one for 2 times the constant 27/2 of
         # ch1 ch3; every other coefficient is an int, and nothing is
@@ -711,7 +784,9 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
         "fujiki-per-delta-case",
         "model-checks-per-delta-case",
         "pullbacks-per-sweep",
-        "degrees-per-row",
+        "degrees-per-rank-sweep",
+        "criteria-per-rank-sweep",
+        "public-ranks-per-rank-sweep",
         "fraction-ops",
         "x-paths-per-chern-sweep",
         "fractions-per-fujiki-sweep",
@@ -951,8 +1026,8 @@ def test_report_config_validation():
 
 @pytest.mark.parametrize("md_max", [0, -3, 1, 8])
 def test_report_config_rejects_non_positive_md_max(md_max):
-    # fiber-rank-integrality starts at m*d = 9, so a smaller md_max would
-    # leave it no case
+    # md_max changes no record; it stays at least 9, the m*d at which
+    # fiber-rank-integrality decides the rank's integrality
     with pytest.raises(ValueError, match="md_max must be at least 9"):
         ReportConfig(md_max=md_max)
 
@@ -1072,6 +1147,12 @@ def test_cli_rr(capsys):
     assert capsys.readouterr().out.strip() == "63"
     assert main(["rr", "--abar", "1", "--d", "5", "--cls", "2,0,-1"]) == 0
     assert capsys.readouterr().out.strip() == "63"
+
+
+def test_cli_rr_rejects_a_square_that_is_not_even(capsys):
+    # q(mu(omegabar/2)) = 2 * (1/2)^2 = 1 on the halved model (2, 5)
+    assert main(["rr", "--abar", "1", "--d", "5", "--cls", "1/2,0,0"]) == 1
+    assert capsys.readouterr().err == "error: q(c1) = 1 is not an even integer\n"
 
 
 def test_cli_fujiki(capsys):
